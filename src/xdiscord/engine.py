@@ -24,6 +24,8 @@ CLASSIFY_TOL = 1e-12      # equality band for the region conditions
 NEWTON_STEP_TOL = 1e-12
 NEWTON_GRAD_TOL = 1e-13
 NEWTON_MAX_ITER = 100
+GOLDEN_TOL = 1e-12
+GOLDEN_MAX_ITER = 200
 SCAN_POINTS = 201
 TIE_TOL = 1e-12
 PAIR_FLOOR = 1e-15        # weights below this contribute nothing
@@ -47,12 +49,10 @@ class FContext:
 
     p: BlochX
     c: float        # max(|c1|, |c2|)
-    c_big: float    # max(|c1|, |c2|, |c3|)
 
     @classmethod
     def from_state(cls, p: BlochX) -> "FContext":
-        c = max(abs(p.c1), abs(p.c2))
-        return cls(p=p, c=c, c_big=max(c, abs(p.c3)))
+        return cls(p=p, c=max(abs(p.c1), abs(p.c2)))
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +246,12 @@ def f_second_derivative(ctx: FContext, z):
 # transcribed independently of f_value so an analytic-vs-numeric comparison
 # actually compares two expressions.
 
-def _endpoint_one(p: BlochX) -> float:
-    # value at z = 1: four terms with weights 1 +- s +- (r +- c3)
+def _four_terms(s: float, dp: float, dm: float) -> float:
+    # sum of (x/4) log2(x/w) over x = w +- d, for (w, d) = (1 + s, dp) and
+    # (1 - s, dm); z = 1 has (dp, dm) = (r + c3, r - c3), the r = 0 family
+    # has (C, C) with C = max |ci|
     tot = 0.0
-    for w, d in ((1.0 + p.s, p.r + p.c3), (1.0 - p.s, p.r - p.c3)):
+    for w, d in ((1.0 + s, dp), (1.0 - s, dm)):
         if w <= PAIR_FLOOR:
             continue
         for e in (1.0, -1.0):
@@ -268,26 +270,14 @@ def _endpoint_zero(p: BlochX, c: float) -> float:
     return 0.5 * tot
 
 
-def _axis_value(s: float, cbig: float) -> float:
-    # r = 0 family: four terms with weights 1 +- s +- C, C = max |ci|
-    tot = 0.0
-    for w in (1.0 + s, 1.0 - s):
-        if w <= PAIR_FLOOR:
-            continue
-        for e in (1.0, -1.0):
-            x = w + e * cbig
-            if x > 0.0:
-                tot += 0.25 * x * math.log2(x / w)
-    return tot
-
-
-def region_conditions(p: BlochX, tol: float = CLASSIFY_TOL) -> dict[str, bool]:
+def region_conditions(p: BlochX) -> dict[str, bool]:
     """Which of the four endpoint-region hypotheses the state satisfies.
 
     The regions overlap; classify_region resolves overlaps by the fixed
     precedence a, b, c, d (consistent, since the endpoint values agree on
     every overlap).
     """
+    tol = CLASSIFY_TOL
     r, s, c3 = p.r, p.s, p.c3
     c = max(abs(p.c1), abs(p.c2))
     q = c3 * c3 - c * c
@@ -303,30 +293,30 @@ def region_conditions(p: BlochX, tol: float = CLASSIFY_TOL) -> dict[str, bool]:
     }
 
 
-def classify_region(p: BlochX, tol: float = CLASSIFY_TOL) -> Region:
+def classify_region(p: BlochX) -> Region:
     """Assign the state to the first matching region, a through d.
 
     Comparisons use a small equality band; states matching no hypothesis
     get Region.GENERAL and take the numeric search.
     """
-    conds = region_conditions(p, tol)
+    conds = region_conditions(p)
     for tag in "abcd":
         if conds[tag]:
             return Region(tag)
     return Region.GENERAL
 
 
-def analytic_max(p: BlochX, region: Region | None = None,
-                 tol: float = CLASSIFY_TOL) -> tuple[float, float]:
+def analytic_max(p: BlochX,
+                 region: Region | None = None) -> tuple[float, float]:
     """(z*, max F) from the closed forms; requires a non-general region."""
-    tag = classify_region(p, tol) if region is None else region
+    tag = classify_region(p) if region is None else region
     if tag in (Region.CASE_A, Region.CASE_B):
-        return 1.0, _endpoint_one(p)
+        return 1.0, _four_terms(p.s, p.r + p.c3, p.r - p.c3)
     c = max(abs(p.c1), abs(p.c2))
     if tag is Region.CASE_C:
         cbig = max(c, abs(p.c3))
-        z_star = 1.0 if p.c3 * p.c3 >= c * c - tol else 0.0
-        return z_star, _axis_value(p.s, cbig)
+        z_star = 1.0 if p.c3 * p.c3 >= c * c - CLASSIFY_TOL else 0.0
+        return z_star, _four_terms(p.s, cbig, cbig)
     if tag is Region.CASE_D:
         return 0.0, _endpoint_zero(p, c)
     raise ValueError("state is outside the closed-form regions")
@@ -347,14 +337,14 @@ class NewtonRun:
 
 
 def newton_critical_point(ctx: FContext, z0: float,
-                          bracket: tuple[float, float] | None = None,
-                          max_iter: int = NEWTON_MAX_ITER) -> NewtonRun:
+                          bracket: tuple[float, float] | None = None
+                          ) -> NewtonRun:
     """Newton iteration for F'(z) = 0 from z0, confined to [0, 1].
 
     Steps that leave the interval, land on a non-finite derivative, or
     increase |F'| are rejected; with a sign-change bracket the rejected
     step is replaced by bisection, otherwise the run is abandoned.
-    Convergence: |dz| < 1e-12 or |F'| < 1e-13, capped at max_iter.
+    Convergence: |dz| < 1e-12 or |F'| < 1e-13, capped at 100 steps.
     """
     z = float(z0)
     g = _fp_scalar(ctx, z)
@@ -370,7 +360,7 @@ def newton_critical_point(ctx: FContext, z0: float,
     its: list[float] = []
     converged = False
     note = ""
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         if math.isfinite(g) and abs(g) < NEWTON_GRAD_TOL:
             converged = True
             break
@@ -409,15 +399,14 @@ def newton_critical_point(ctx: FContext, z0: float,
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def golden_section_max(fn, lo: float, hi: float,
-                       tol: float = 1e-12, max_iter: int = 200):
+def golden_section_max(fn, lo: float, hi: float):
     """Golden-section search for a maximum of fn on [lo, hi]."""
     a, b = float(lo), float(hi)
     x1 = b - _INVPHI * (b - a)
     x2 = a + _INVPHI * (b - a)
     f1, f2 = fn(x1), fn(x2)
     it = 0
-    while (b - a) > tol and it < max_iter:
+    while (b - a) > GOLDEN_TOL and it < GOLDEN_MAX_ITER:
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _INVPHI * (b - a)
@@ -453,6 +442,9 @@ def _global_max(ctx: FContext, scan_points: int = SCAN_POINTS) -> MaxResult:
     zs = np.linspace(0.0, 1.0, scan_points)
     with np.errstate(all="ignore"):
         d = _fp_arr(ctx, zs)
+        gi, gj = d[1:-1], d[2:]
+        hits = (np.isfinite(gi) & np.isfinite(gj)
+                & ((gi == 0.0) | (gi * gj < 0.0)))
     f0 = _f_scalar(ctx, 0.0)
     f1 = _f_scalar(ctx, 1.0)
     cands: list[tuple[float, float]] = [(0.0, f0), (1.0, f1)]
@@ -464,25 +456,21 @@ def _global_max(ctx: FContext, scan_points: int = SCAN_POINTS) -> MaxResult:
     if run0.converged and math.isfinite(run0.z) and 0.0 <= run0.z <= 1.0:
         cands.append((run0.z, _f_scalar(ctx, run0.z)))
 
-    # z = 0 is always critical (F is even); covered by the endpoint above
-    for i in range(1, scan_points - 1):
-        gi, gj = d[i], d[i + 1]
-        if not (np.isfinite(gi) and np.isfinite(gj)):
+    # interior grid points where F' vanishes or changes sign before the
+    # next point; z = 0 is always critical (F is even), covered above
+    for i in np.flatnonzero(hits) + 1:
+        a, b = float(zs[i]), float(zs[i + 1])
+        if d[i] == 0.0:
+            cands.append((a, _f_scalar(ctx, a)))
             continue
-        if gi == 0.0:
-            zi = float(zs[i])
-            cands.append((zi, _f_scalar(ctx, zi)))
-            continue
-        if gi * gj < 0.0:
-            a, b = float(zs[i]), float(zs[i + 1])
-            run = newton_critical_point(ctx, 0.5 * (a + b), bracket=(a, b))
-            runs.append(run)
-            if run.converged:
-                cands.append((run.z, _f_scalar(ctx, run.z)))
-            else:
-                zg, fg = golden_section_max(lambda t: _f_scalar(ctx, t), a, b)
-                fallback = "golden-section"
-                cands.append((zg, fg))
+        run = newton_critical_point(ctx, 0.5 * (a + b), bracket=(a, b))
+        runs.append(run)
+        if run.converged:
+            cands.append((run.z, _f_scalar(ctx, run.z)))
+        else:
+            zg, fg = golden_section_max(lambda t: _f_scalar(ctx, t), a, b)
+            fallback = "golden-section"
+            cands.append((zg, fg))
 
     f_max = max(f for _, f in cands)
     winners = [z for z, f in cands if f >= f_max - TIE_TOL]

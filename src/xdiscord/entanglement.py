@@ -59,16 +59,14 @@ def _sqrtm_psd(m: np.ndarray) -> np.ndarray:
 def mu_spectrum(matrix) -> np.ndarray:
     """Square roots of the eigenvalues of rho rho-tilde, descending.
 
-    Computed on the hermitian product sqrt(rho) rho-tilde sqrt(rho),
-    which shares the spectrum and keeps the eigensolver on safe ground.
-    Works for any two-qubit density matrix.
+    These are Wootters' lambda_i, the singular values of
+    sqrt(rho) sqrt(rho-tilde); computed that way, small ones keep
+    absolute accuracy instead of sqrt(eps).  Works for any two-qubit
+    density matrix.
     """
     m = _as_array(matrix)
-    sq = _sqrtm_psd(m)
-    w = np.linalg.eigvalsh(sq @ spin_flip(m) @ sq)
-    # eigensolver noise on exact zeros would be amplified by the sqrt
-    w[w < 64.0 * np.finfo(float).eps * max(float(w[-1]), 1e-30)] = 0.0
-    return np.sort(np.sqrt(np.clip(w, 0.0, None)))[::-1]
+    return np.linalg.svd(_sqrtm_psd(m) @ _sqrtm_psd(spin_flip(m)),
+                         compute_uv=False)
 
 
 def mu_spectrum_closed(matrix) -> np.ndarray:
@@ -90,16 +88,16 @@ def _con_from_mu(mu: np.ndarray) -> float:
     return max(0.0, float(mu[0] - mu[1] - mu[2] - mu[3]))
 
 
-def concurrence(matrix, check: bool = True) -> float:
+def concurrence(matrix) -> float:
     """Concurrence of a two-qubit density matrix.
 
-    Uses the general eigenvalue route; for X-shaped inputs the closed
+    Uses the general singular-value route; for X-shaped inputs the closed
     form is evaluated as well and a disagreement beyond 1e-10 raises,
     so the two derivations keep checking each other.
     """
     m = _as_array(matrix)
     con = _con_from_mu(mu_spectrum(m))
-    if check and np.abs(m[_OFF_X]).max() < 1e-14:
+    if np.abs(m[_OFF_X]).max() < 1e-14:
         con_x = _con_from_mu(mu_spectrum_closed(m))
         if abs(con - con_x) > ROUTE_TOL:
             raise RuntimeError(
@@ -142,32 +140,13 @@ class RankTwoDecomposition:
 
 
 def _block_eigvecs(t: float, u: float):
-    # eigenpairs of [[1 + t, u], [u, 1 - t]] / 2, descending eigenvalue;
-    # each formula vector is paired with its eigenvalue by residual
+    # eigenpairs of [[1 + t, u], [u, 1 - t]] / 2, descending eigenvalue:
+    # with (t, u) = k (cos 2a, sin 2a) they are (cos a, sin a) for
+    # (1 + k)/2 and (-sin a, cos a) for (1 - k)/2
     k = math.hypot(t, u)
-    lams = (0.5 * (1.0 + k), 0.5 * (1.0 - k))
-    if abs(u) < 1e-15:
-        vecs = ((1.0, 0.0), (0.0, 1.0)) if t >= 0.0 else ((0.0, 1.0), (1.0, 0.0))
-        return [(lams[0], vecs[0]), (lams[1], vecs[1])]
-    sg = math.copysign(1.0, u)
-    cands = []
-    for e in (1.0, -1.0):
-        n = math.sqrt(2.0 * k * k + 2.0 * e * t * k)
-        cands.append((sg * (t + e * k) / n, abs(u) / n))
-
-    def residual(vec, lam):
-        a, b = vec
-        return math.hypot(0.5 * ((1.0 + t) * a + u * b) - lam * a,
-                          0.5 * (u * a + (1.0 - t) * b) - lam * b)
-
-    out = []
-    used: set[int] = set()
-    for lam in lams:
-        idx = min((i for i in range(2) if i not in used),
-                  key=lambda i: residual(cands[i], lam))
-        used.add(idx)
-        out.append((lam, cands[idx]))
-    return out
+    a = 0.5 * math.atan2(u, t)
+    ca, sa = math.cos(a), math.sin(a)
+    return [(0.5 * (1.0 + k), (ca, sa)), (0.5 * (1.0 - k), (-sa, ca))]
 
 
 def _embed(pair, idx0: int, idx1: int) -> np.ndarray:

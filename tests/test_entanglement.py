@@ -214,3 +214,39 @@ def test_koashi_winter_ca_matches_swapped_engine(rng):
         rep = koashi_winter(bloch_to_matrix(p))
         assert rep.classical_correlation_a == pytest.approx(
             discord(p.swapped()).classical_correlation, abs=1e-12)
+
+
+# Certify-workload states (seed/index) that broke the bridge at rounding
+# level: 408/95 is case III with an outer block of rank 1 in rho_bc, whose
+# small mu must survive; the others are case I/II with |c1| tiny, where
+# the block eigenvectors must stay accurate.
+BRIDGE_REGRESSIONS = {
+    "408/95": ((-0.995857864863547, 0.7086880604984267, -0.08412905058441578,
+                -0.08412809608424501, -0.7128301956332934), 5.7318e-8),
+    "12/90": ((0.7564986752664902, 0.7564986752664902, 0.0001616125711523253,
+               -0.0001616125711523253, 1.0), None),
+    "95/15": ((-0.46167390971168415, -0.46167390971168415,
+               -4.192431948213393e-05, 4.192431948213393e-05, 1.0), None),
+    "322/46": ((-0.11586322552631922, 0.11586322552631922,
+                -1.0433202495163663e-05, -1.0433202495163663e-05, -1.0),
+               None),
+    "463/63": ((-0.9171267611687353, -0.9171267611687353,
+                1.1056790438890296e-05, -1.1056790438890296e-05, 1.0), None),
+}
+
+
+@pytest.mark.parametrize("name", list(BRIDGE_REGRESSIONS))
+def test_bridge_regressions(name):
+    bloch, mu2 = BRIDGE_REGRESSIONS[name]
+    m = bloch_to_matrix(BlochX(*bloch))
+    decomp = rank_two_classify(m)
+    for w, v in zip(decomp.weights, decomp.vectors):
+        assert np.abs(m.matrix @ v - w * v).max() < 1e-12
+    np.testing.assert_allclose(purification_marginal_ab(decomp), m.matrix,
+                               atol=1e-12)
+    if mu2 is not None:
+        mu = mu_spectrum(decomp.rho_bc)
+        np.testing.assert_allclose(mu, mu_spectrum_closed(decomp.rho_bc),
+                                   atol=1e-10)
+        assert mu[1] == pytest.approx(mu2, rel=1e-4)
+    assert koashi_winter(m).residual < 1e-8
