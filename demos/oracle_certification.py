@@ -1,7 +1,7 @@
 """Certify the engine against the brute-force measurement oracle.
 
 The oracle scans every von Neumann measurement of qubit b on a
-(theta, phi) grid, refines the best cell, and reports the classical
+(z3, phi) grid, refines the best cell, and reports the classical
 correlation with no help from the one-variable reduction.  For X-states
 the optimal direction must lie on one of the two great circles through
 the poles that the reduction exploits, so the scan both checks the

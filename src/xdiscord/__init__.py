@@ -18,9 +18,7 @@ from .entanglement import (KoashiWinterReport, RankError,
                            spin_flip)
 from .oracle import (ConditionalEnsemble, MeasurementPoint, OracleResult,
                      conditional_ensemble, conditional_entropy,
-                     conjugate_paulis, correlation_objective,
-                     measurement_direction, oracle_classical_correlation,
-                     theta_circle_max)
+                     correlation_objective, oracle_classical_correlation)
 from .sampling import (random_bell_diagonal, random_case, random_rank_two,
                        random_states)
 from .states import (BlochX, PhysicalityError, XDensityMatrix, XPatternError,
@@ -37,13 +35,13 @@ __all__ = [
     "Region", "XDensityMatrix", "XPatternError", "analytic_max",
     "binary_entropy", "bloch_to_matrix", "classify_region",
     "concurrence", "conditional_ensemble", "conditional_entropy",
-    "conjugate_paulis", "corner_phases", "correlation_objective", "discord",
+    "corner_phases", "correlation_objective", "discord",
     "entanglement_of_formation", "eof_from_concurrence", "f_derivative",
     "f_second_derivative", "f_value", "global_max", "koashi_winter",
-    "marginals", "matrix_to_bloch", "measurement_direction", "mu_spectrum",
-    "mu_spectrum_closed", "mutual_information", "newton_critical_point",
+    "marginals", "matrix_to_bloch", "mu_spectrum", "mu_spectrum_closed",
+    "mutual_information", "newton_critical_point",
     "oracle_classical_correlation", "physicality_margins",
     "purification_marginal_ab", "random_bell_diagonal", "random_case",
     "random_rank_two", "random_states", "region_conditions", "spectrum",
-    "spin_flip", "state_entropy", "theta_circle_max", "xlog2",
+    "spin_flip", "state_entropy", "xlog2",
 ]

@@ -17,7 +17,7 @@ import numpy as np
 from .engine import (SCAN_POINTS, FContext, classify_region, discord,
                      f_derivative, f_second_derivative, f_value,
                      region_conditions)
-from .entanglement import RankError, koashi_winter, rank_two_classify
+from .entanglement import RankError, koashi_winter
 from .oracle import oracle_classical_correlation
 from .sampling import random_states
 from .states import (BlochX, PhysicalityError, XDensityMatrix, XPatternError,
@@ -252,13 +252,11 @@ def cmd_classify(args) -> int:
 
 def cmd_kw(args) -> int:
     p, meta = _load_state(args)
-    xm = bloch_to_matrix(p)
-    decomp = rank_two_classify(xm)
-    rep = koashi_winter(xm)
+    rep = koashi_winter(bloch_to_matrix(p))
     payload = {
         "input": {"bloch": list(p.as_tuple()), **meta},
         "case": rep.case,
-        "weights": list(decomp.weights),
+        "weights": list(rep.weights),
         "classical_correlation_a": rep.classical_correlation_a,
         "concurrence_bc": rep.concurrence_bc,
         "eof_bc": rep.eof_bc,
@@ -268,7 +266,7 @@ def cmd_kw(args) -> int:
     }
     g = _g(args.precision)
     lines = [f"rank-2 case {rep.case}, weights %s %s"
-             % (g(decomp.weights[0]), g(decomp.weights[1])),
+             % (g(rep.weights[0]), g(rep.weights[1])),
              f"classical correlation (measured on a) = "
              f"{g(rep.classical_correlation_a)}",
              f"concurrence of complementary pair = {g(rep.concurrence_bc)}",

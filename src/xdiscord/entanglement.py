@@ -245,6 +245,7 @@ class KoashiWinterReport:
     """Both sides of C_a(rho_ab) + E(rho_bc) = S(rho_b) for one state."""
 
     case: str
+    weights: tuple[float, float]
     classical_correlation_a: float
     concurrence_bc: float
     eof_bc: float
@@ -267,7 +268,7 @@ def koashi_winter(matrix) -> KoashiWinterReport:
     con = concurrence(decomp.rho_bc)
     e_bc = eof_from_concurrence(con)
     s_b = binary_entropy((1.0 + p.s) / 2.0)
-    return KoashiWinterReport(case=decomp.case,
+    return KoashiWinterReport(case=decomp.case, weights=decomp.weights,
                               classical_correlation_a=c_a,
                               concurrence_bc=con, eof_bc=e_bc,
                               marginal_entropy_b=s_b,

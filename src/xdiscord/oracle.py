@@ -8,6 +8,11 @@ conditional entropy depends on the direction (z1, z2, z3) only through
 z3 and theta = (c1 z1)^2 + (c2 z2)^2 + (c3 z3)^2, and is even in each
 component, so the quarter disk z3 in [0, 1], phi in [0, pi/2] covers
 everything.
+
+Nothing here is shared with engine.py: the entropy is binary_entropy of
+the conditional eigenvalues, and the search is a grid sweep refined by
+zooming grids, so a defect in the reduction's kernels cannot cancel out
+of a comparison with this module.
 """
 
 from __future__ import annotations
@@ -17,39 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import _pair_arr, _pair_scalar, golden_section_max
 from .states import BlochX, binary_entropy
 
-UNIT_TOL = 1e-12
-PROB_FLOOR = 1e-15
-
-
-def conjugate_paulis(t: float, y1: float, y2: float, y3: float) -> np.ndarray:
-    """Rotation matrix M with V^dag sigma_i V = sum_j M[i, j] sigma_j.
-
-    (t, y1, y2, y3) is a unit quaternion for V = t I + i (y . sigma).
-    M is in SO(3); its third column is the Bloch image of the projective
-    measurement axis, see measurement_direction.
-    """
-    q = np.array([t, y1, y2, y3], dtype=float)
-    n = np.dot(q, q)
-    if abs(n - 1.0) > UNIT_TOL:
-        raise ValueError(f"quaternion norm^2 = {n!r} differs from 1")
-    t, y = q[0], q[1:]
-    m = (t * t - np.dot(y, y)) * np.eye(3) + 2.0 * np.outer(y, y)
-    eps = np.zeros((3, 3, 3))
-    eps[0, 1, 2] = eps[1, 2, 0] = eps[2, 0, 1] = 1.0
-    eps[0, 2, 1] = eps[2, 1, 0] = eps[1, 0, 2] = -1.0
-    m += 2.0 * t * np.einsum("ijk,k->ij", eps, y)
-    return m
-
-
-def measurement_direction(t: float, y1: float, y2: float, y3: float):
-    """Bloch vector of V|0><0|V^dag: the third column of conjugate_paulis."""
-    z1 = 2.0 * (y1 * y3 - t * y2)
-    z2 = 2.0 * (y2 * y3 + t * y1)
-    z3 = t * t + y3 * y3 - y1 * y1 - y2 * y2
-    return (z1, z2, z3)
+PROB_FLOOR = 1e-15        # outcomes at most this likely contribute nothing
+HALF_PI = math.pi / 2.0
+ZOOM_POINTS = 17          # per axis of each refinement grid
+ZOOM_SHRINK = 8.0         # step ratio between refinement rounds
+ZOOM_MIN_STEP = 1e-8      # z3 step at which refinement stops
+CORNER_GAIN = 1e-15       # a round gaining less ends refinement at a corner
 
 
 @dataclass(frozen=True)
@@ -70,10 +50,6 @@ class MeasurementPoint:
         rho = math.sqrt(max(1.0 - z3 * z3, 0.0))
         return cls(rho * math.cos(phi), rho * math.sin(phi), z3)
 
-    @classmethod
-    def from_quaternion(cls, t, y1, y2, y3) -> "MeasurementPoint":
-        return cls(*measurement_direction(t, y1, y2, y3))
-
 
 @dataclass(frozen=True)
 class ConditionalEnsemble:
@@ -82,13 +58,41 @@ class ConditionalEnsemble:
     probabilities: tuple[float, float]
     eigenvalues: tuple[tuple[float, float], tuple[float, float]]
 
-    def entropy(self) -> float:
-        """Average post-measurement entropy sum_k p_k S(rho_k)."""
-        tot = 0.0
-        for pk, (lam_hi, _) in zip(self.probabilities, self.eigenvalues):
-            if pk > PROB_FLOOR:
-                tot += pk * binary_entropy(lam_hi)
-        return tot
+
+def _outcomes(p: BlochX, z3, theta):
+    """Probability and larger conditional eigenvalue of each outcome.
+
+    Outcome k = +, - has weight w_k = 1 +/- s z3, probability w_k / 2 and
+    larger eigenvalue (1 + A_k) / 2, where A_k = min(H_k / w_k, 1) and
+    H_k = sqrt(r^2 +/- 2 r c3 z3 + theta).  Elementwise on arrays.
+    """
+    out = []
+    for sign in (1.0, -1.0):
+        w = 1.0 + sign * p.s * z3
+        h = np.sqrt(np.maximum(p.r * p.r + sign * 2.0 * p.r * p.c3 * z3
+                               + theta, 0.0))
+        live = w > PROB_FLOOR
+        a = np.where(live, np.minimum(h / np.where(live, w, 1.0), 1.0), 0.0)
+        out.append((np.where(live, 0.5 * w, 0.0), 0.5 * (1.0 + a)))
+    return out
+
+
+def _entropy(p: BlochX, z3, theta):
+    """Measured conditional entropy sum_k p_k H(lambda_k), in bits."""
+    (p_hi, lam_hi), (p_lo, lam_lo) = _outcomes(p, z3, theta)
+    return p_hi * binary_entropy(lam_hi) + p_lo * binary_entropy(lam_lo)
+
+
+def _theta(p: BlochX, m: MeasurementPoint) -> float:
+    return (p.c1 * m.z1) ** 2 + (p.c2 * m.z2) ** 2 + (p.c3 * m.z3) ** 2
+
+
+def _polar_theta(p: BlochX, z3, phi):
+    # theta at (z3, phi); the c1^2 + (c2^2 - c1^2) sin^2 form is exactly
+    # flat in phi when |c1| = |c2|, so ties there resolve to phi = 0
+    c1sq = p.c1 * p.c1
+    return ((1.0 - z3 * z3) * (c1sq + (p.c2 * p.c2 - c1sq) * np.sin(phi) ** 2)
+            + (p.c3 * z3) ** 2)
 
 
 def conditional_ensemble(p: BlochX, m: MeasurementPoint) -> ConditionalEnsemble:
@@ -97,39 +101,16 @@ def conditional_ensemble(p: BlochX, m: MeasurementPoint) -> ConditionalEnsemble:
     Outcome k has probability (1 +/- s z3)/2 and conditional eigenvalues
     (1 +/- A_k)/2 with A_k = sqrt(r^2 +/- 2 r c3 z3 + theta) / (1 +/- s z3).
     """
-    r, s = p.r, p.s
-    theta = ((p.c1 * m.z1) ** 2 + (p.c2 * m.z2) ** 2 + (p.c3 * m.z3) ** 2)
-    out_p = []
-    out_e = []
-    for sign in (1.0, -1.0):
-        w = 1.0 + sign * s * m.z3
-        rad = r * r + sign * 2.0 * r * p.c3 * m.z3 + theta
-        h = math.sqrt(max(rad, 0.0))
-        if w <= PROB_FLOOR:
-            out_p.append(0.0)
-            out_e.append((0.5, 0.5))
-            continue
-        a = min(h / w, 1.0)
-        out_p.append(0.5 * w)
-        out_e.append(((1.0 + a) / 2.0, (1.0 - a) / 2.0))
-    return ConditionalEnsemble(probabilities=(out_p[0], out_p[1]),
-                               eigenvalues=(out_e[0], out_e[1]))
+    (p_hi, lam_hi), (p_lo, lam_lo) = _outcomes(p, m.z3, _theta(p, m))
+    return ConditionalEnsemble(
+        probabilities=(float(p_hi), float(p_lo)),
+        eigenvalues=((float(lam_hi), float(1.0 - lam_hi)),
+                     (float(lam_lo), float(1.0 - lam_lo))))
 
 
 def conditional_entropy(p: BlochX, m: MeasurementPoint) -> float:
     """Measured conditional entropy for one direction, in bits."""
-    return _cond_entropy_polar(p, m.z3,
-                               theta=((p.c1 * m.z1) ** 2
-                                      + (p.c2 * m.z2) ** 2
-                                      + (p.c3 * m.z3) ** 2))
-
-
-def _cond_entropy_polar(p: BlochX, z3: float, theta: float) -> float:
-    # 1 - sum of the stable log pairs; equals conditional_ensemble().entropy()
-    r, s, c3 = p.r, p.s, p.c3
-    hp = math.sqrt(max(r * r + 2.0 * r * c3 * z3 + theta, 0.0))
-    hm = math.sqrt(max(r * r - 2.0 * r * c3 * z3 + theta, 0.0))
-    return 1.0 - _pair_scalar(1.0 + s * z3, hp) - _pair_scalar(1.0 - s * z3, hm)
+    return float(_entropy(p, m.z3, _theta(p, m)))
 
 
 def correlation_objective(p: BlochX, z3: float, theta: float) -> float:
@@ -138,30 +119,15 @@ def correlation_objective(p: BlochX, z3: float, theta: float) -> float:
     Nondecreasing in theta for fixed z3, which is what lets the circle
     maximum of theta stand in for the full two-angle search.
     """
-    return 1.0 - _cond_entropy_polar(p, z3, theta)
+    return float(1.0 - _entropy(p, z3, theta))
 
 
-def theta_circle_max(p: BlochX, z3: float, samples: int = 257) -> float:
-    """Maximum of theta over the circle of directions with fixed z3.
-
-    Located by a grid-plus-golden-section search over phi; tests compare
-    it against c^2 (1 - z3^2) + c3^2 z3^2 with c = max(|c1|, |c2|).
-    """
-    rho2 = max(1.0 - z3 * z3, 0.0)
-    base = (p.c3 * z3) ** 2
-
-    def theta_of(phi: float) -> float:
-        co, si = math.cos(phi), math.sin(phi)
-        return rho2 * ((p.c1 * co) ** 2 + (p.c2 * si) ** 2) + base
-
-    phis = np.linspace(0.0, math.pi / 2.0, samples)
-    vals = rho2 * ((p.c1 * np.cos(phis)) ** 2
-                   + (p.c2 * np.sin(phis)) ** 2) + base
-    j = int(np.argmax(vals))
-    lo = phis[max(j - 1, 0)]
-    hi = phis[min(j + 1, samples - 1)]
-    _, best = golden_section_max(theta_of, lo, hi)
-    return float(max(best, vals[j]))
+def _sweep(p: BlochX, z3s: np.ndarray, phis: np.ndarray):
+    # entropy on the grid z3s x phis; ties resolve to the first cell
+    z3g = z3s[:, None]
+    ce = _entropy(p, z3g, _polar_theta(p, z3g, phis[None, :]))
+    i, j = np.unravel_index(int(np.argmin(ce)), ce.shape)
+    return float(ce[i, j]), int(i), int(j)
 
 
 @dataclass(frozen=True)
@@ -187,52 +153,37 @@ def oracle_classical_correlation(p: BlochX, grid_n: int = 256,
     """Classical correlation by direct minimization over directions.
 
     Sweeps the quarter disk (z3, phi) on a grid_n x grid_n grid, then
-    refines the winning cell with up to refine_rounds alternating rounds
-    of golden-section search over each coordinate, each confined to one
-    coarse cell around the winner.
+    zooms in on the winner for up to refine_rounds rounds: each round
+    sweeps a small grid spanning one current step on either side of the
+    best point and divides the step by 8.  Refinement ends once the z3
+    step falls below ZOOM_MIN_STEP, or earlier when the best point sits on
+    a corner of the domain and a round gains less than CORNER_GAIN.
     """
-    r, s, c3 = p.r, p.s, p.c3
     z3s = np.linspace(0.0, 1.0, grid_n)
-    phis = np.linspace(0.0, math.pi / 2.0, grid_n)
-    z3g = z3s[:, None]
-    rho2 = 1.0 - z3g * z3g
-    theta = (rho2 * ((p.c1 * np.cos(phis)[None, :]) ** 2
-                     + (p.c2 * np.sin(phis)[None, :]) ** 2)
-             + (c3 * z3g) ** 2)
-    hp = np.sqrt(np.maximum(r * r + 2.0 * r * c3 * z3g + theta, 0.0))
-    hm = np.sqrt(np.maximum(r * r - 2.0 * r * c3 * z3g + theta, 0.0))
-    ce = 1.0 - _pair_arr(1.0 + s * z3g, hp) - _pair_arr(1.0 - s * z3g, hm)
+    phis = np.linspace(0.0, HALF_PI, grid_n)
+    best, i, j = _sweep(p, z3s, phis)
+    z3, phi = float(z3s[i]), float(phis[j])
 
-    flat = int(np.argmin(ce))
-    i, j = np.unravel_index(flat, ce.shape)
-    best = float(ce[i, j])
-    z3 = float(z3s[i])
-    phi = float(phis[j])
-
-    def ent(z3v: float, phiv: float) -> float:
-        rr = max(1.0 - z3v * z3v, 0.0)
-        co, si = math.cos(phiv), math.sin(phiv)
-        th = rr * ((p.c1 * co) ** 2 + (p.c2 * si) ** 2) + (c3 * z3v) ** 2
-        return _cond_entropy_polar(p, z3v, th)
-
-    z_lo, z_hi = float(z3s[max(i - 1, 0)]), float(z3s[min(i + 1, grid_n - 1)])
-    f_lo, f_hi = float(phis[max(j - 1, 0)]), float(phis[min(j + 1, grid_n - 1)])
+    dz = 1.0 / max(grid_n - 1, 1)
+    dphi = HALF_PI * dz
     for _ in range(refine_rounds):
-        z3_new, neg1 = golden_section_max(lambda t: -ent(t, phi), z_lo, z_hi)
-        phi_new, neg2 = golden_section_max(lambda t: -ent(z3_new, t),
-                                           f_lo, f_hi)
-        cand = -neg2
-        if cand <= best - 1e-18:
-            improved = best - cand
-            z3, phi, best = z3_new, phi_new, cand
-            if improved < 1e-15:
-                break
-        else:
+        zs = np.linspace(max(z3 - dz, 0.0), min(z3 + dz, 1.0), ZOOM_POINTS)
+        fs = np.linspace(max(phi - dphi, 0.0), min(phi + dphi, HALF_PI),
+                         ZOOM_POINTS)
+        cand, a, b = _sweep(p, zs, fs)
+        gain = best - cand
+        if gain > 0.0:
+            best, z3, phi = cand, float(zs[a]), float(fs[b])
+        if gain < CORNER_GAIN and z3 in (0.0, 1.0) and phi in (0.0, HALF_PI):
+            break
+        dz /= ZOOM_SHRINK
+        dphi /= ZOOM_SHRINK
+        if dz < ZOOM_MIN_STEP:
             break
 
     m = MeasurementPoint.from_polar(z3, phi)
-    sa = binary_entropy((1.0 + r) / 2.0)
+    sa = binary_entropy((1.0 + p.r) / 2.0)
     return OracleResult(classical_correlation=float(sa - best),
                         entropy_min=best, z3=z3, phi=phi,
                         direction=(m.z1, m.z2, m.z3), grid_n=grid_n,
-                        grid_index=(int(i), int(j)))
+                        grid_index=(i, j))

@@ -45,23 +45,24 @@ def ptrace_b(matrix) -> np.ndarray:
     return np.einsum("abcb->ac", m)
 
 
-def measured_conditional_entropy(matrix, direction) -> float:
-    """Average entropy after projecting qubit b along a unit direction.
+def measured_ensemble(matrix, direction):
+    """Outcomes of projecting qubit b along a unit direction.
 
-    Built from explicit projectors and partial traces; the package's
-    conditional ensembles must reproduce this number.
+    One (probability, reduced state of qubit a) pair per outcome, built
+    from explicit projectors and partial traces; the state is None when
+    the outcome never occurs.  The package's conditional ensembles must
+    reproduce these.
     """
     z1, z2, z3 = direction
     b0 = 0.5 * (EYE2 + z1 * SIGMA[0] + z2 * SIGMA[1] + z3 * SIGMA[2])
     m = np.asarray(matrix, dtype=complex)
-    total = 0.0
+    out = []
     for proj in (b0, EYE2 - b0):
         pb = np.kron(EYE2, proj)
         sub = pb @ m @ pb
         pk = float(np.trace(sub).real)
-        if pk > 1e-15:
-            total += pk * dense_entropy(ptrace_b(sub) / pk)
-    return total
+        out.append((pk, ptrace_b(sub) / pk if pk > 1e-15 else None))
+    return out
 
 
 def closed_form_bell_diagonal(c1, c2, c3) -> float:

@@ -4,12 +4,14 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import EX_MATRIX
 from xdiscord.cli import main
+from xdiscord.sampling import random_rank_two
 
 EX_DISCORD = 0.13274145387467
 WERNER_ARGS = ["--bloch", "0", "0", "-0.5", "-0.5", "-0.5"]
@@ -216,3 +218,18 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "discord = " in proc.stdout
+
+
+def test_kw_check_warns_once_on_near_rank_two(capsys):
+    # c1, c2 scaled off the rank-2 surface: third eigenvalue 6.3e-9
+    p = random_rank_two(np.random.default_rng(1), "III", 1)[0]
+    args = [str(x) for x in (p.r, p.s, p.c1 * (1.0 - 4e-8),
+                             p.c2 * (1.0 - 4e-8), p.c3)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, _ = run_cli(capsys, "kw-check", "--bloch", *args,
+                               "--format", "json")
+    assert code == 0
+    assert json.loads(out)["case"] == "III"
+    barely = [w for w in caught if "barely zero" in str(w.message)]
+    assert len(barely) == 1

@@ -8,8 +8,7 @@ from xdiscord import (BlochX, FContext, Region, XDensityMatrix, analytic_max,
                       classify_region, discord, f_derivative,
                       f_second_derivative, f_value, global_max,
                       matrix_to_bloch, newton_critical_point,
-                      region_conditions, theta_circle_max,
-                      correlation_objective)
+                      region_conditions)
 from xdiscord.engine import golden_section_max
 from xdiscord.sampling import random_bell_diagonal, random_case, random_states
 
@@ -27,16 +26,6 @@ WERNER_HALF_DISCORD = 0.26248318376373436
 
 def ex_state() -> BlochX:
     return matrix_to_bloch(XDensityMatrix(EX_MATRIX))
-
-
-def test_f_matches_circle_maximum_of_objective(rng):
-    # F(z) must equal the measured correlation maximized over the circle
-    # of directions sharing that z3, computed by the sweep oracle
-    for p in random_states(rng, 40):
-        ctx = FContext.from_state(p)
-        for z in np.linspace(0.0, 1.0, 9):
-            via_circle = correlation_objective(p, z, theta_circle_max(p, z))
-            assert f_value(ctx, z) == pytest.approx(via_circle, abs=1e-10)
 
 
 def test_f_scalar_and_array_agree(rng):

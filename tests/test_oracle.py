@@ -1,53 +1,54 @@
 """Brute-force measurement sweep against dense-matrix reference results."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import EX_MATRIX, measured_conditional_entropy
+from conftest import EX_MATRIX, dense_entropy, measured_ensemble
 from xdiscord import (BlochX, FContext, MeasurementPoint, XDensityMatrix,
                       bloch_to_matrix, conditional_ensemble,
-                      conditional_entropy, conjugate_paulis,
-                      correlation_objective, discord, f_value,
-                      matrix_to_bloch, measurement_direction,
-                      oracle_classical_correlation, theta_circle_max)
-from xdiscord.sampling import random_states
+                      conditional_entropy, correlation_objective, discord,
+                      f_value, matrix_to_bloch, oracle_classical_correlation)
+from xdiscord.sampling import random_rank_two, random_states
+
+ORACLE_SRC = (Path(__file__).resolve().parents[1]
+              / "src" / "xdiscord" / "oracle.py")
+
+# |s| = 1, |c3| = 1 (rank-2 cases I and II), r = 0, and a product state
+BOUNDARY_STATES = [
+    BlochX(0.3, 1.0, 0.0, 0.0, 0.3),
+    BlochX(0.0, -1.0, 0.0, 0.0, 0.0),
+    BlochX(0.3, 0.3, 0.4, -0.4, 1.0),
+    BlochX(0.2, -0.2, 0.5, 0.5, -1.0),
+    BlochX(0.0, 0.3, 0.4, 0.2, 0.1),
+    BlochX(0.3, -0.4, 0.0, 0.0, -0.12),
+]
 
 
-def random_quaternions(rng, n):
-    q = rng.normal(size=(n, 4))
-    return q / np.linalg.norm(q, axis=1, keepdims=True)
+def random_directions(rng, n):
+    z = rng.normal(size=(n, 3))
+    return [MeasurementPoint(*row)
+            for row in z / np.linalg.norm(z, axis=1, keepdims=True)]
 
 
-def test_conjugation_matrix_is_special_orthogonal(rng):
-    for t, y1, y2, y3 in random_quaternions(rng, 200):
-        m = conjugate_paulis(t, y1, y2, y3)
-        np.testing.assert_allclose(m @ m.T, np.eye(3), atol=1e-12)
-        assert np.linalg.det(m) == pytest.approx(1.0, abs=1e-12)
+def best_theta(p, z3):
+    # best theta over the circle of directions at fixed z3
+    return max(p.c1 ** 2, p.c2 ** 2) * (1.0 - z3 * z3) + (p.c3 * z3) ** 2
 
 
-def test_conjugation_rejects_unnormalized():
-    with pytest.raises(ValueError):
-        conjugate_paulis(1.0, 0.2, 0.0, 0.0)
-
-
-def test_direction_is_third_column_of_conjugation(rng):
-    for t, y1, y2, y3 in random_quaternions(rng, 100):
-        m = conjugate_paulis(t, y1, y2, y3)
-        np.testing.assert_allclose(measurement_direction(t, y1, y2, y3),
-                                   m[:, 2], atol=1e-13)
-        assert np.linalg.norm(measurement_direction(t, y1, y2, y3)) == \
-            pytest.approx(1.0, abs=1e-12)
-
-
-def test_direction_examples():
-    assert measurement_direction(1.0, 0.0, 0.0, 0.0) == (0.0, 0.0, 1.0)
-    # V = i sigma_3 leaves the measurement axis on the pole
-    assert measurement_direction(0.0, 0.0, 0.0, 1.0) == (0.0, 0.0, 1.0)
-    s = 1.0 / math.sqrt(2.0)
-    z1, z2, z3 = measurement_direction(s, 0.0, s, 0.0)
-    assert (z1, z2, z3) == pytest.approx((-1.0, 0.0, 0.0), abs=1e-15)
+def test_oracle_imports_nothing_from_engine():
+    # the oracle certifies the reduction, so it must not share its code
+    modules = []
+    for node in ast.walk(ast.parse(ORACLE_SRC.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            modules += [f"{node.module or ''}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Import):
+            modules += [a.name for a in node.names]
+    assert modules
+    assert not [m for m in modules if "engine" in m.split(".")]
 
 
 def test_measurement_point_constructors():
@@ -57,48 +58,50 @@ def test_measurement_point_constructors():
     assert math.atan2(m.z2, m.z1) == pytest.approx(0.25, abs=1e-12)
     with pytest.raises(ValueError):
         MeasurementPoint(1.0, 1.0, 1.0)
-    q = MeasurementPoint.from_quaternion(0.5, 0.5, 0.5, 0.5)
-    assert (q.z1, q.z2, q.z3) == pytest.approx((0.0, 1.0, 0.0), abs=1e-15)
 
 
 def test_conditional_ensemble_against_projectors(rng):
-    for p in random_states(rng, 60):
-        m = bloch_to_matrix(p).matrix
-        t, y1, y2, y3 = random_quaternions(rng, 1)[0]
-        point = MeasurementPoint.from_quaternion(t, y1, y2, y3)
+    points = random_directions(rng, 60)
+    for p, point in zip(random_states(rng, 60), points):
         ens = conditional_ensemble(p, point)
+        dense = measured_ensemble(bloch_to_matrix(p).matrix,
+                                  (point.z1, point.z2, point.z3))
         assert sum(ens.probabilities) == pytest.approx(1.0, abs=1e-12)
         assert ens.probabilities[0] == pytest.approx(
             (1.0 + p.s * point.z3) / 2.0, abs=1e-12)
-        expect = measured_conditional_entropy(m, (point.z1, point.z2,
-                                                  point.z3))
-        assert ens.entropy() == pytest.approx(expect, abs=1e-10)
+        for pk, lams, (dense_pk, state) in zip(ens.probabilities,
+                                               ens.eigenvalues, dense):
+            assert pk == pytest.approx(dense_pk, abs=1e-12)
+            np.testing.assert_allclose(
+                lams, np.linalg.eigvalsh(state)[::-1], atol=1e-10)
+        expect = sum(pk * dense_entropy(state) for pk, state in dense)
         assert conditional_entropy(p, point) == pytest.approx(expect,
                                                               abs=1e-10)
 
 
 def test_conditional_entropy_of_pure_state_vanishes(rng):
     bell = BlochX(0.0, 0.0, 1.0, -1.0, 1.0)
-    for t, y1, y2, y3 in random_quaternions(rng, 25):
-        point = MeasurementPoint.from_quaternion(t, y1, y2, y3)
+    for point in random_directions(rng, 25):
         assert conditional_entropy(bell, point) == pytest.approx(0.0,
                                                                  abs=1e-12)
 
 
 def test_theta_circle_max_closed_form(rng):
     # over the circle at fixed z3 the best theta is c^2 (1 - z3^2) + c3^2 z3^2
+    phis = np.linspace(0.0, math.pi / 2.0, 1025)
     for p in random_states(rng, 60):
-        c2 = max(p.c1 ** 2, p.c2 ** 2)
         for z3 in np.linspace(0.0, 1.0, 7):
-            expect = c2 * (1.0 - z3 * z3) + (p.c3 * z3) ** 2
-            assert theta_circle_max(p, z3) == pytest.approx(expect,
-                                                            abs=1e-12)
+            rho = math.sqrt(1.0 - z3 * z3)
+            thetas = ((p.c1 * rho * np.cos(phis)) ** 2
+                      + (p.c2 * rho * np.sin(phis)) ** 2 + (p.c3 * z3) ** 2)
+            assert best_theta(p, z3) == pytest.approx(
+                float(np.max(thetas)), abs=1e-12)
 
 
 def test_objective_monotone_in_theta(rng):
     for p in random_states(rng, 40):
         z3 = rng.uniform(0.0, 1.0)
-        hi = theta_circle_max(p, z3)
+        hi = best_theta(p, z3)
         thetas = np.linspace(0.0, hi, 9)
         vals = [correlation_objective(p, z3, th) for th in thetas]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
@@ -109,12 +112,18 @@ def test_reduction_identity(rng):
     for p in random_states(rng, 40):
         ctx = FContext.from_state(p)
         for z3 in np.linspace(0.0, 1.0, 9):
-            best = correlation_objective(p, z3, theta_circle_max(p, z3))
+            best = correlation_objective(p, z3, best_theta(p, z3))
             assert f_value(ctx, z3) == pytest.approx(best, abs=1e-10)
 
 
-def test_oracle_agrees_with_engine(rng):
-    for p in random_states(rng, 25):
+@pytest.mark.parametrize("draw", [
+    lambda rng: random_states(rng, 25),
+    lambda rng: [p.swapped() for case in ("I", "II", "III")
+                 for p in random_rank_two(rng, case, 4)],
+    lambda rng: BOUNDARY_STATES,
+], ids=["uniform", "rank2-swapped", "boundary"])
+def test_oracle_agrees_with_engine(rng, draw):
+    for p in draw(rng):
         res = discord(p)
         orc = oracle_classical_correlation(p, grid_n=256)
         assert orc.classical_correlation == pytest.approx(
