@@ -96,6 +96,18 @@ def _load_state(args) -> tuple[BlochX, dict]:
     return p, {"source": "matrix", "phases": list(corner_phases(xm))}
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than low."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"    # argparse's "invalid int value" names it
+    return parse
+
+
 def _add_state_args(sp):
     sp.add_argument("--bloch", nargs=5, type=float,
                     metavar=("R", "S", "C1", "C2", "C3"),
@@ -107,7 +119,7 @@ def _add_state_args(sp):
 
 def _add_format_args(sp):
     sp.add_argument("--format", choices=("text", "json"), default="text")
-    sp.add_argument("--precision", type=int, default=6,
+    sp.add_argument("--precision", type=_int_at_least(0), default=6,
                     help="significant digits in text output")
 
 
@@ -357,25 +369,26 @@ def _build_parser() -> argparse.ArgumentParser:
     d.add_argument("--verify", action="store_true",
                    help="cross-check with the closed forms and the "
                         "measurement-grid oracle")
-    d.add_argument("--grid", type=int, default=256,
+    d.add_argument("--grid", type=_int_at_least(1), default=256,
                    help="oracle grid size for --verify")
-    d.add_argument("--points", type=int, default=SCAN_POINTS,
+    d.add_argument("--points", type=_int_at_least(1), default=SCAN_POINTS,
                    help="derivative scan resolution of the numeric search")
     _add_format_args(d)
     d.set_defaults(func=cmd_discord)
 
     s = sub.add_parser("scan", help="tabulate F, F', F'' on a z grid")
     _add_state_args(s)
-    s.add_argument("--points", type=int, default=101)
+    s.add_argument("--points", type=_int_at_least(1), default=101)
     _add_format_args(s)
     s.set_defaults(func=cmd_scan)
 
     r = sub.add_parser("random", help="sample random states and summarize")
-    r.add_argument("--count", type=int, default=10)
+    r.add_argument("--count", type=_int_at_least(1), default=10)
     r.add_argument("--seed", type=int, default=0)
-    r.add_argument("--verify-sample", type=int, default=0, metavar="K",
+    r.add_argument("--verify-sample", type=_int_at_least(0), default=0,
+                   metavar="K",
                    help="spot-check K evenly spaced states with the oracle")
-    r.add_argument("--grid", type=int, default=256)
+    r.add_argument("--grid", type=_int_at_least(1), default=256)
     _add_format_args(r)
     r.set_defaults(func=cmd_random)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -56,54 +57,67 @@ class FContext:
 
 
 # ---------------------------------------------------------------------------
-# F and derivatives.  Scalar paths use the math module (Newton runs many
-# single-point evaluations); array paths mirror them with numpy for grids.
-# A test pins the two against each other.
+# F and derivatives.  Each formula is written once against a backend xp:
+# _FLOAT uses the math module (Newton runs many single-point evaluations),
+# _ARRAY uses numpy for grids.  Each keeps its own libm; a test pins the
+# two against each other.  The float backend evaluates both arms of every
+# where(), so every denominator and log argument below is guarded even in
+# the arm that is not selected.
 
-def _pair_scalar(w: float, h: float) -> float:
-    # (w/4) [(1+A)log2(1+A) + (1-A)log2(1-A)], A = h/w clipped to [0, 1];
+_FLOAT = SimpleNamespace(
+    sqrt=math.sqrt,
+    log=lambda x: math.log(x if x > TINY else TINY),
+    # what max() and min() return, at a lower call cost than the builtins
+    maximum=lambda a, b: b if b > a else a,
+    minimum=lambda a, b: b if b < a else a,
+    where=lambda cond, a, b: a if cond else b,
+    xlog2=lambda x: x * math.log2(x) if x > 0.0 else 0.0,
+)
+_ARRAY = SimpleNamespace(
+    sqrt=np.sqrt,
+    log=lambda x: np.log(np.maximum(x, TINY)),
+    maximum=np.maximum,
+    minimum=np.minimum,
+    where=np.where,
+    xlog2=xlog2,
+)
+
+
+def _on_backend(z):
+    """z as a float on the math backend, or as an array on numpy's."""
+    if np.ndim(z) == 0:
+        return float(z), _FLOAT
+    return np.asarray(z, dtype=float), _ARRAY
+
+
+def _radicals(ctx: FContext, z, xp):
+    # weights w+- = 1 +- s z and radicals H+- = sqrt(c^2 (1 - z^2)
+    # + (r +- c3 z)^2)
+    p = ctx.p
+    rad = ctx.c * ctx.c * (1.0 - z * z)
+    hp = xp.sqrt(xp.maximum(rad + (p.r + p.c3 * z) ** 2, 0.0))
+    hm = xp.sqrt(xp.maximum(rad + (p.r - p.c3 * z) ** 2, 0.0))
+    return 1.0 + p.s * z, 1.0 - p.s * z, hp, hm
+
+
+def _pair(w, h, xp):
+    # (w/4) [(1+A)log2(1+A) + (1-A)log2(1-A)], A = min(h/w, 1) with h >= 0;
     # exact for the two log terms sharing weight w, finite at A -> 1
-    if w <= PAIR_FLOOR:
-        return 0.0
-    a = h / w
-    if a >= 1.0:
-        a = 1.0
-    t = (1.0 + a) * math.log2(1.0 + a)
-    if a < 1.0 and a > 0.0:
-        t += (1.0 - a) * math.log2(1.0 - a)
-    return 0.25 * w * t
+    big = w > PAIR_FLOOR
+    w = xp.where(big, w, 1.0)
+    a = xp.minimum(h / w, 1.0)
+    return xp.where(big, 0.25 * w * (xp.xlog2(1.0 + a) + xp.xlog2(1.0 - a)),
+                    0.0)
 
 
-def _pair_arr(w, h):
-    safe = np.where(w > PAIR_FLOOR, w, 1.0)
-    a = np.clip(h / safe, 0.0, 1.0)
-    val = 0.25 * safe * (xlog2(1.0 + a) + xlog2(1.0 - a))
-    return np.where(w > PAIR_FLOOR, val, 0.0)
-
-
-def _f_scalar(ctx: FContext, z: float) -> float:
-    p = ctx.p
-    rad = ctx.c * ctx.c * (1.0 - z * z)
-    hp = math.sqrt(max(rad + (p.r + p.c3 * z) ** 2, 0.0))
-    hm = math.sqrt(max(rad + (p.r - p.c3 * z) ** 2, 0.0))
-    return (_pair_scalar(1.0 + p.s * z, hp)
-            + _pair_scalar(1.0 - p.s * z, hm))
-
-
-def _f_arr(ctx: FContext, z):
-    p = ctx.p
-    rad = ctx.c * ctx.c * (1.0 - z * z)
-    hp = np.sqrt(np.maximum(rad + (p.r + p.c3 * z) ** 2, 0.0))
-    hm = np.sqrt(np.maximum(rad + (p.r - p.c3 * z) ** 2, 0.0))
-    return (_pair_arr(1.0 + p.s * z, hp)
-            + _pair_arr(1.0 - p.s * z, hm))
+def _f(ctx: FContext, z, xp):
+    wp, wm, hp, hm = _radicals(ctx, z, xp)
+    return _pair(wp, hp, xp) + _pair(wm, hm, xp)
 
 
 def f_value(ctx: FContext, z):
     """F(z) for scalar or array z in [0, 1]."""
-    if np.ndim(z) == 0:
-        return _f_scalar(ctx, float(z))
-    return _f_arr(ctx, np.asarray(z, dtype=float))
+    return _f(ctx, *_on_backend(z))
 
 
 # F' is evaluated with the coefficients regrouped per logarithm:
@@ -119,84 +133,45 @@ def f_value(ctx: FContext, z):
 # compact one produces inf - inf.  When a radical underflows, the log
 # pair it multiplies has the limit 2 n / w.
 
-def _ln_s(x: float) -> float:
-    return math.log(x if x > TINY else TINY)
-
-
-def _branch_scalar(w: float, h: float, n: float, se: float) -> float:
-    lp = _ln_s(w + h)
-    lm = _ln_s(w - h)
-    if h > H_FLOOR:
-        u = n / h
-        return (se + u) * lp + (se - u) * lm
-    return se * (lp + lm) + 2.0 * n / max(w, TINY)
-
-
-def _fp_scalar(ctx: FContext, z: float) -> float:
-    p = ctx.p
-    r, s, c3, c = p.r, p.s, p.c3, ctx.c
-    q = c3 * c3 - c * c
-    wp = 1.0 + s * z
-    wm = 1.0 - s * z
-    rad = c * c * (1.0 - z * z)
-    hp = math.sqrt(max(rad + (r + c3 * z) ** 2, 0.0))
-    hm = math.sqrt(max(rad + (r - c3 * z) ** 2, 0.0))
-    tot = _branch_scalar(wp, hp, r * c3 + q * z, s)
-    tot += _branch_scalar(wm, hm, -r * c3 + q * z, -s)
-    tot += 2.0 * s * (_ln_s(wm) - _ln_s(wp))
-    return tot / (4.0 * LN2)
-
-
-def _ln_a(x):
-    return np.log(np.maximum(x, TINY))
-
-
-def _branch_arr(w, h, n, se):
-    lp = _ln_a(w + h)
-    lm = _ln_a(w - h)
+def _branch(w, h, n, se, xp):
+    lp = xp.log(w + h)
+    lm = xp.log(w - h)
     big = h > H_FLOOR
-    u = n / np.where(big, h, 1.0)
+    u = n / xp.where(big, h, 1.0)
     full = (se + u) * lp + (se - u) * lm
-    series = se * (lp + lm) + 2.0 * n / np.maximum(w, TINY)
-    return np.where(big, full, series)
+    series = se * (lp + lm) + 2.0 * n / xp.maximum(w, TINY)
+    return xp.where(big, full, series)
 
 
-def _fp_arr(ctx: FContext, z):
+def _fp(ctx: FContext, z, xp):
     p = ctx.p
     r, s, c3, c = p.r, p.s, p.c3, ctx.c
     q = c3 * c3 - c * c
-    wp = 1.0 + s * z
-    wm = 1.0 - s * z
-    rad = c * c * (1.0 - z * z)
-    hp = np.sqrt(np.maximum(rad + (r + c3 * z) ** 2, 0.0))
-    hm = np.sqrt(np.maximum(rad + (r - c3 * z) ** 2, 0.0))
-    tot = _branch_arr(wp, hp, r * c3 + q * z, s)
-    tot += _branch_arr(wm, hm, -r * c3 + q * z, -s)
-    tot += 2.0 * s * (_ln_a(wm) - _ln_a(wp))
+    wp, wm, hp, hm = _radicals(ctx, z, xp)
+    tot = _branch(wp, hp, r * c3 + q * z, s, xp)
+    tot += _branch(wm, hm, -r * c3 + q * z, -s, xp)
+    tot += 2.0 * s * (xp.log(wm) - xp.log(wp))
     return tot / (4.0 * LN2)
 
 
 def f_derivative(ctx: FContext, z):
     """F'(z) for scalar or array z.  F'(0) is exactly 0 (F is even)."""
-    if np.ndim(z) == 0:
-        return _fp_scalar(ctx, float(z))
-    return _fp_arr(ctx, np.asarray(z, dtype=float))
+    return _fp(ctx, *_on_backend(z))
 
 
-def _fpp_scalar(ctx: FContext, z: float) -> float:
+def _fpp(ctx: FContext, z, xp):
     p = ctx.p
     r, s, c3, c = p.r, p.s, p.c3, ctx.c
-    wp = 1.0 + s * z
-    wm = 1.0 - s * z
-    rad = c * c * (1.0 - z * z)
-    hp = math.sqrt(max(rad + (r + c3 * z) ** 2, 0.0))
-    hm = math.sqrt(max(rad + (r - c3 * z) ** 2, 0.0))
+    wp, wm, hp, hm = _radicals(ctx, z, xp)
     dp = wp * wp - hp * hp
     dm = wm * wm - hm * hm
-    # near-singular denominators: signal with nan, callers fall back
-    if hp <= H_FLOOR or hm <= H_FLOOR or dp <= TINY or dm <= TINY \
-            or wp <= TINY or wm <= TINY:
-        return math.nan
+    # near-singular denominators: signal with nan, callers fall back; the
+    # stand-in values keep the unselected arm finite
+    bad = ((hp <= H_FLOOR) | (hm <= H_FLOOR) | (dp <= TINY) | (dm <= TINY)
+           | (wp <= TINY) | (wm <= TINY))
+    hp, hm = xp.where(bad, 0.5, hp), xp.where(bad, 0.5, hm)
+    dp, dm = xp.where(bad, 1.0, dp), xp.where(bad, 1.0, dm)
+    wp, wm = xp.where(bad, 1.0, wp), xp.where(bad, 1.0, wm)
     q = c3 * c3 - c * c
     gp = (r * c3 + q * z) / hp
     gm = (-r * c3 + q * z) / hm
@@ -204,41 +179,14 @@ def _fpp_scalar(ctx: FContext, z: float) -> float:
     t = ((s * s + gp * gp) * wp - 2.0 * s * hp * gp) / dp
     t += ((s * s + gm * gm) * wm + 2.0 * s * hm * gm) / dm
     t -= 2.0 * s * s / (wp * wm)
-    t += 0.5 * (curv / hp ** 3) * math.log((wp + hp) / (wp - hp))
-    t += 0.5 * (curv / hm ** 3) * math.log((wm + hm) / (wm - hm))
-    return t / (2.0 * LN2)
-
-
-def _fpp_arr(ctx: FContext, z):
-    p = ctx.p
-    r, s, c3, c = p.r, p.s, p.c3, ctx.c
-    wp = 1.0 + s * z
-    wm = 1.0 - s * z
-    rad = c * c * (1.0 - z * z)
-    hp = np.sqrt(np.maximum(rad + (r + c3 * z) ** 2, 0.0))
-    hm = np.sqrt(np.maximum(rad + (r - c3 * z) ** 2, 0.0))
-    dp = wp * wp - hp * hp
-    dm = wm * wm - hm * hm
-    bad = ((hp <= H_FLOOR) | (hm <= H_FLOOR) | (dp <= TINY) | (dm <= TINY)
-           | (wp <= TINY) | (wm <= TINY))
-    q = c3 * c3 - c * c
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gp = (r * c3 + q * z) / hp
-        gm = (-r * c3 + q * z) / hm
-        curv = c * c * (q - r * r)
-        t = ((s * s + gp * gp) * wp - 2.0 * s * hp * gp) / dp
-        t += ((s * s + gm * gm) * wm + 2.0 * s * hm * gm) / dm
-        t -= 2.0 * s * s / (wp * wm)
-        t += 0.5 * (curv / hp ** 3) * np.log((wp + hp) / (wp - hp))
-        t += 0.5 * (curv / hm ** 3) * np.log((wm + hm) / (wm - hm))
-    return np.where(bad, np.nan, t / (2.0 * LN2))
+    t += 0.5 * (curv / hp ** 3) * xp.log((wp + hp) / (wp - hp))
+    t += 0.5 * (curv / hm ** 3) * xp.log((wm + hm) / (wm - hm))
+    return xp.where(bad, math.nan, t / (2.0 * LN2))
 
 
 def f_second_derivative(ctx: FContext, z):
     """F''(z); returns nan where a denominator degenerates."""
-    if np.ndim(z) == 0:
-        return _fpp_scalar(ctx, float(z))
-    return _fpp_arr(ctx, np.asarray(z, dtype=float))
+    return _fpp(ctx, *_on_backend(z))
 
 
 # ---------------------------------------------------------------------------
@@ -347,14 +295,14 @@ def newton_critical_point(ctx: FContext, z0: float,
     Convergence: |dz| < 1e-12 or |F'| < 1e-13, capped at 100 steps.
     """
     z = float(z0)
-    g = _fp_scalar(ctx, z)
+    g = _fp(ctx, z, _FLOAT)
     lo, hi = (0.0, 1.0)
     glo = 0.0
     have_bracket = False
     if bracket is not None:
         lo, hi = float(bracket[0]), float(bracket[1])
-        glo = _fp_scalar(ctx, lo)
-        ghi = _fp_scalar(ctx, hi)
+        glo = _fp(ctx, lo, _FLOAT)
+        ghi = _fp(ctx, hi, _FLOAT)
         have_bracket = (math.isfinite(glo) and math.isfinite(ghi)
                         and glo * ghi < 0.0)
     its: list[float] = []
@@ -364,17 +312,17 @@ def newton_critical_point(ctx: FContext, z0: float,
         if math.isfinite(g) and abs(g) < NEWTON_GRAD_TOL:
             converged = True
             break
-        h2 = _fpp_scalar(ctx, z)
+        h2 = _fpp(ctx, z, _FLOAT)
         zn = z - g / h2 if (math.isfinite(g) and math.isfinite(h2)
                             and h2 != 0.0) else math.nan
         ok = math.isfinite(zn) and lo <= zn <= hi
-        gn = _fp_scalar(ctx, zn) if ok else math.nan
+        gn = _fp(ctx, zn, _FLOAT) if ok else math.nan
         if not (ok and math.isfinite(gn) and abs(gn) <= abs(g)):
             if not have_bracket:
                 note = "step rejected, no bracket to bisect"
                 break
             zn = 0.5 * (lo + hi)
-            gn = _fp_scalar(ctx, zn)
+            gn = _fp(ctx, zn, _FLOAT)
             note = "bisection fallback used"
             if not math.isfinite(gn):
                 note = "non-finite derivative inside bracket"
@@ -441,12 +389,12 @@ class MaxResult:
 def _global_max(ctx: FContext, scan_points: int = SCAN_POINTS) -> MaxResult:
     zs = np.linspace(0.0, 1.0, scan_points)
     with np.errstate(all="ignore"):
-        d = _fp_arr(ctx, zs)
+        d = _fp(ctx, zs, _ARRAY)
         gi, gj = d[1:-1], d[2:]
         hits = (np.isfinite(gi) & np.isfinite(gj)
                 & ((gi == 0.0) | (gi * gj < 0.0)))
-    f0 = _f_scalar(ctx, 0.0)
-    f1 = _f_scalar(ctx, 1.0)
+    f0 = _f(ctx, 0.0, _FLOAT)
+    f1 = _f(ctx, 1.0, _FLOAT)
     cands: list[tuple[float, float]] = [(0.0, f0), (1.0, f1)]
     runs: list[NewtonRun] = []
     fallback = None
@@ -454,21 +402,21 @@ def _global_max(ctx: FContext, scan_points: int = SCAN_POINTS) -> MaxResult:
     run0 = newton_critical_point(ctx, 1.0)
     runs.append(run0)
     if run0.converged and math.isfinite(run0.z) and 0.0 <= run0.z <= 1.0:
-        cands.append((run0.z, _f_scalar(ctx, run0.z)))
+        cands.append((run0.z, _f(ctx, run0.z, _FLOAT)))
 
     # interior grid points where F' vanishes or changes sign before the
     # next point; z = 0 is always critical (F is even), covered above
     for i in np.flatnonzero(hits) + 1:
         a, b = float(zs[i]), float(zs[i + 1])
         if d[i] == 0.0:
-            cands.append((a, _f_scalar(ctx, a)))
+            cands.append((a, _f(ctx, a, _FLOAT)))
             continue
         run = newton_critical_point(ctx, 0.5 * (a + b), bracket=(a, b))
         runs.append(run)
         if run.converged:
-            cands.append((run.z, _f_scalar(ctx, run.z)))
+            cands.append((run.z, _f(ctx, run.z, _FLOAT)))
         else:
-            zg, fg = golden_section_max(lambda t: _f_scalar(ctx, t), a, b)
+            zg, fg = golden_section_max(lambda t: _f(ctx, t, _FLOAT), a, b)
             fallback = "golden-section"
             cands.append((zg, fg))
 

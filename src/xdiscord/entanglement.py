@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import discord
-from .states import (_OFF_X, BlochX, XDensityMatrix, binary_entropy,
+from .states import (_OFF_X, BlochX, XDensityMatrix, binary_entropy, blocks,
                      matrix_to_bloch)
 
 RANK_TOL = 1e-10        # eigenvalues below this count as zero
@@ -165,10 +165,9 @@ def rank_two_classify(matrix) -> RankTwoDecomposition:
     p = matrix_to_bloch(xm)
     m = np.real(np.asarray(xm.matrix))
     r, s, c1, c2, c3 = p.as_tuple()
-    R1 = math.hypot(r - s, c1 + c2)
-    R2 = math.hypot(r + s, c1 - c2)
-    lam_mid = ((1.0 - c3 + R1) / 4.0, (1.0 - c3 - R1) / 4.0)
-    lam_out = ((1.0 + c3 + R2) / 4.0, (1.0 + c3 - R2) / 4.0)
+    (t1, R1), (t2, R2) = blocks(r, s, c1, c2, c3)
+    lam_mid = ((t1 + R1) / 4.0, (t1 - R1) / 4.0)
+    lam_out = ((t2 + R2) / 4.0, (t2 - R2) / 4.0)
     tagged = sorted([(lam_mid[0], "mid"), (lam_mid[1], "mid"),
                      (lam_out[0], "out"), (lam_out[1], "out")],
                     key=lambda t: t[0], reverse=True)

@@ -54,6 +54,17 @@ def binary_entropy(x):
     return float(out) if np.ndim(out) == 0 else out
 
 
+def blocks(r, s, c1, c2, c3):
+    """(t, R) of the two 2x2 blocks; each has eigenvalues (t +/- R)/4.
+
+    The X pattern block-diagonalizes into an inner block with
+    (t, R1) = (1 - c3, sqrt((r - s)^2 + (c1 + c2)^2)) and an outer one with
+    (t, R2) = (1 + c3, sqrt((r + s)^2 + (c1 - c2)^2)).
+    """
+    return ((1.0 - c3, math.hypot(r - s, c1 + c2)),
+            (1.0 + c3, math.hypot(r + s, c1 - c2)))
+
+
 def physicality_margins(r, s, c1, c2, c3):
     """Slack of the two block positivity constraints.
 
@@ -63,9 +74,8 @@ def physicality_margins(r, s, c1, c2, c3):
         1 - c3 >= sqrt((r - s)^2 + (c1 + c2)^2)
         1 + c3 >= sqrt((r + s)^2 + (c1 - c2)^2)
     """
-    m1 = (1.0 - c3) - math.hypot(r - s, c1 + c2)
-    m2 = (1.0 + c3) - math.hypot(r + s, c1 - c2)
-    return m1, m2
+    (t1, R1), (t2, R2) = blocks(r, s, c1, c2, c3)
+    return t1 - R1, t2 - R2
 
 
 @dataclass(frozen=True)
@@ -207,18 +217,9 @@ def corner_phases(m) -> tuple[float, float]:
 
 
 def spectrum(p: BlochX) -> np.ndarray:
-    """Eigenvalues of the state in closed form, descending.
-
-    The X pattern block-diagonalizes into two 2x2 blocks:
-
-        (1 - c3 +/- R1)/4 with R1 = sqrt((r - s)^2 + (c1 + c2)^2)
-        (1 + c3 +/- R2)/4 with R2 = sqrt((r + s)^2 + (c1 - c2)^2)
-    """
-    r, s, c1, c2, c3 = p.as_tuple()
-    R1 = math.hypot(r - s, c1 + c2)
-    R2 = math.hypot(r + s, c1 - c2)
-    lam = np.array([1.0 - c3 + R1, 1.0 - c3 - R1,
-                    1.0 + c3 + R2, 1.0 + c3 - R2]) / 4.0
+    """Eigenvalues of the state in closed form (see blocks), descending."""
+    (t1, R1), (t2, R2) = blocks(*p.as_tuple())
+    lam = np.array([t1 + R1, t1 - R1, t2 + R2, t2 - R2]) / 4.0
     lam[np.abs(lam) < EIG_CLAMP] = 0.0
     lam[np.abs(lam - 1.0) < EIG_CLAMP] = 1.0
     return np.sort(lam)[::-1]

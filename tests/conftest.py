@@ -25,6 +25,17 @@ EX_MATRIX = np.array([
     [0.0000, 0.0000, 0.0000, 0.6717],
 ])
 
+# (r, s, c1, c2, c3) on the edges of the physical region: |s| = 1,
+# |c3| = 1 (rank-2 cases I and II), r = 0, and a product state
+BOUNDARY_BLOCH = [
+    (0.3, 1.0, 0.0, 0.0, 0.3),
+    (0.0, -1.0, 0.0, 0.0, 0.0),
+    (0.3, 0.3, 0.4, -0.4, 1.0),
+    (0.2, -0.2, 0.5, 0.5, -1.0),
+    (0.0, 0.3, 0.4, 0.2, 0.1),
+    (0.3, -0.4, 0.0, 0.0, -0.12),
+]
+
 
 def dense_entropy(matrix) -> float:
     """Von Neumann entropy in bits via the dense eigensolver."""

@@ -204,6 +204,25 @@ def test_random_verify_sample(capsys):
     assert verified["max_difference"] < 1e-5
 
 
+@pytest.mark.parametrize("argv", [
+    ["discord", *WERNER_ARGS, "--verify", "--grid", "0"],
+    ["discord", *WERNER_ARGS, "--grid", "-3"],
+    ["discord", *WERNER_ARGS, "--points", "0"],
+    ["discord", *WERNER_ARGS, "--precision", "-2"],
+    ["scan", *WERNER_ARGS, "--points", "0"],
+    ["random", "--count", "0"],
+    ["random", "--verify-sample", "1", "--grid", "0"],
+    ["random", "--verify-sample", "-1"],
+], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+def test_out_of_range_integer_option_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: xdiscord")
+    assert f"error: argument {argv[-2]}: must be at least" in err
+
+
 def test_precision_flag(capsys):
     code, out, _ = run_cli(capsys, "discord", *WERNER_ARGS,
                            "--precision", "10")

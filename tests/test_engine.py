@@ -3,14 +3,15 @@
 import numpy as np
 import pytest
 
-from conftest import EX_MATRIX, closed_form_bell_diagonal
+from conftest import BOUNDARY_BLOCH, EX_MATRIX, closed_form_bell_diagonal
 from xdiscord import (BlochX, FContext, Region, XDensityMatrix, analytic_max,
                       classify_region, discord, f_derivative,
                       f_second_derivative, f_value, global_max,
                       matrix_to_bloch, newton_critical_point,
                       region_conditions)
 from xdiscord.engine import golden_section_max
-from xdiscord.sampling import random_bell_diagonal, random_case, random_states
+from xdiscord.sampling import (random_bell_diagonal, random_case,
+                               random_rank_two, random_states)
 
 # regression values recomputed from scratch for the matrix in conftest
 EX_Z_STAR = 0.8831286078456391
@@ -29,15 +30,66 @@ def ex_state() -> BlochX:
 
 
 def test_f_scalar_and_array_agree(rng):
+    # float and array calls share each formula but not the libm under it
     zs = np.linspace(0.0, 1.0, 23)
-    for p in random_states(rng, 50):
+    states = random_states(rng, 50) + [
+        p.swapped() for case in ("I", "II", "III")
+        for p in random_rank_two(rng, case, 100)]
+    for p in states:
         ctx = FContext.from_state(p)
         scalars = np.array([f_value(ctx, z) for z in zs])
         np.testing.assert_allclose(f_value(ctx, zs), scalars, atol=1e-14)
         with np.errstate(all="ignore"):
             d_arr = f_derivative(ctx, zs)
             d_sca = np.array([f_derivative(ctx, z) for z in zs])
+            dd_arr = f_second_derivative(ctx, zs)
+            dd_sca = np.array([f_second_derivative(ctx, z) for z in zs])
         np.testing.assert_allclose(d_arr, d_sca, atol=1e-14)
+        np.testing.assert_array_equal(np.isnan(dd_arr), np.isnan(dd_sca))
+        ok = ~np.isnan(dd_sca)
+        assert np.all(np.abs(dd_arr[ok] - dd_sca[ok])
+                      <= 1e-12 * np.maximum(1.0, np.abs(dd_sca[ok])))
+
+
+def _reference_f(mp, p, z):
+    """F(z) at 50 digits from its defining sum, written apart from engine.py:
+
+    F = sum over x = w+- +- H+- of (x/4) log2 x - sum of (w+-/2) log2 w+-,
+    with w+- = 1 +- s z and H+- = sqrt(c^2 (1 - z^2) + (r +- c3 z)^2).
+    """
+    r, s, c3 = mp.mpf(p.r), mp.mpf(p.s), mp.mpf(p.c3)
+    c = max(abs(mp.mpf(p.c1)), abs(mp.mpf(p.c2)))
+
+    def xlog2(x):
+        return x * mp.log(x, 2) if x != 0 else mp.mpf(0)
+
+    tot = mp.mpf(0)
+    for sign in (1, -1):
+        w = 1 + sign * s * z
+        h = mp.sqrt(c * c * (1 - z * z) + (r + sign * c3 * z) ** 2)
+        tot += (xlog2(w + h) + xlog2(w - h)) / 4 - xlog2(w) / 2
+    return tot
+
+
+def test_f_and_derivatives_match_50_digit_reference(rng):
+    mp = pytest.importorskip("mpmath").mp
+    states = random_states(rng, 60) + [
+        p.swapped() for case in ("I", "II", "III")
+        for p in random_rank_two(rng, case, 10)]
+    checks = ((f_value, 1e-13), (f_derivative, 1e-11),
+              (f_second_derivative, 1e-8))
+    with mp.workdps(50):
+        for p in states:
+            ctx = FContext.from_state(p)
+            for z in (0.1, 0.35, 0.6, 0.85, 0.97):
+                for order, (fn, bound) in enumerate(checks):
+                    got = fn(ctx, z)
+                    if np.isnan(got):
+                        continue    # the engine flags a degenerate F''
+                    ref = mp.diff(lambda t: _reference_f(mp, p, t),
+                                  mp.mpf(z), order)
+                    assert abs(got - ref) <= bound * max(1, abs(ref)), \
+                        (p.as_tuple(), z, order)
 
 
 def test_derivative_matches_finite_differences(rng):
@@ -243,6 +295,30 @@ def test_boundary_family_maximum_at_origin():
         with np.errstate(all="ignore"):
             d = f_derivative(ctx, np.linspace(0.0, 1.0, 101)[1:])
         assert np.all(d <= 1e-10)
+
+
+@pytest.mark.parametrize("move", [
+    lambda r, s, c1, c2, c3: (r, s, -c1, -c2, c3),
+    lambda r, s, c1, c2, c3: (-r, -s, c1, c2, c3),
+    lambda r, s, c1, c2, c3: (r, s, c2, c1, c3),
+], ids=["flip-c1-c2", "flip-r-s", "swap-c1-c2"])
+def test_local_unitary_symmetries(rng, move):
+    # each move is a local unitary on the state, so the discord is unchanged;
+    # edge adds a vanishing radical, a Bell state, a flat F, the zero state
+    # and a rank-deficient state with its maximum at z = 0
+    edge = [BlochX(*t) for t in BOUNDARY_BLOCH] + [
+        BlochX(0.3, 0.0, 0.0, 0.0, -0.6), BlochX(0.0, 0.0, 1.0, -1.0, 1.0),
+        BlochX(0.0, 0.0, 0.3, 0.1, 0.3), BlochX(0.0, 0.0, 0.0, 0.0, 0.0),
+        BlochX(1.0 / 6.0, 1.0 / 6.0, 2.0 / 3.0, 2.0 / 3.0, -1.0 / 3.0)]
+    states = random_states(rng, 300) + edge + [
+        p.swapped() for case in ("I", "II", "III")
+        for p in random_rank_two(rng, case, 30)]
+    for p in states:
+        res = discord(p)
+        moved = discord(BlochX(*move(*p.as_tuple())))
+        assert moved.discord == pytest.approx(res.discord, abs=1e-12)
+        assert moved.classical_correlation == pytest.approx(
+            res.classical_correlation, abs=1e-12)
 
 
 def test_golden_section_on_parabola():

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import EX_MATRIX, dense_entropy, measured_ensemble
+from conftest import (BOUNDARY_BLOCH, EX_MATRIX, dense_entropy,
+                      measured_ensemble)
 from xdiscord import (BlochX, FContext, MeasurementPoint, XDensityMatrix,
                       bloch_to_matrix, conditional_ensemble,
                       conditional_entropy, correlation_objective, discord,
@@ -17,15 +18,6 @@ from xdiscord.sampling import random_rank_two, random_states
 ORACLE_SRC = (Path(__file__).resolve().parents[1]
               / "src" / "xdiscord" / "oracle.py")
 
-# |s| = 1, |c3| = 1 (rank-2 cases I and II), r = 0, and a product state
-BOUNDARY_STATES = [
-    BlochX(0.3, 1.0, 0.0, 0.0, 0.3),
-    BlochX(0.0, -1.0, 0.0, 0.0, 0.0),
-    BlochX(0.3, 0.3, 0.4, -0.4, 1.0),
-    BlochX(0.2, -0.2, 0.5, 0.5, -1.0),
-    BlochX(0.0, 0.3, 0.4, 0.2, 0.1),
-    BlochX(0.3, -0.4, 0.0, 0.0, -0.12),
-]
 
 
 def random_directions(rng, n):
@@ -120,7 +112,7 @@ def test_reduction_identity(rng):
     lambda rng: random_states(rng, 25),
     lambda rng: [p.swapped() for case in ("I", "II", "III")
                  for p in random_rank_two(rng, case, 4)],
-    lambda rng: BOUNDARY_STATES,
+    lambda rng: [BlochX(*t) for t in BOUNDARY_BLOCH],
 ], ids=["uniform", "rank2-swapped", "boundary"])
 def test_oracle_agrees_with_engine(rng, draw):
     for p in draw(rng):
