@@ -150,6 +150,7 @@ def _result_payload(p: BlochX, res, meta: dict) -> dict:
     }
     if res.search is not None:
         out["search"] = {
+            "route": res.search.route,
             "candidates": [[z, f] for z, f in res.search.candidates],
             "newton": [{"seed": run.seed,
                         "iterates": list(run.iterates),
@@ -195,17 +196,22 @@ def cmd_discord(args) -> int:
                  f"{g(payload['classical_correlation'])}")
     lines.append(f"mutual information = {g(payload['mutual_information'])}")
     if "search" in payload:
+        lines.append(f"route: {payload['search']['route']}")
         run = payload["search"]["newton"][0]
         its = " ".join(g(z) for z in run["iterates"])
         state = "converged" if run["converged"] else "abandoned"
-        lines.append(f"newton from z0={g(run['seed'])}: {its} [{state}]")
+        if run["iterates"] or not run["note"]:
+            its += f" [{state}]"
+        else:
+            its = run["note"]     # no step taken: say why
+        lines.append(f"newton from z0={g(run['seed'])}: {its}")
         if payload["search"]["tie"]:
             lines.append("note: F(0) and F(1) tie at the maximum")
         if payload["search"]["fallback"]:
             lines.append(f"note: {payload['search']['fallback']} "
                          "fallback was used")
     if "verify_gap" in payload:
-        lines.append(f"analytic vs numeric gap = {g(payload['verify_gap'])}")
+        lines.append(f"route gap = {g(payload['verify_gap'])}")
     if "oracle" in payload:
         o = payload["oracle"]
         lines.append(f"oracle (grid {o['grid_n']}): classical correlation = "

@@ -5,14 +5,16 @@ measurements on qubit b reduces, for X-states, to maximizing a single
 function F(z) on z in [0, 1], where z is the polar component of the
 measurement axis.  This module evaluates F and its first two derivatives
 in closed form, classifies the parameter regions where the maximum sits
-at an endpoint, and otherwise locates it with a safeguarded Newton
-iteration cross-seeded from a derivative sign scan.
+at an endpoint, and otherwise routes on the signs of F''(0) and F'(1):
+three of the four sign patterns leave the maximum at an endpoint.  The
+fourth, an interior maximum, and states whose signs are not trusted take
+a derivative sign scan with safeguarded Newton inside every bracket.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from types import SimpleNamespace
 
@@ -29,6 +31,12 @@ GOLDEN_TOL = 1e-12
 GOLDEN_MAX_ITER = 200
 SCAN_POINTS = 201
 TIE_TOL = 1e-12
+# |F''(0)| or |F'(1)| at or below this leaves the state to the scan.
+# Against 50-digit values on 18,000 uniform, swapped rank-2, a-d and
+# boundary states, no float value below 1e-2 in size was off by more than
+# 1.6e-12; the error of F''(0) grows as sqrt(r^2 + c^2) -> 1, to 2.8e-10
+# on a value of 0.047 and 8e-9 on values of order 1.
+SIGN_BAND = 1e-9
 PAIR_FLOOR = 1e-15        # weights below this contribute nothing
 H_FLOOR = 1e-12           # radicals below this switch to the series limit
 TINY = 1e-300             # log argument floor; keeps exact zeros finite
@@ -373,9 +381,12 @@ class MaxResult:
     """Outcome of the global search for max F on [0, 1].
 
     candidates holds every (z, F(z)) examined; newton_runs starts with the
-    run seeded at z0 = 1.  fallback names the rescue strategy if a Newton
-    run failed inside a bracket.  tie is set when F(0) and F(1) agree at
-    the top within 1e-12.
+    run seeded at z0 = 1 (a zero-step record when the signs of F''(0) and
+    F'(1) left no interior maximum to look for).  fallback names the
+    rescue strategy if a Newton run failed inside a bracket.  tie is set
+    when F(0) and F(1) agree at the top within 1e-12.  route is "scan"
+    for the derivative sign scan, else "signs a,b" with the signs of
+    F''(0) and F'(1).
     """
 
     z_star: float
@@ -384,6 +395,28 @@ class MaxResult:
     newton_runs: tuple[NewtonRun, ...]
     tie: bool
     fallback: str | None
+    route: str
+
+
+def _pick(cands, runs, fallback: str | None, route: str) -> MaxResult:
+    # the largest candidate, resolving ties towards z = 1, then z = 0;
+    # cands starts with (0, F(0)) and (1, F(1))
+    (_, f0), (_, f1) = cands[:2]
+    f_max = max(f for _, f in cands)
+    winners = [z for z, f in cands if f >= f_max - TIE_TOL]
+    tie = abs(f0 - f1) <= TIE_TOL and f_max - max(f0, f1) <= TIE_TOL
+    if f_max < 1e-12:
+        z_star = 0.0              # flat F: state has no correlations
+    elif any(z >= 1.0 - TIE_TOL for z in winners):
+        z_star = 1.0
+    elif any(z <= TIE_TOL for z in winners):
+        z_star = 0.0
+    else:
+        z_star = max(cands, key=lambda t: t[1])[0]
+    return MaxResult(z_star=float(z_star), f_max=float(f_max),
+                     candidates=tuple((float(z), float(f)) for z, f in cands),
+                     newton_runs=tuple(runs), tie=bool(tie),
+                     fallback=fallback, route=route)
 
 
 def _global_max(ctx: FContext, scan_points: int = SCAN_POINTS) -> MaxResult:
@@ -393,9 +426,8 @@ def _global_max(ctx: FContext, scan_points: int = SCAN_POINTS) -> MaxResult:
         gi, gj = d[1:-1], d[2:]
         hits = (np.isfinite(gi) & np.isfinite(gj)
                 & ((gi == 0.0) | (gi * gj < 0.0)))
-    f0 = _f(ctx, 0.0, _FLOAT)
-    f1 = _f(ctx, 1.0, _FLOAT)
-    cands: list[tuple[float, float]] = [(0.0, f0), (1.0, f1)]
+    cands: list[tuple[float, float]] = [(0.0, _f(ctx, 0.0, _FLOAT)),
+                                        (1.0, _f(ctx, 1.0, _FLOAT))]
     runs: list[NewtonRun] = []
     fallback = None
 
@@ -419,28 +451,34 @@ def _global_max(ctx: FContext, scan_points: int = SCAN_POINTS) -> MaxResult:
             zg, fg = golden_section_max(lambda t: _f(ctx, t, _FLOAT), a, b)
             fallback = "golden-section"
             cands.append((zg, fg))
-
-    f_max = max(f for _, f in cands)
-    winners = [z for z, f in cands if f >= f_max - TIE_TOL]
-    tie = abs(f0 - f1) <= TIE_TOL and f_max - max(f0, f1) <= TIE_TOL
-    if f_max < 1e-12:
-        z_star = 0.0              # flat F: state has no correlations
-    elif any(z >= 1.0 - TIE_TOL for z in winners):
-        z_star = 1.0
-    elif any(z <= TIE_TOL for z in winners):
-        z_star = 0.0
-    else:
-        z_star = max(cands, key=lambda t: t[1])[0]
-    return MaxResult(z_star=float(z_star), f_max=float(f_max),
-                     candidates=tuple((float(z), float(f)) for z, f in cands),
-                     newton_runs=tuple(runs), tie=bool(tie),
-                     fallback=fallback)
+    return _pick(cands, runs, fallback, "scan")
 
 
 def global_max(p: BlochX, scan_points: int = SCAN_POINTS) -> MaxResult:
     """Locate max F by endpoint candidates, Newton from z = 1, and Newton
     (or golden-section rescue) inside every sign-change bracket of F'."""
     return _global_max(FContext.from_state(p), scan_points)
+
+
+def _routed_max(ctx: FContext, scan_points: int) -> MaxResult:
+    # F'(0) = 0, and F' has at most one zero on (0, 1) (conjectured; see
+    # the README), so the signs of F''(0) and F'(1) say where it lies:
+    # (-,-) and (+,+) have none, (-,+) an interior minimum, (+,-) an
+    # interior maximum.  That maximum goes to the scan: Newton from z = 1
+    # alone stops once |F'| < 1e-13, which on a flat maximum can be 1e-8
+    # away from the root that Newton inside the scan's bracket reaches.
+    # Untrusted signs go to the scan as well.
+    a = _fpp(ctx, 0.0, _FLOAT)
+    b = _fp(ctx, 1.0, _FLOAT)
+    if not (abs(a) > SIGN_BAND and abs(b) > SIGN_BAND):    # nan too
+        return _global_max(ctx, scan_points)
+    route = f"signs {'+' if a > 0.0 else '-'},{'+' if b > 0.0 else '-'}"
+    if a > 0.0 > b:
+        return replace(_global_max(ctx, scan_points), route=route)
+    run = NewtonRun(seed=1.0, iterates=(), converged=False, z=1.0,
+                    note=f"not run: {route} leave no interior maximum")
+    return _pick([(0.0, _f(ctx, 0.0, _FLOAT)), (1.0, _f(ctx, 1.0, _FLOAT))],
+                 (run,), None, route)
 
 
 # ---------------------------------------------------------------------------
@@ -451,8 +489,9 @@ class DiscordResult:
     """Discord and companions for one state.
 
     method is "analytic" when a closed-form region supplied the maximum,
-    else "numeric".  search carries the numeric trace when one ran;
-    verify_gap is |analytic - numeric| max F when both were evaluated.
+    else "numeric".  search carries the numeric trace when one ran.
+    verify_gap, set by verify=True, is the gap in max F between the route
+    taken and the one that checks it.
     """
 
     discord: float
@@ -472,8 +511,13 @@ def discord(p: BlochX, method: str = "auto", verify: bool = False,
 
     method "auto" uses the closed forms when the state classifies into a
     known region and the numeric search otherwise; "numeric" forces the
-    search; "analytic" raises outside the closed-form regions.  verify=True
-    runs whichever route was not taken and records the gap.
+    search; "analytic" raises outside the closed-form regions.  The
+    numeric search routes on the signs of F''(0) and F'(1); interior
+    maxima and untrusted signs take the derivative sign scan on
+    scan_points points.  verify=True checks the route taken against a
+    second one and records the gap: the scan checks the closed forms and
+    the router, the closed form checks a numeric search forced inside a
+    region.
     """
     if method not in ("auto", "analytic", "numeric"):
         raise ValueError(f"unknown method {method!r}")
@@ -490,11 +534,13 @@ def discord(p: BlochX, method: str = "auto", verify: bool = False,
             search = _global_max(ctx, scan_points)
             verify_gap = abs(search.f_max - f_max)
     else:
-        search = _global_max(ctx, scan_points)
+        search = _routed_max(ctx, scan_points)
         z_star, f_max = search.z_star, search.f_max
         how = "numeric"
         if verify and tag is not Region.GENERAL:
             verify_gap = abs(analytic_max(p, tag)[1] - f_max)
+        elif verify:
+            verify_gap = abs(_global_max(ctx, scan_points).f_max - f_max)
 
     if f_max < TIE_TOL:
         z_star = 0.0    # flat F: no correlations, every direction ties

@@ -43,6 +43,7 @@ def test_discord_json_from_matrix_file(capsys, tmp_path):
     assert payload["region"] == "general"
     assert payload["method"] == "numeric"
     assert payload["discord"] == pytest.approx(EX_DISCORD, abs=1e-12)
+    assert payload["search"]["route"] == "signs +,-"
     newton = payload["search"]["newton"][0]
     assert newton["seed"] == 1.0
     assert newton["converged"]
@@ -58,6 +59,20 @@ def test_discord_json_bloch_round_trip(capsys):
     assert payload["input"]["bloch"] == [0.4, 0.1, 0.1, -0.05, -0.2]
     assert payload["discord"] + payload["classical_correlation"] == \
         pytest.approx(payload["mutual_information"], abs=1e-12)
+
+
+def test_discord_text_reports_route_and_gap(capsys):
+    code, out, _ = run_cli(capsys, "discord", "--bloch", "-0.5934",
+                           "-0.5934", "0.2", "0.2", "0.5", "--verify",
+                           "--grid", "16")
+    assert code == 0
+    assert "route: signs +,-" in out
+    assert "route gap = 0" in out
+    code, out, _ = run_cli(capsys, "discord", "--bloch",
+                           "0.1", "0.2", "0.3", "0.1", "0.2")
+    assert code == 0
+    assert "route: signs -,-" in out
+    assert "newton from z0=1: not run: signs -,-" in out
 
 
 def test_verify_adds_oracle_and_gap(capsys):

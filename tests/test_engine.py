@@ -24,6 +24,25 @@ EX_ITERATES = (0.920067497178257, 0.8876026848186657, 0.883200690530244,
 
 WERNER_HALF_DISCORD = 0.26248318376373436
 
+# F' of these states came closest to a +-+ or -+- sign pattern (two zeros
+# on (0, 1)) in scripts/falsify_router.py seeds 1-3; at 50 digits none has
+# the pattern.  F''(0) and F'(1) are within 1e-4 of zero on each.
+FALSIFY_NEAR_ZERO = [
+    (-0.83161749954064068, -0.59154974165086371, -0.00097830786902597389,
+     0.02117667446353888, 0.48076609462625353),
+    (-0.13905057664931764, -0.29335768600060397, 0.014130011432241352,
+     -0.0082462914176842927, 0.054217144512624493),
+    (-0.11598726466099296, 0.15498898800794869, -0.0067890872099218846,
+     0.0040449487295739495, -0.024659736301273827),
+    (-0.20074019022041334, -0.97985432046130883, -0.0097433947484042438,
+     0.058211716816160886, 0.20829226991870908),
+    (-0.13076736450989901, -0.96844948038934775, -0.036288623859984104,
+     -0.0034700834666820946, 0.11781527165798122),
+    (-0.055027808584801052, 0.93865109522173507, -0.0040811696696604338,
+     -0.0040693908358605535, -0.05024817001518278),
+]
+ROUTES = {"signs -,-", "signs +,+", "signs -,+", "signs +,-", "scan"}
+
 
 def ex_state() -> BlochX:
     return matrix_to_bloch(XDensityMatrix(EX_MATRIX))
@@ -328,10 +347,72 @@ def test_golden_section_on_parabola():
 
 
 def test_scan_points_argument_respected():
+    # the worked example's interior maximum goes to the scan, whose
+    # bracketed Newton run starts mid-cell: (k + 1/2)/400 for 401 points
     res = discord(ex_state(), scan_points=401)
     assert res.discord == pytest.approx(EX_DISCORD, abs=1e-10)
+    assert res.search.route == "signs +,-"
+    cell = res.search.newton_runs[1].seed * 400.0
+    assert cell % 1.0 == pytest.approx(0.5, abs=1e-9)
 
 
 def test_invalid_method_rejected():
     with pytest.raises(ValueError):
         discord(ex_state(), method="fancy")
+
+
+def test_router_matches_scan():
+    # the sign router against the exhaustive scan on every family the
+    # conjecture behind it was checked on; each route must occur
+    rng = np.random.default_rng(91)
+    states = random_states(rng, 5000) + [
+        p.swapped() for case in ("I", "II", "III")
+        for p in random_rank_two(rng, case, 100)]
+    states += [p for case in "abcd" for p in random_case(rng, case, 50)]
+    states += [BlochX(*t) for t in BOUNDARY_BLOCH + FALSIFY_NEAR_ZERO]
+    states.append(ex_state())
+    routes = set()
+    for p in states:
+        got = discord(p, method="numeric").search
+        want = global_max(p)
+        routes.add(got.route)
+        assert abs(got.f_max - want.f_max) <= 1e-12, p.as_tuple()
+        assert abs(got.z_star - want.z_star) <= 1e-9, p.as_tuple()
+    assert routes == ROUTES
+
+
+def test_route_counts(rng):
+    counts = {}
+    for p in random_states(rng, 2000):
+        res = discord(p)
+        route = res.search.route if res.search else "analytic"
+        counts[route] = counts.get(route, 0) + 1
+        if route.startswith("signs") and route != "signs +,-":
+            run = res.search.newton_runs[0]
+            assert (run.seed, run.iterates, run.converged, run.z) == \
+                (1.0, (), False, 1.0)
+            assert route in run.note
+    assert counts == {"analytic": 115, "signs -,-": 1461, "signs +,+": 419,
+                      "signs -,+": 3, "signs +,-": 2}
+    # F is flat on product states and on (0, 0, 0.3, 0.1, 0.3), so both
+    # signs are rounding noise; F''(0) is nan on the zero state
+    boundary = [discord(BlochX(*t), method="numeric").search.route
+                for t in BOUNDARY_BLOCH]
+    assert boundary == ["scan", "scan", "signs +,+", "signs +,+",
+                        "signs -,-", "scan"]
+    for t in ((0.3, -0.4, 0.0, 0.0, -0.12), (0.0, 0.0, 0.3, 0.1, 0.3),
+              (0.0, 0.0, 0.0, 0.0, 0.0)):
+        assert discord(BlochX(*t), method="numeric").search.route == "scan"
+
+
+def test_verify_checks_router_against_scan(rng):
+    states = random_states(rng, 300) + [
+        p.swapped() for case in ("I", "II", "III")
+        for p in random_rank_two(rng, case, 30)]
+    checked = 0
+    for p in states:
+        res = discord(p, verify=True)
+        if res.region == "general":
+            checked += 1
+            assert res.verify_gap < 1e-12, p.as_tuple()
+    assert checked > 300
