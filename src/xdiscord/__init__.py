@@ -23,8 +23,8 @@ from .sampling import (random_bell_diagonal, random_case, random_rank_two,
                        random_states)
 from .states import (BlochX, PhysicalityError, XDensityMatrix, XPatternError,
                      binary_entropy, bloch_to_matrix, corner_phases,
-                     marginals, matrix_to_bloch, mutual_information,
-                     physicality_margins, spectrum, state_entropy, xlog2)
+                     entropies, matrix_to_bloch, physicality_margins,
+                     spectrum, xlog2)
 
 __version__ = "0.1.0"
 
@@ -36,12 +36,12 @@ __all__ = [
     "binary_entropy", "bloch_to_matrix", "classify_region",
     "concurrence", "conditional_ensemble", "conditional_entropy",
     "corner_phases", "correlation_objective", "discord",
-    "entanglement_of_formation", "eof_from_concurrence", "f_derivative",
-    "f_second_derivative", "f_value", "global_max", "koashi_winter",
-    "marginals", "matrix_to_bloch", "mu_spectrum", "mu_spectrum_closed",
-    "mutual_information", "newton_critical_point",
+    "entanglement_of_formation", "entropies", "eof_from_concurrence",
+    "f_derivative", "f_second_derivative", "f_value", "global_max",
+    "koashi_winter", "matrix_to_bloch", "mu_spectrum", "mu_spectrum_closed",
+    "newton_critical_point",
     "oracle_classical_correlation", "physicality_margins",
     "purification_marginal_ab", "random_bell_diagonal", "random_case",
     "random_rank_two", "random_states", "region_conditions", "spectrum",
-    "spin_flip", "state_entropy", "xlog2",
+    "spin_flip", "xlog2",
 ]

@@ -14,9 +14,8 @@ import sys
 
 import numpy as np
 
-from .engine import (SCAN_POINTS, FContext, classify_region, discord,
-                     f_derivative, f_second_derivative, f_value,
-                     region_conditions)
+from .engine import (FContext, classify_region, discord, f_derivative,
+                     f_second_derivative, f_value, region_conditions)
 from .entanglement import RankError, koashi_winter
 from .oracle import oracle_classical_correlation
 from .sampling import random_states
@@ -167,8 +166,7 @@ def _result_payload(p: BlochX, res, meta: dict) -> dict:
 
 def cmd_discord(args) -> int:
     p, meta = _load_state(args)
-    res = discord(p, method=args.method, verify=args.verify,
-                  scan_points=args.points)
+    res = discord(p, method=args.method, verify=args.verify)
     payload = _result_payload(p, res, meta)
     if args.verify:
         orc = oracle_classical_correlation(p, grid_n=args.grid)
@@ -377,8 +375,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         "measurement-grid oracle")
     d.add_argument("--grid", type=_int_at_least(1), default=256,
                    help="oracle grid size for --verify")
-    d.add_argument("--points", type=_int_at_least(1), default=SCAN_POINTS,
-                   help="derivative scan resolution of the numeric search")
     _add_format_args(d)
     d.set_defaults(func=cmd_discord)
 

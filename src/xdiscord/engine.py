@@ -20,7 +20,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .states import BlochX, binary_entropy, spectrum, xlog2
+from .states import BlochX, entropies, xlog2
 
 LN2 = math.log(2.0)
 CLASSIFY_TOL = 1e-12      # equality band for the region conditions
@@ -139,7 +139,10 @@ def f_value(ctx: FContext, z):
 # two-term display, but on boundary-rank states the coefficient of the
 # diverging logarithm vanishes, so this form stays finite where the
 # compact one produces inf - inf.  When a radical underflows, the log
-# pair it multiplies has the limit 2 n / w.
+# pair it multiplies has the limit 2 n / w.  A weight w+- vanishes only at
+# z = 1 on |s| = 1, where the state is a product (c = 0, c3 = r s): there
+# H+- = |c3| w+- for every z, F is flat and F' = 0, but the logs floored
+# at TINY no longer cancel, so that point takes the limit 0 directly.
 
 def _branch(w, h, n, se, xp):
     lp = xp.log(w + h)
@@ -159,7 +162,7 @@ def _fp(ctx: FContext, z, xp):
     tot = _branch(wp, hp, r * c3 + q * z, s, xp)
     tot += _branch(wm, hm, -r * c3 + q * z, -s, xp)
     tot += 2.0 * s * (xp.log(wm) - xp.log(wp))
-    return tot / (4.0 * LN2)
+    return xp.where(xp.minimum(wp, wm) > PAIR_FLOOR, tot / (4.0 * LN2), 0.0)
 
 
 def f_derivative(ctx: FContext, z):
@@ -198,33 +201,9 @@ def f_second_derivative(ctx: FContext, z):
 
 
 # ---------------------------------------------------------------------------
-# Endpoint closed forms and the region classifier.  The endpoint values are
-# transcribed independently of f_value so an analytic-vs-numeric comparison
-# actually compares two expressions.
-
-def _four_terms(s: float, dp: float, dm: float) -> float:
-    # sum of (x/4) log2(x/w) over x = w +- d, for (w, d) = (1 + s, dp) and
-    # (1 - s, dm); z = 1 has (dp, dm) = (r + c3, r - c3), the r = 0 family
-    # has (C, C) with C = max |ci|
-    tot = 0.0
-    for w, d in ((1.0 + s, dp), (1.0 - s, dm)):
-        if w <= PAIR_FLOOR:
-            continue
-        for e in (1.0, -1.0):
-            x = w + e * d
-            if x > 0.0:
-                tot += 0.25 * x * math.log2(x / w)
-    return tot
-
-
-def _endpoint_zero(p: BlochX, c: float) -> float:
-    # value at z = 0 with k = sqrt(r^2 + c^2)
-    k = math.hypot(p.r, c)
-    tot = (1.0 + k) * math.log2(1.0 + k)
-    if k < 1.0:
-        tot += (1.0 - k) * math.log2(1.0 - k)
-    return 0.5 * tot
-
+# The region classifier.  Inside a region the maximizer is an endpoint, and
+# its value is F there; the 50-digit reference in the tests checks F(0)
+# and F(1) against the defining sum.
 
 def region_conditions(p: BlochX) -> dict[str, bool]:
     """Which of the four endpoint-region hypotheses the state satisfies.
@@ -266,16 +245,16 @@ def analytic_max(p: BlochX,
                  region: Region | None = None) -> tuple[float, float]:
     """(z*, max F) from the closed forms; requires a non-general region."""
     tag = classify_region(p) if region is None else region
+    ctx = FContext.from_state(p)
     if tag in (Region.CASE_A, Region.CASE_B):
-        return 1.0, _four_terms(p.s, p.r + p.c3, p.r - p.c3)
-    c = max(abs(p.c1), abs(p.c2))
-    if tag is Region.CASE_C:
-        cbig = max(c, abs(p.c3))
-        z_star = 1.0 if p.c3 * p.c3 >= c * c - CLASSIFY_TOL else 0.0
-        return z_star, _four_terms(p.s, cbig, cbig)
-    if tag is Region.CASE_D:
-        return 0.0, _endpoint_zero(p, c)
-    raise ValueError("state is outside the closed-form regions")
+        z_star = 1.0
+    elif tag is Region.CASE_C:
+        z_star = 1.0 if p.c3 * p.c3 >= ctx.c * ctx.c - CLASSIFY_TOL else 0.0
+    elif tag is Region.CASE_D:
+        z_star = 0.0
+    else:
+        raise ValueError("state is outside the closed-form regions")
+    return z_star, _f(ctx, z_star, _FLOAT)
 
 
 # ---------------------------------------------------------------------------
@@ -419,8 +398,8 @@ def _pick(cands, runs, fallback: str | None, route: str) -> MaxResult:
                      fallback=fallback, route=route)
 
 
-def _global_max(ctx: FContext, scan_points: int = SCAN_POINTS) -> MaxResult:
-    zs = np.linspace(0.0, 1.0, scan_points)
+def _global_max(ctx: FContext) -> MaxResult:
+    zs = np.linspace(0.0, 1.0, SCAN_POINTS)
     with np.errstate(all="ignore"):
         d = _fp(ctx, zs, _ARRAY)
         gi, gj = d[1:-1], d[2:]
@@ -454,13 +433,13 @@ def _global_max(ctx: FContext, scan_points: int = SCAN_POINTS) -> MaxResult:
     return _pick(cands, runs, fallback, "scan")
 
 
-def global_max(p: BlochX, scan_points: int = SCAN_POINTS) -> MaxResult:
+def global_max(p: BlochX) -> MaxResult:
     """Locate max F by endpoint candidates, Newton from z = 1, and Newton
     (or golden-section rescue) inside every sign-change bracket of F'."""
-    return _global_max(FContext.from_state(p), scan_points)
+    return _global_max(FContext.from_state(p))
 
 
-def _routed_max(ctx: FContext, scan_points: int) -> MaxResult:
+def _routed_max(ctx: FContext) -> MaxResult:
     # F'(0) = 0, and F' has at most one zero on (0, 1) (conjectured; see
     # the README), so the signs of F''(0) and F'(1) say where it lies:
     # (-,-) and (+,+) have none, (-,+) an interior minimum, (+,-) an
@@ -471,10 +450,10 @@ def _routed_max(ctx: FContext, scan_points: int) -> MaxResult:
     a = _fpp(ctx, 0.0, _FLOAT)
     b = _fp(ctx, 1.0, _FLOAT)
     if not (abs(a) > SIGN_BAND and abs(b) > SIGN_BAND):    # nan too
-        return _global_max(ctx, scan_points)
+        return _global_max(ctx)
     route = f"signs {'+' if a > 0.0 else '-'},{'+' if b > 0.0 else '-'}"
     if a > 0.0 > b:
-        return replace(_global_max(ctx, scan_points), route=route)
+        return replace(_global_max(ctx), route=route)
     run = NewtonRun(seed=1.0, iterates=(), converged=False, z=1.0,
                     note=f"not run: {route} leave no interior maximum")
     return _pick([(0.0, _f(ctx, 0.0, _FLOAT)), (1.0, _f(ctx, 1.0, _FLOAT))],
@@ -505,8 +484,8 @@ class DiscordResult:
     verify_gap: float | None = None
 
 
-def discord(p: BlochX, method: str = "auto", verify: bool = False,
-            scan_points: int = SCAN_POINTS) -> DiscordResult:
+def discord(p: BlochX, method: str = "auto",
+            verify: bool = False) -> DiscordResult:
     """Quantum discord of an X-state, measuring qubit b.
 
     method "auto" uses the closed forms when the state classifies into a
@@ -514,7 +493,7 @@ def discord(p: BlochX, method: str = "auto", verify: bool = False,
     search; "analytic" raises outside the closed-form regions.  The
     numeric search routes on the signs of F''(0) and F'(1); interior
     maxima and untrusted signs take the derivative sign scan on
-    scan_points points.  verify=True checks the route taken against a
+    SCAN_POINTS points.  verify=True checks the route taken against a
     second one and records the gap: the scan checks the closed forms and
     the router, the closed form checks a numeric search forced inside a
     region.
@@ -531,26 +510,24 @@ def discord(p: BlochX, method: str = "auto", verify: bool = False,
         z_star, f_max = analytic_max(p, tag)
         how = "analytic"
         if verify:
-            search = _global_max(ctx, scan_points)
+            search = _global_max(ctx)
             verify_gap = abs(search.f_max - f_max)
     else:
-        search = _routed_max(ctx, scan_points)
+        search = _routed_max(ctx)
         z_star, f_max = search.z_star, search.f_max
         how = "numeric"
         if verify and tag is not Region.GENERAL:
             verify_gap = abs(analytic_max(p, tag)[1] - f_max)
         elif verify:
-            verify_gap = abs(_global_max(ctx, scan_points).f_max - f_max)
+            verify_gap = abs(_global_max(ctx).f_max - f_max)
 
     if f_max < TIE_TOL:
         z_star = 0.0    # flat F: no correlations, every direction ties
 
-    ha = binary_entropy((1.0 + p.r) / 2.0)   # S(rho_a)
-    hb = binary_entropy((1.0 + p.s) / 2.0)   # S(rho_b)
-    neg_s_ab = float(np.sum(xlog2(spectrum(p))))   # -S(rho_ab)
-    q = 1.0 + hb + neg_s_ab - f_max
-    cc = f_max - 1.0 + ha
-    mi = ha + hb + neg_s_ab
+    sa, sb, sab = entropies(p)
+    q = 1.0 + sb - sab - f_max
+    cc = f_max - 1.0 + sa
+    mi = sa + sb - sab
     return DiscordResult(discord=q, classical_correlation=cc,
                          mutual_information=mi, z_star=float(z_star),
                          f_max=float(f_max), region=tag.value, method=how,

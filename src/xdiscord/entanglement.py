@@ -19,7 +19,7 @@ import numpy as np
 
 from .engine import discord
 from .states import (_OFF_X, BlochX, XDensityMatrix, binary_entropy, blocks,
-                     matrix_to_bloch)
+                     entropies, matrix_to_bloch)
 
 RANK_TOL = 1e-10        # eigenvalues below this count as zero
 NEAR_RANK_BAND = 1e-6   # third eigenvalue in (RANK_TOL, this) warns
@@ -149,10 +149,16 @@ def _block_eigvecs(t: float, u: float):
     return [(0.5 * (1.0 + k), (ca, sa)), (0.5 * (1.0 - k), (-sa, ca))]
 
 
-def _embed(pair, idx0: int, idx1: int) -> np.ndarray:
-    v = np.zeros(4)
-    v[idx0], v[idx1] = pair
-    return v
+def _block(m: np.ndarray, i: int, j: int):
+    # (weight, vector) pairs of m restricted to span(|i>, |j>), heavier first
+    tr = m[i, i] + m[j, j]
+    out = []
+    for lam, pair in _block_eigvecs((m[i, i] - m[j, j]) / tr,
+                                    2.0 * m[i, j] / tr):
+        v = np.zeros(4)
+        v[i], v[j] = pair
+        out.append((tr * lam, v))
+    return out
 
 
 def rank_two_classify(matrix) -> RankTwoDecomposition:
@@ -164,8 +170,7 @@ def rank_two_classify(matrix) -> RankTwoDecomposition:
     xm = matrix if isinstance(matrix, XDensityMatrix) else XDensityMatrix(matrix)
     p = matrix_to_bloch(xm)
     m = np.real(np.asarray(xm.matrix))
-    r, s, c1, c2, c3 = p.as_tuple()
-    (t1, R1), (t2, R2) = blocks(r, s, c1, c2, c3)
+    (t1, R1), (t2, R2) = blocks(*p.as_tuple())
     lam_mid = ((t1 + R1) / 4.0, (t1 - R1) / 4.0)
     lam_out = ((t2 + R2) / 4.0, (t2 - R2) / 4.0)
     tagged = sorted([(lam_mid[0], "mid"), (lam_mid[1], "mid"),
@@ -189,33 +194,13 @@ def rank_two_classify(matrix) -> RankTwoDecomposition:
 
     top_blocks = {tagged[0][1], tagged[1][1]}
     if top_blocks == {"out"}:
-        case = "I"
-        tr = m[0, 0] + m[3, 3]
-        pairs = _block_eigvecs((m[0, 0] - m[3, 3]) / tr, 2.0 * m[0, 3] / tr)
-        weights = (tr * pairs[0][0], tr * pairs[1][0])
-        vectors = [_embed(pairs[0][1], 0, 3), _embed(pairs[1][1], 0, 3)]
+        case, pairs = "I", _block(m, 0, 3)
     elif top_blocks == {"mid"}:
-        case = "II"
-        tr = m[1, 1] + m[2, 2]
-        pairs = _block_eigvecs((m[1, 1] - m[2, 2]) / tr, 2.0 * m[1, 2] / tr)
-        weights = (tr * pairs[0][0], tr * pairs[1][0])
-        vectors = [_embed(pairs[0][1], 1, 2), _embed(pairs[1][1], 1, 2)]
+        case, pairs = "II", _block(m, 1, 2)
     else:
-        case = "III"
-        w_out = 0.5 * (1.0 + c3)
-        w_mid = 0.5 * (1.0 - c3)
-        u0 = math.sqrt(max((1.0 + r + s + c3) / (2.0 * (1.0 + c3)), 0.0))
-        u3 = math.copysign(
-            math.sqrt(max((1.0 - r - s + c3) / (2.0 * (1.0 + c3)), 0.0)),
-            c1 - c2 if c1 != c2 else 1.0)
-        v1 = math.sqrt(max((1.0 + r - s - c3) / (2.0 * (1.0 - c3)), 0.0))
-        v2 = math.copysign(
-            math.sqrt(max((1.0 - r + s - c3) / (2.0 * (1.0 - c3)), 0.0)),
-            c1 + c2 if c1 != -c2 else 1.0)
-        weights = (w_out, w_mid)
-        vectors = [_embed((u0, u3), 0, 3), _embed((v1, v2), 1, 2)]
-
-    vecs = np.array(vectors)
+        case, pairs = "III", [_block(m, 0, 3)[0], _block(m, 1, 2)[0]]
+    weights = (pairs[0][0], pairs[1][0])
+    vecs = np.array([pairs[0][1], pairs[1][1]])
     recon = (weights[0] * np.outer(vecs[0], vecs[0])
              + weights[1] * np.outer(vecs[1], vecs[1]))
     if np.abs(recon - m).max() > slack:
@@ -266,7 +251,7 @@ def koashi_winter(matrix) -> KoashiWinterReport:
     c_a = swapped.classical_correlation
     con = concurrence(decomp.rho_bc)
     e_bc = eof_from_concurrence(con)
-    s_b = binary_entropy((1.0 + p.s) / 2.0)
+    s_b = entropies(p)[1]
     return KoashiWinterReport(case=decomp.case, weights=decomp.weights,
                               classical_correlation_a=c_a,
                               concurrence_bc=con, eof_bc=e_bc,

@@ -43,10 +43,9 @@ def random_bell_diagonal(rng: np.random.Generator, n: int) -> list[BlochX]:
     out: list[BlochX] = []
     while len(out) < n:
         cs = rng.uniform(-1.0, 1.0, size=(max(4 * (n - len(out)), 64), 3))
-        c1, c2, c3 = cs.T
-        ok = ((1.0 - c3 >= np.abs(c1 + c2)) & (1.0 + c3 >= np.abs(c1 - c2)))
-        for row in cs[ok]:
-            out.append(BlochX(0.0, 0.0, *row))
+        rows = np.column_stack([np.zeros((len(cs), 2)), cs])
+        for row in rows[_accept_mask(rows, 0.0)]:
+            out.append(BlochX(*row))
             if len(out) == n:
                 break
     return out

@@ -225,20 +225,13 @@ def spectrum(p: BlochX) -> np.ndarray:
     return np.sort(lam)[::-1]
 
 
-def marginals(p: BlochX) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced states of qubits a and b, each diag((1+x)/2, (1-x)/2)."""
-    ra = np.diag([(1.0 + p.r) / 2.0, (1.0 - p.r) / 2.0])
-    rb = np.diag([(1.0 + p.s) / 2.0, (1.0 - p.s) / 2.0])
-    return ra, rb
+def entropies(p: BlochX) -> tuple[float, float, float]:
+    """Von Neumann entropies S(a), S(b) and S(ab) of the state, in bits.
 
-
-def state_entropy(p: BlochX) -> float:
-    """Von Neumann entropy of the state in bits."""
-    return float(-np.sum(xlog2(spectrum(p))))
-
-
-def mutual_information(p: BlochX) -> float:
-    """Quantum mutual information S(a) + S(b) - S(ab) in bits."""
-    sa = binary_entropy((1.0 + p.r) / 2.0)
-    sb = binary_entropy((1.0 + p.s) / 2.0)
-    return float(sa + sb + np.sum(xlog2(spectrum(p))))
+    The marginals are diag((1 + x)/2, (1 - x)/2) with x = r for qubit a and
+    x = s for qubit b; one xlog2 call covers their spectra and spectrum(p).
+    """
+    a, b = (1.0 + p.r) / 2.0, (1.0 + p.s) / 2.0
+    h = -xlog2(np.concatenate(([a, 1.0 - a, b, 1.0 - b], spectrum(p))))
+    return (float(h[0] + h[1] + 0.0), float(h[2] + h[3] + 0.0),
+            float(np.sum(h[4:]) + 0.0))

@@ -222,7 +222,6 @@ def test_random_verify_sample(capsys):
 @pytest.mark.parametrize("argv", [
     ["discord", *WERNER_ARGS, "--verify", "--grid", "0"],
     ["discord", *WERNER_ARGS, "--grid", "-3"],
-    ["discord", *WERNER_ARGS, "--points", "0"],
     ["discord", *WERNER_ARGS, "--precision", "-2"],
     ["scan", *WERNER_ARGS, "--points", "0"],
     ["random", "--count", "0"],

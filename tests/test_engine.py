@@ -9,7 +9,7 @@ from xdiscord import (BlochX, FContext, Region, XDensityMatrix, analytic_max,
                       f_second_derivative, f_value, global_max,
                       matrix_to_bloch, newton_critical_point,
                       region_conditions)
-from xdiscord.engine import golden_section_max
+from xdiscord.engine import SCAN_POINTS, golden_section_max
 from xdiscord.sampling import (random_bell_diagonal, random_case,
                                random_rank_two, random_states)
 
@@ -97,7 +97,17 @@ def test_f_and_derivatives_match_50_digit_reference(rng):
         for p in random_rank_two(rng, case, 10)]
     checks = ((f_value, 1e-13), (f_derivative, 1e-11),
               (f_second_derivative, 1e-8))
+    # the endpoint values are the closed forms of regions a-d and of the
+    # sign router, so they are checked on those regions as well
+    ends = states + [p for case in "abcd" for p in random_case(rng, case, 15)]
+    ends += random_bell_diagonal(rng, 15)
     with mp.workdps(50):
+        for p in ends:
+            ctx = FContext.from_state(p)
+            for z in (0, 1):
+                ref = _reference_f(mp, p, mp.mpf(z))
+                assert abs(f_value(ctx, float(z)) - ref) <= 1e-13 * max(
+                    1, abs(ref)), (p.as_tuple(), z)
         for p in states:
             ctx = FContext.from_state(p)
             for z in (0.1, 0.35, 0.6, 0.85, 0.97):
@@ -137,6 +147,17 @@ def test_derivative_is_zero_at_origin(rng):
         ctx = FContext.from_state(p)
         assert f_derivative(ctx, 0.0) == 0.0
         assert abs(f_derivative(ctx, 1e-7)) < 1e-4
+
+
+def test_derivative_vanishes_at_one_on_product_states_with_unit_s():
+    # |s| = 1 forces a product state, so F is flat; w+- vanishes at z = 1
+    for t in ((0.3, 1.0, 0.0, 0.0, 0.3), (0.2, 1.0, 0.0, 0.0, 0.2),
+              (-0.5, -1.0, 0.0, 0.0, 0.5)):
+        ctx = FContext.from_state(BlochX(*t))
+        assert abs(f_derivative(ctx, 1.0)) <= 1e-12, t
+        with np.errstate(all="ignore"):
+            d = f_derivative(ctx, np.array([0.5, 1.0]))
+        assert np.all(np.abs(d) <= 1e-12), t
 
 
 def test_derivative_finite_where_radical_vanishes():
@@ -221,6 +242,11 @@ def test_worked_example_discord():
     assert res.classical_correlation == pytest.approx(EX_CLASSICAL, abs=1e-12)
     assert res.mutual_information == pytest.approx(EX_MUTUAL, abs=1e-12)
     assert res.search.newton_runs[0].seed == 1.0
+    # the interior maximum goes to the scan, whose bracketed Newton run
+    # starts mid-cell of the SCAN_POINTS grid
+    assert res.search.route == "signs +,-"
+    cell = res.search.newton_runs[1].seed * (SCAN_POINTS - 1)
+    assert cell % 1.0 == pytest.approx(0.5, abs=1e-9)
 
 
 def test_discord_plus_classical_equals_mutual(rng):
@@ -344,16 +370,6 @@ def test_golden_section_on_parabola():
     z, val = golden_section_max(lambda x: -(x - 0.3) ** 2, 0.0, 1.0)
     assert z == pytest.approx(0.3, abs=1e-9)
     assert val == pytest.approx(0.0, abs=1e-15)
-
-
-def test_scan_points_argument_respected():
-    # the worked example's interior maximum goes to the scan, whose
-    # bracketed Newton run starts mid-cell: (k + 1/2)/400 for 401 points
-    res = discord(ex_state(), scan_points=401)
-    assert res.discord == pytest.approx(EX_DISCORD, abs=1e-10)
-    assert res.search.route == "signs +,-"
-    cell = res.search.newton_runs[1].seed * 400.0
-    assert cell % 1.0 == pytest.approx(0.5, abs=1e-9)
 
 
 def test_invalid_method_rejected():

@@ -1,4 +1,4 @@
-"""Representation layer: Pauli parameters, matrices, spectra, marginals."""
+"""Representation layer: Pauli parameters, matrices, spectra, entropies."""
 
 import math
 
@@ -8,8 +8,8 @@ import pytest
 from conftest import EX_MATRIX, dense_entropy, ptrace_a, ptrace_b
 from xdiscord import (BlochX, PhysicalityError, XDensityMatrix, XPatternError,
                       binary_entropy, bloch_to_matrix, corner_phases,
-                      marginals, matrix_to_bloch, mutual_information,
-                      physicality_margins, spectrum, state_entropy, xlog2)
+                      entropies, matrix_to_bloch, physicality_margins,
+                      spectrum, xlog2)
 from xdiscord.sampling import random_states
 
 
@@ -136,21 +136,22 @@ def test_entropy_helpers():
 
 def test_state_entropy_matches_dense(rng):
     for p in random_states(rng, 100):
-        assert state_entropy(p) == pytest.approx(
+        assert entropies(p)[2] == pytest.approx(
             dense_entropy(bloch_to_matrix(p).matrix), abs=1e-10)
 
 
 def test_pure_state_entropy_zero():
     bell = BlochX(0.0, 0.0, 1.0, -1.0, 1.0)
-    assert state_entropy(bell) == pytest.approx(0.0, abs=1e-12)
+    assert entropies(bell) == (1.0, 1.0, 0.0)
 
 
 def test_marginals_match_partial_traces(rng):
+    # S(a) and S(b) against the partial traces of the dense matrix
     for p in random_states(rng, 50):
         m = bloch_to_matrix(p).matrix
-        ra, rb = marginals(p)
-        np.testing.assert_allclose(ra, ptrace_b(m), atol=1e-14)
-        np.testing.assert_allclose(rb, ptrace_a(m), atol=1e-14)
+        sa, sb, _ = entropies(p)
+        assert sa == pytest.approx(dense_entropy(ptrace_b(m)), abs=1e-12)
+        assert sb == pytest.approx(dense_entropy(ptrace_a(m)), abs=1e-12)
 
 
 def test_mutual_information_of_product_state(rng):
@@ -160,7 +161,8 @@ def test_mutual_information_of_product_state(rng):
         m = bloch_to_matrix(p).matrix
         np.testing.assert_allclose(m, np.kron(ptrace_b(m), ptrace_a(m)),
                                    atol=1e-14)
-        assert mutual_information(p) == pytest.approx(0.0, abs=1e-12)
+        sa, sb, sab = entropies(p)
+        assert sa + sb - sab == pytest.approx(0.0, abs=1e-12)
 
 
 def test_mutual_information_matches_dense(rng):
@@ -168,7 +170,8 @@ def test_mutual_information_matches_dense(rng):
         m = bloch_to_matrix(p).matrix
         expect = (dense_entropy(ptrace_b(m)) + dense_entropy(ptrace_a(m))
                   - dense_entropy(m))
-        assert mutual_information(p) == pytest.approx(expect, abs=1e-10)
+        sa, sb, sab = entropies(p)
+        assert sa + sb - sab == pytest.approx(expect, abs=1e-10)
 
 
 def test_swapped_exchanges_parties():
