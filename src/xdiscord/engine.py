@@ -7,28 +7,28 @@ measurement axis.  This module evaluates F and its first two derivatives
 in closed form, classifies the parameter regions where the maximum sits
 at an endpoint, and otherwise routes on the signs of F''(0) and F'(1):
 three of the four sign patterns leave the maximum at an endpoint.  The
-fourth, an interior maximum, and states whose signs are not trusted take
-a derivative sign scan with safeguarded Newton inside every bracket.
+fourth, an interior maximum, carries its own sign-change bracket and
+takes one bracketed Newton run from z = 1.  States whose signs are not
+trusted take a derivative sign scan with safeguarded Newton inside every
+bracket; the scan also stays as the reference that checks the router.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from types import SimpleNamespace
 
 import numpy as np
 
-from .states import BlochX, entropies, xlog2
+from .states import BlochX, entropies, xlog2, xlog2_float
 
 LN2 = math.log(2.0)
 CLASSIFY_TOL = 1e-12      # equality band for the region conditions
 NEWTON_STEP_TOL = 1e-12
 NEWTON_GRAD_TOL = 1e-13
 NEWTON_MAX_ITER = 100
-GOLDEN_TOL = 1e-12
-GOLDEN_MAX_ITER = 200
 SCAN_POINTS = 201
 TIE_TOL = 1e-12
 # |F''(0)| or |F'(1)| at or below this leaves the state to the scan.
@@ -79,7 +79,7 @@ _FLOAT = SimpleNamespace(
     maximum=lambda a, b: b if b > a else a,
     minimum=lambda a, b: b if b < a else a,
     where=lambda cond, a, b: a if cond else b,
-    xlog2=lambda x: x * math.log2(x) if x > 0.0 else 0.0,
+    xlog2=xlog2_float,
 )
 _ARRAY = SimpleNamespace(
     sqrt=np.sqrt,
@@ -276,10 +276,17 @@ def newton_critical_point(ctx: FContext, z0: float,
                           ) -> NewtonRun:
     """Newton iteration for F'(z) = 0 from z0, confined to [0, 1].
 
-    Steps that leave the interval, land on a non-finite derivative, or
-    increase |F'| are rejected; with a sign-change bracket the rejected
-    step is replaced by bisection, otherwise the run is abandoned.
-    Convergence: |dz| < 1e-12 or |F'| < 1e-13, capped at 100 steps.
+    Steps that leave the interval or increase |F'| are rejected; with a
+    sign-change bracket the rejected step is replaced by bisection,
+    otherwise the run is abandoned.  Converged once a step moves z by
+    less than 1e-12, or once |F'| < 1e-13 and the next Newton step would
+    not shrink |F'| strictly or would move z by less than 1e-12; that
+    step is not taken.  The polishing below 1e-13 lets two runs at one
+    root stop together even where F is flat.  Capped at 100 steps.
+
+    F' is finite at every z on the float backend (logs are floored at
+    TINY and every denominator is guarded), so a bracketed run never
+    fails for want of a derivative: every rejected step can bisect.
     """
     z = float(z0)
     g = _fp(ctx, z, _FLOAT)
@@ -289,31 +296,26 @@ def newton_critical_point(ctx: FContext, z0: float,
     if bracket is not None:
         lo, hi = float(bracket[0]), float(bracket[1])
         glo = _fp(ctx, lo, _FLOAT)
-        ghi = _fp(ctx, hi, _FLOAT)
-        have_bracket = (math.isfinite(glo) and math.isfinite(ghi)
-                        and glo * ghi < 0.0)
+        have_bracket = glo * _fp(ctx, hi, _FLOAT) < 0.0
     its: list[float] = []
     converged = False
     note = ""
     for _ in range(NEWTON_MAX_ITER):
-        if math.isfinite(g) and abs(g) < NEWTON_GRAD_TOL:
+        h2 = _fpp(ctx, z, _FLOAT)
+        zn = z - g / h2 if math.isfinite(h2) and h2 != 0.0 else math.nan
+        ok = lo <= zn <= hi                                 # False on nan
+        gn = _fp(ctx, zn, _FLOAT) if ok else math.nan
+        if abs(g) < NEWTON_GRAD_TOL and not (
+                abs(gn) < abs(g) and abs(zn - z) >= NEWTON_STEP_TOL):
             converged = True
             break
-        h2 = _fpp(ctx, z, _FLOAT)
-        zn = z - g / h2 if (math.isfinite(g) and math.isfinite(h2)
-                            and h2 != 0.0) else math.nan
-        ok = math.isfinite(zn) and lo <= zn <= hi
-        gn = _fp(ctx, zn, _FLOAT) if ok else math.nan
-        if not (ok and math.isfinite(gn) and abs(gn) <= abs(g)):
+        if not (ok and abs(gn) <= abs(g)):
             if not have_bracket:
                 note = "step rejected, no bracket to bisect"
                 break
             zn = 0.5 * (lo + hi)
             gn = _fp(ctx, zn, _FLOAT)
             note = "bisection fallback used"
-            if not math.isfinite(gn):
-                note = "non-finite derivative inside bracket"
-                break
         its.append(zn)
         if have_bracket:
             if gn * glo > 0.0:
@@ -322,7 +324,7 @@ def newton_critical_point(ctx: FContext, z0: float,
                 hi = zn
         dz = abs(zn - z)
         z, g = zn, gn
-        if dz < NEWTON_STEP_TOL or abs(g) < NEWTON_GRAD_TOL:
+        if dz < NEWTON_STEP_TOL:
             converged = True
             break
     else:
@@ -331,41 +333,17 @@ def newton_critical_point(ctx: FContext, z0: float,
                      converged=converged, z=z, note=note)
 
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def golden_section_max(fn, lo: float, hi: float):
-    """Golden-section search for a maximum of fn on [lo, hi]."""
-    a, b = float(lo), float(hi)
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1, f2 = fn(x1), fn(x2)
-    it = 0
-    while (b - a) > GOLDEN_TOL and it < GOLDEN_MAX_ITER:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INVPHI * (b - a)
-            f2 = fn(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INVPHI * (b - a)
-            f1 = fn(x1)
-        it += 1
-    xm = 0.5 * (a + b)
-    return xm, fn(xm)
-
-
 @dataclass(frozen=True)
 class MaxResult:
     """Outcome of the global search for max F on [0, 1].
 
     candidates holds every (z, F(z)) examined; newton_runs starts with the
     run seeded at z0 = 1 (a zero-step record when the signs of F''(0) and
-    F'(1) left no interior maximum to look for).  fallback names the
-    rescue strategy if a Newton run failed inside a bracket.  tie is set
-    when F(0) and F(1) agree at the top within 1e-12.  route is "scan"
-    for the derivative sign scan, else "signs a,b" with the signs of
-    F''(0) and F'(1).
+    F'(1) left no interior maximum to look for).  fallback is "bisection"
+    when a Newton run replaced a rejected step by bisection, else None.
+    tie is set when F(0) and F(1) agree at the top within 1e-12.  route
+    is "scan" for the derivative sign scan, else "signs a,b" with the
+    signs of F''(0) and F'(1).
     """
 
     z_star: float
@@ -377,7 +355,7 @@ class MaxResult:
     route: str
 
 
-def _pick(cands, runs, fallback: str | None, route: str) -> MaxResult:
+def _pick(cands, runs, route: str) -> MaxResult:
     # the largest candidate, resolving ties towards z = 1, then z = 0;
     # cands starts with (0, F(0)) and (1, F(1))
     (_, f0), (_, f1) = cands[:2]
@@ -395,7 +373,9 @@ def _pick(cands, runs, fallback: str | None, route: str) -> MaxResult:
     return MaxResult(z_star=float(z_star), f_max=float(f_max),
                      candidates=tuple((float(z), float(f)) for z, f in cands),
                      newton_runs=tuple(runs), tie=bool(tie),
-                     fallback=fallback, route=route)
+                     fallback=("bisection" if any(
+                         "bisection" in run.note for run in runs) else None),
+                     route=route)
 
 
 def _global_max(ctx: FContext) -> MaxResult:
@@ -407,35 +387,32 @@ def _global_max(ctx: FContext) -> MaxResult:
                 & ((gi == 0.0) | (gi * gj < 0.0)))
     cands: list[tuple[float, float]] = [(0.0, _f(ctx, 0.0, _FLOAT)),
                                         (1.0, _f(ctx, 1.0, _FLOAT))]
-    runs: list[NewtonRun] = []
-    fallback = None
-
     run0 = newton_critical_point(ctx, 1.0)
-    runs.append(run0)
-    if run0.converged and math.isfinite(run0.z) and 0.0 <= run0.z <= 1.0:
+    runs = [run0]
+    if run0.converged:
         cands.append((run0.z, _f(ctx, run0.z, _FLOAT)))
 
-    # interior grid points where F' vanishes or changes sign before the
-    # next point; z = 0 is always critical (F is even), covered above
+    # interior grid cells where F' vanishes or changes sign; z = 0 is
+    # always critical (F is even), covered above.  Newton runs where the
+    # float F' changes sign across the cell too, so it can always bisect;
+    # where it does not, the two backends disagree on a sign at rounding
+    # level, and the grid point with the smaller |F'| is the root.
     for i in np.flatnonzero(hits) + 1:
         a, b = float(zs[i]), float(zs[i + 1])
-        if d[i] == 0.0:
-            cands.append((a, _f(ctx, a, _FLOAT)))
-            continue
-        run = newton_critical_point(ctx, 0.5 * (a + b), bracket=(a, b))
-        runs.append(run)
-        if run.converged:
-            cands.append((run.z, _f(ctx, run.z, _FLOAT)))
-        else:
-            zg, fg = golden_section_max(lambda t: _f(ctx, t, _FLOAT), a, b)
-            fallback = "golden-section"
-            cands.append((zg, fg))
-    return _pick(cands, runs, fallback, "scan")
+        ga, gb = _fp(ctx, a, _FLOAT), _fp(ctx, b, _FLOAT)
+        if ga * gb < 0.0:
+            runs.append(newton_critical_point(ctx, 0.5 * (a + b),
+                                              bracket=(a, b)))
+            a = runs[-1].z
+        elif abs(gb) < abs(ga):
+            a = b
+        cands.append((a, _f(ctx, a, _FLOAT)))
+    return _pick(cands, runs, "scan")
 
 
 def global_max(p: BlochX) -> MaxResult:
     """Locate max F by endpoint candidates, Newton from z = 1, and Newton
-    (or golden-section rescue) inside every sign-change bracket of F'."""
+    inside every sign-change bracket of F' on SCAN_POINTS grid points."""
     return _global_max(FContext.from_state(p))
 
 
@@ -443,21 +420,28 @@ def _routed_max(ctx: FContext) -> MaxResult:
     # F'(0) = 0, and F' has at most one zero on (0, 1) (conjectured; see
     # the README), so the signs of F''(0) and F'(1) say where it lies:
     # (-,-) and (+,+) have none, (-,+) an interior minimum, (+,-) an
-    # interior maximum.  That maximum goes to the scan: Newton from z = 1
-    # alone stops once |F'| < 1e-13, which on a flat maximum can be 1e-8
-    # away from the root that Newton inside the scan's bracket reaches.
-    # Untrusted signs go to the scan as well.
+    # interior maximum.  For that maximum, F''(0) > 0 makes F' > 0 just
+    # above 0: halve lo from 0.5 until F'(lo) > 0, then run Newton from
+    # z = 1 inside the sign-change bracket (lo, 1].  Untrusted signs, and
+    # a (+,-) state with no F'(lo) > 0 for lo above 1e-12, take the scan.
     a = _fpp(ctx, 0.0, _FLOAT)
     b = _fp(ctx, 1.0, _FLOAT)
     if not (abs(a) > SIGN_BAND and abs(b) > SIGN_BAND):    # nan too
         return _global_max(ctx)
     route = f"signs {'+' if a > 0.0 else '-'},{'+' if b > 0.0 else '-'}"
+    cands = [(0.0, _f(ctx, 0.0, _FLOAT)), (1.0, _f(ctx, 1.0, _FLOAT))]
     if a > 0.0 > b:
-        return replace(_global_max(ctx), route=route)
-    run = NewtonRun(seed=1.0, iterates=(), converged=False, z=1.0,
-                    note=f"not run: {route} leave no interior maximum")
-    return _pick([(0.0, _f(ctx, 0.0, _FLOAT)), (1.0, _f(ctx, 1.0, _FLOAT))],
-                 (run,), None, route)
+        lo = 0.5
+        while not _fp(ctx, lo, _FLOAT) > 0.0:
+            lo *= 0.5
+            if lo < NEWTON_STEP_TOL:
+                return _global_max(ctx)
+        run = newton_critical_point(ctx, 1.0, bracket=(lo, 1.0))
+        cands.append((run.z, _f(ctx, run.z, _FLOAT)))
+    else:
+        run = NewtonRun(seed=1.0, iterates=(), converged=False, z=1.0,
+                        note=f"not run: {route} leave no interior maximum")
+    return _pick(cands, (run,), route)
 
 
 # ---------------------------------------------------------------------------

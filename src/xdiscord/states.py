@@ -47,6 +47,11 @@ def xlog2(x):
     return float(out) if out.ndim == 0 else out
 
 
+def xlog2_float(x: float) -> float:
+    """xlog2 for one float, on the math module."""
+    return x * math.log2(x) if x > 0.0 else 0.0
+
+
 def binary_entropy(x):
     """Shannon entropy -x log2 x - (1-x) log2 (1-x) of a bit, in bits."""
     x = np.asarray(x, dtype=float)
@@ -216,22 +221,29 @@ def corner_phases(m) -> tuple[float, float]:
     return out[0], out[1]
 
 
+def _eigenvalues(p: BlochX) -> list[float]:
+    # (t +/- R)/4 per block, snapped to 0 or 1 within EIG_CLAMP; unsorted
+    lam = []
+    for t, big in blocks(*p.as_tuple()):
+        for x in ((t + big) / 4.0, (t - big) / 4.0):
+            lam.append(0.0 if abs(x) < EIG_CLAMP
+                       else 1.0 if abs(x - 1.0) < EIG_CLAMP else x)
+    return lam
+
+
 def spectrum(p: BlochX) -> np.ndarray:
     """Eigenvalues of the state in closed form (see blocks), descending."""
-    (t1, R1), (t2, R2) = blocks(*p.as_tuple())
-    lam = np.array([t1 + R1, t1 - R1, t2 + R2, t2 - R2]) / 4.0
-    lam[np.abs(lam) < EIG_CLAMP] = 0.0
-    lam[np.abs(lam - 1.0) < EIG_CLAMP] = 1.0
-    return np.sort(lam)[::-1]
+    return np.array(sorted(_eigenvalues(p), reverse=True))
 
 
 def entropies(p: BlochX) -> tuple[float, float, float]:
     """Von Neumann entropies S(a), S(b) and S(ab) of the state, in bits.
 
     The marginals are diag((1 + x)/2, (1 - x)/2) with x = r for qubit a and
-    x = s for qubit b; one xlog2 call covers their spectra and spectrum(p).
+    x = s for qubit b; S(ab) sums over the clamped eigenvalues of
+    spectrum(p), in any order.  Plain floats throughout, no numpy.
     """
     a, b = (1.0 + p.r) / 2.0, (1.0 + p.s) / 2.0
-    h = -xlog2(np.concatenate(([a, 1.0 - a, b, 1.0 - b], spectrum(p))))
-    return (float(h[0] + h[1] + 0.0), float(h[2] + h[3] + 0.0),
-            float(np.sum(h[4:]) + 0.0))
+    return (-(xlog2_float(a) + xlog2_float(1.0 - a)) + 0.0,
+            -(xlog2_float(b) + xlog2_float(1.0 - b)) + 0.0,
+            -sum(map(xlog2_float, _eigenvalues(p))) + 0.0)

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import BOUNDARY_BLOCH, EX_MATRIX, closed_form_bell_diagonal
-from xdiscord import (BlochX, FContext, Region, XDensityMatrix, analytic_max,
-                      classify_region, discord, f_derivative,
-                      f_second_derivative, f_value, global_max,
+from xdiscord import (BlochX, FContext, PhysicalityError, Region,
+                      XDensityMatrix, analytic_max, classify_region, discord,
+                      f_derivative, f_second_derivative, f_value, global_max,
                       matrix_to_bloch, newton_critical_point,
                       region_conditions)
-from xdiscord.engine import SCAN_POINTS, golden_section_max
+from xdiscord import engine
 from xdiscord.sampling import (random_bell_diagonal, random_case,
                                random_rank_two, random_states)
 
@@ -160,6 +160,24 @@ def test_derivative_vanishes_at_one_on_product_states_with_unit_s():
         assert np.all(np.abs(d) <= 1e-12), t
 
 
+def test_float_derivative_is_finite_on_the_closed_interval(rng):
+    # a bracketed Newton run can always bisect because F' on floats is
+    # finite at every z in [0, 1]: the logs are floored at TINY and every
+    # denominator is guarded, also where radicals or weights vanish
+    edge = [BlochX(*t) for t in BOUNDARY_BLOCH] + [
+        BlochX(0.3, 0.0, 0.0, 0.0, -0.6), BlochX(0.0, 0.0, 1.0, -1.0, 1.0),
+        BlochX(0.0, 0.0, 0.0, 0.0, 0.0), BlochX(1.0, 1.0, 0.0, 0.0, 1.0),
+        BlochX(0.0, 1.0, 0.0, 0.0, 0.0), BlochX(-0.5, -1.0, 0.0, 0.0, 0.5)]
+    pool = edge + random_states(rng, 200) + [
+        p.swapped() for case in ("I", "II", "III")
+        for p in random_rank_two(rng, case, 30)]
+    zs = [0.0, 1e-300, 1e-12, 0.25, 0.5, 0.75, 1.0 - 1e-16, 1.0]
+    for p in pool:
+        ctx = FContext.from_state(p)
+        assert all(np.isfinite(f_derivative(ctx, z)) for z in zs), \
+            p.as_tuple()
+
+
 def test_derivative_finite_where_radical_vanishes():
     # H+ hits zero at z = 0.5 for this state; the derivative must take
     # its series limit there while the second derivative signals nan
@@ -232,6 +250,18 @@ def test_newton_trace_on_worked_example():
     np.testing.assert_allclose(run.iterates, EX_ITERATES, atol=1e-9)
 
 
+def test_bracket_turns_rejected_steps_into_bisection():
+    # F'' > 0 at z = 0.05 sends the Newton step below 0: alone the run is
+    # abandoned, inside a sign-change bracket the step bisects instead
+    ctx = FContext.from_state(ex_state())
+    alone = newton_critical_point(ctx, 0.05)
+    assert not alone.converged and alone.iterates == ()
+    run = newton_critical_point(ctx, 0.05, bracket=(0.05, 1.0))
+    assert run.converged and run.note == "bisection fallback used"
+    assert run.iterates[0] == 0.525
+    assert run.z == pytest.approx(EX_Z_STAR, abs=1e-9)
+
+
 def test_worked_example_discord():
     res = discord(ex_state())
     assert res.region == "general"
@@ -241,12 +271,14 @@ def test_worked_example_discord():
     assert res.discord == pytest.approx(EX_DISCORD, abs=1e-12)
     assert res.classical_correlation == pytest.approx(EX_CLASSICAL, abs=1e-12)
     assert res.mutual_information == pytest.approx(EX_MUTUAL, abs=1e-12)
-    assert res.search.newton_runs[0].seed == 1.0
-    # the interior maximum goes to the scan, whose bracketed Newton run
-    # starts mid-cell of the SCAN_POINTS grid
+    # the interior maximum takes one bracketed Newton run from z = 1, with
+    # the iterates of the unbracketed run; no scan cell seeds a second run
     assert res.search.route == "signs +,-"
-    cell = res.search.newton_runs[1].seed * (SCAN_POINTS - 1)
-    assert cell % 1.0 == pytest.approx(0.5, abs=1e-9)
+    (run,) = res.search.newton_runs
+    assert run.seed == 1.0
+    assert run.converged
+    assert len(run.iterates) == len(EX_ITERATES)
+    np.testing.assert_allclose(run.iterates, EX_ITERATES, atol=1e-9)
 
 
 def test_discord_plus_classical_equals_mutual(rng):
@@ -366,12 +398,6 @@ def test_local_unitary_symmetries(rng, move):
             res.classical_correlation, abs=1e-12)
 
 
-def test_golden_section_on_parabola():
-    z, val = golden_section_max(lambda x: -(x - 0.3) ** 2, 0.0, 1.0)
-    assert z == pytest.approx(0.3, abs=1e-9)
-    assert val == pytest.approx(0.0, abs=1e-15)
-
-
 def test_invalid_method_rejected():
     with pytest.raises(ValueError):
         discord(ex_state(), method="fancy")
@@ -403,7 +429,10 @@ def test_route_counts(rng):
         res = discord(p)
         route = res.search.route if res.search else "analytic"
         counts[route] = counts.get(route, 0) + 1
-        if route.startswith("signs") and route != "signs +,-":
+        if route == "signs +,-":
+            (run,) = res.search.newton_runs
+            assert run.seed == 1.0 and run.converged
+        elif route.startswith("signs"):
             run = res.search.newton_runs[0]
             assert (run.seed, run.iterates, run.converged, run.z) == \
                 (1.0, (), False, 1.0)
@@ -419,6 +448,68 @@ def test_route_counts(rng):
     for t in ((0.3, -0.4, 0.0, 0.0, -0.12), (0.0, 0.0, 0.3, 0.1, 0.3),
               (0.0, 0.0, 0.0, 0.0, 0.0)):
         assert discord(BlochX(*t), method="numeric").search.route == "scan"
+
+
+class _NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} called")
+
+
+def test_default_path_runs_no_scan_and_no_numpy(rng, monkeypatch):
+    # an interior maximum takes one bracketed Newton run instead of the
+    # scan, and no route of a default call goes through numpy
+    ex = ex_state()
+    pool = [ex] + random_states(rng, 300)
+    monkeypatch.setattr(engine, "_global_max", lambda c: pytest.fail("scan"))
+    monkeypatch.setattr("xdiscord.engine.np", _NoNumpy())
+    monkeypatch.setattr("xdiscord.states.np", _NoNumpy())
+    routes = set()
+    for p in pool:
+        res = discord(p)
+        routes.add(res.search.route if res.search else "analytic")
+    assert routes >= {"analytic", "signs -,-", "signs +,+", "signs +,-"}
+
+
+def test_interior_maxima_match_50_digit_root():
+    # (+, -) states near the worked example and from uniform draws: z* of
+    # the router and of the scan against a 50-digit root of F' found by
+    # bracketing, and max F against F at that root
+    mp = pytest.importorskip("mpmath").mp
+    rng = np.random.default_rng(47)
+    ex = np.array(ex_state().as_tuple())
+    pool = []
+    for v in ex + rng.uniform(-0.02, 0.02, (6500, 5)):
+        try:
+            pool.append(BlochX(*v))
+        except PhysicalityError:
+            pass
+    pool += random_states(rng, 20000)
+    picked = []
+    for p in pool:
+        ctx = FContext.from_state(p)
+        if (classify_region(p) is Region.GENERAL
+                and f_second_derivative(ctx, 0.0) > engine.SIGN_BAND
+                and f_derivative(ctx, 1.0) < -engine.SIGN_BAND):
+            picked.append(p)
+    assert len(picked) >= 90, len(picked)
+    with mp.workdps(50):
+        for p in picked:
+            def fp(z):
+                return mp.diff(lambda t: _reference_f(mp, p, t), z)
+            lo = mp.mpf(0.5)
+            while fp(lo) <= 0:
+                lo /= 2
+            root = mp.findroot(fp, (lo, mp.mpf(1)), solver="anderson")
+            f_root = _reference_f(mp, p, root)
+            res = discord(p).search
+            ref = global_max(p)
+            assert res.route == "signs +,-"
+            for got in (res, ref):
+                assert abs(got.z_star - root) <= 1e-10, p.as_tuple()
+                assert abs(got.f_max - f_root) <= 1e-12, p.as_tuple()
+                for run in got.newton_runs:
+                    assert run.converged and len(run.iterates) <= 20, \
+                        p.as_tuple()
 
 
 def test_verify_checks_router_against_scan(rng):

@@ -7,10 +7,11 @@ import pytest
 
 from conftest import dense_entropy, ptrace_a
 from xdiscord import (BlochX, RankError, binary_entropy, bloch_to_matrix,
-                      concurrence, discord, entanglement_of_formation,
-                      eof_from_concurrence, koashi_winter, mu_spectrum,
-                      mu_spectrum_closed, purification_marginal_ab,
-                      rank_two_classify, spin_flip)
+                      concurrence, discord, koashi_winter, mu_spectrum,
+                      purification_marginal_ab, rank_two_classify)
+from xdiscord.entanglement import (entanglement_of_formation,
+                                   eof_from_concurrence, mu_spectrum_closed,
+                                   spin_flip)
 from xdiscord.sampling import random_rank_two, random_states
 
 # deterministic case-III example: rank-2 by construction, |c1| >= |c2|

@@ -9,10 +9,11 @@ import pytest
 
 from conftest import (BOUNDARY_BLOCH, EX_MATRIX, dense_entropy,
                       measured_ensemble)
-from xdiscord import (BlochX, FContext, MeasurementPoint, XDensityMatrix,
-                      bloch_to_matrix, conditional_ensemble,
-                      conditional_entropy, correlation_objective, discord,
-                      f_value, matrix_to_bloch, oracle_classical_correlation)
+from xdiscord import (BlochX, FContext, XDensityMatrix, bloch_to_matrix,
+                      discord, f_value, matrix_to_bloch,
+                      oracle_classical_correlation)
+from xdiscord.oracle import (MeasurementPoint, conditional_ensemble,
+                             conditional_entropy, correlation_objective)
 from xdiscord.sampling import random_rank_two, random_states
 
 ORACLE_SRC = (Path(__file__).resolve().parents[1]

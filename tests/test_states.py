@@ -5,12 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from conftest import EX_MATRIX, dense_entropy, ptrace_a, ptrace_b
+from conftest import (BOUNDARY_BLOCH, EX_MATRIX, dense_entropy, ptrace_a,
+                      ptrace_b)
 from xdiscord import (BlochX, PhysicalityError, XDensityMatrix, XPatternError,
                       binary_entropy, bloch_to_matrix, corner_phases,
                       entropies, matrix_to_bloch, physicality_margins,
                       spectrum, xlog2)
-from xdiscord.sampling import random_states
+from xdiscord.sampling import (random_bell_diagonal, random_rank_two,
+                               random_states)
+from xdiscord.states import EIG_CLAMP, blocks
 
 
 def test_worked_matrix_to_bloch():
@@ -172,6 +175,31 @@ def test_mutual_information_matches_dense(rng):
                   - dense_entropy(m))
         sa, sb, sab = entropies(p)
         assert sa + sb - sab == pytest.approx(expect, abs=1e-10)
+
+
+def test_entropies_match_dense_on_every_family(rng):
+    # S(a), S(b), S(ab) on floats against eigvalsh of the dense matrix and
+    # its partial traces.  The two near-pure states have closed-form
+    # eigenvalues within EIG_CLAMP of 0 and of 1, so both clamps run.
+    eps = 1e-14
+    near_pure = [BlochX(0.0, 0.0, eps - 1.0, eps - 1.0, eps - 1.0),
+                 BlochX(1.0 - eps / 2, 1.0 - eps / 2, 0.0, 0.0, 1.0 - eps)]
+    for p in near_pure:
+        raw = [(t + sign * big) / 4.0 for t, big in blocks(*p.as_tuple())
+               for sign in (1.0, -1.0)]
+        assert any(0.0 < x < EIG_CLAMP for x in raw)
+        assert any(0.0 < 1.0 - x < EIG_CLAMP for x in raw)
+        assert {0.0, 1.0} <= set(spectrum(p))
+    states = random_states(rng, 200) + random_bell_diagonal(rng, 50) + [
+        p.swapped() for case in ("I", "II", "III")
+        for p in random_rank_two(rng, case, 30)]
+    states += [BlochX(*t) for t in BOUNDARY_BLOCH] + near_pure
+    for p in states:
+        m = bloch_to_matrix(p).matrix
+        expect = (dense_entropy(ptrace_b(m)), dense_entropy(ptrace_a(m)),
+                  dense_entropy(m))
+        np.testing.assert_allclose(entropies(p), expect, rtol=0, atol=1e-12,
+                                   err_msg=str(p.as_tuple()))
 
 
 def test_swapped_exchanges_parties():
