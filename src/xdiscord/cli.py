@@ -36,6 +36,16 @@ def _numbers(text: str) -> list[float]:
         raise InputError(f"could not parse number: {exc}") from None
 
 
+def _number(v, where: str) -> float:
+    # a JSON number; bool is an int subclass, so it is refused by name
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise InputError(f"{where} must be a number, got {json.dumps(v)}")
+    try:
+        return float(v)
+    except OverflowError:
+        raise InputError(f"{where} is out of range") from None
+
+
 def _matrix_from_rows(rows) -> np.ndarray:
     if not isinstance(rows, list) or len(rows) != 4:
         raise InputError("matrix must be a list of 4 rows")
@@ -44,12 +54,11 @@ def _matrix_from_rows(rows) -> np.ndarray:
         if not isinstance(row, list) or len(row) != 4:
             raise InputError(f"matrix row {i} must have 4 entries")
         for j, e in enumerate(row):
-            if isinstance(e, (int, float)):
-                arr[i, j] = e
-            elif isinstance(e, list) and len(e) == 2:
-                arr[i, j] = complex(e[0], e[1])
+            where = f"matrix entry ({i}, {j})"
+            if isinstance(e, list) and len(e) == 2:
+                arr[i, j] = complex(_number(e[0], where), _number(e[1], where))
             else:
-                raise InputError(f"bad matrix entry at ({i}, {j})")
+                arr[i, j] = _number(e, where)
     return arr
 
 
@@ -76,7 +85,8 @@ def _load_state(args) -> tuple[BlochX, dict]:
             vals = obj["bloch"]
             if not isinstance(vals, list) or len(vals) != 5:
                 raise InputError("'bloch' must be a list of 5 numbers")
-            return BlochX(*[float(v) for v in vals]), {"source": "bloch"}
+            nums = [_number(v, "'bloch' entry") for v in vals]
+            return BlochX(*nums), {"source": "bloch"}
         if "matrix" in obj:
             arr = _matrix_from_rows(obj["matrix"])
         else:

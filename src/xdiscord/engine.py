@@ -295,8 +295,9 @@ def newton_critical_point(ctx: FContext, z0: float,
     have_bracket = False
     if bracket is not None:
         lo, hi = float(bracket[0]), float(bracket[1])
-        glo = _fp(ctx, lo, _FLOAT)
-        have_bracket = glo * _fp(ctx, hi, _FLOAT) < 0.0
+        # a bracket end at the seed reuses its F'
+        glo = g if lo == z else _fp(ctx, lo, _FLOAT)
+        have_bracket = glo * (g if hi == z else _fp(ctx, hi, _FLOAT)) < 0.0
     its: list[float] = []
     converged = False
     note = ""
@@ -484,7 +485,6 @@ def discord(p: BlochX, method: str = "auto",
     """
     if method not in ("auto", "analytic", "numeric"):
         raise ValueError(f"unknown method {method!r}")
-    ctx = FContext.from_state(p)
     tag = classify_region(p)
     search = None
     verify_gap = None
@@ -494,9 +494,10 @@ def discord(p: BlochX, method: str = "auto",
         z_star, f_max = analytic_max(p, tag)
         how = "analytic"
         if verify:
-            search = _global_max(ctx)
+            search = global_max(p)
             verify_gap = abs(search.f_max - f_max)
     else:
+        ctx = FContext.from_state(p)
         search = _routed_max(ctx)
         z_star, f_max = search.z_star, search.f_max
         how = "numeric"

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import discord
-from .states import (_OFF_X, BlochX, XDensityMatrix, binary_entropy, blocks,
+from .states import (_OFF_X, XDensityMatrix, _eigenvalues, binary_entropy,
                      entropies, matrix_to_bloch)
 
 RANK_TOL = 1e-10        # eigenvalues below this count as zero
@@ -113,10 +113,6 @@ def eof_from_concurrence(con: float) -> float:
     return binary_entropy(x)
 
 
-def entanglement_of_formation(matrix) -> float:
-    return eof_from_concurrence(concurrence(matrix))
-
-
 # ---------------------------------------------------------------------------
 # Rank-2 spectral decompositions.  The X pattern keeps the two nonzero
 # eigenvectors inside the outer span(|00>, |11>) and middle span(|01>, |10>)
@@ -170,11 +166,8 @@ def rank_two_classify(matrix) -> RankTwoDecomposition:
     xm = matrix if isinstance(matrix, XDensityMatrix) else XDensityMatrix(matrix)
     p = matrix_to_bloch(xm)
     m = np.real(np.asarray(xm.matrix))
-    (t1, R1), (t2, R2) = blocks(*p.as_tuple())
-    lam_mid = ((t1 + R1) / 4.0, (t1 - R1) / 4.0)
-    lam_out = ((t2 + R2) / 4.0, (t2 - R2) / 4.0)
-    tagged = sorted([(lam_mid[0], "mid"), (lam_mid[1], "mid"),
-                     (lam_out[0], "out"), (lam_out[1], "out")],
+    # _eigenvalues lists the inner (middle) block's pair, then the outer's
+    tagged = sorted(zip(_eigenvalues(p), ("mid", "mid", "out", "out")),
                     key=lambda t: t[0], reverse=True)
     lams = [t[0] for t in tagged]
     if lams[1] <= RANK_TOL:

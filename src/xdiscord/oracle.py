@@ -7,7 +7,8 @@ spectra, and minimize the measured conditional entropy directly.  The
 conditional entropy depends on the direction (z1, z2, z3) only through
 z3 and theta = (c1 z1)^2 + (c2 z2)^2 + (c3 z3)^2, and is even in each
 component, so the quarter disk z3 in [0, 1], phi in [0, pi/2] covers
-everything.
+everything.  The sweep, oracle_classical_correlation, is the module's
+only entry point; the per-direction kernels are private.
 
 Nothing here is shared with engine.py: the entropy is binary_entropy of
 the conditional eigenvalues, and the search is a grid sweep refined by
@@ -30,33 +31,6 @@ ZOOM_POINTS = 17          # per axis of each refinement grid
 ZOOM_SHRINK = 8.0         # step ratio between refinement rounds
 ZOOM_MIN_STEP = 1e-8      # z3 step at which refinement stops
 CORNER_GAIN = 1e-15       # a round gaining less ends refinement at a corner
-
-
-@dataclass(frozen=True)
-class MeasurementPoint:
-    """A unit measurement direction on the Bloch sphere of qubit b."""
-
-    z1: float
-    z2: float
-    z3: float
-
-    def __post_init__(self):
-        n = self.z1 ** 2 + self.z2 ** 2 + self.z3 ** 2
-        if abs(n - 1.0) > 1e-9:
-            raise ValueError(f"|z|^2 = {n!r} differs from 1")
-
-    @classmethod
-    def from_polar(cls, z3: float, phi: float) -> "MeasurementPoint":
-        rho = math.sqrt(max(1.0 - z3 * z3, 0.0))
-        return cls(rho * math.cos(phi), rho * math.sin(phi), z3)
-
-
-@dataclass(frozen=True)
-class ConditionalEnsemble:
-    """Outcome probabilities and conditional spectra for one direction."""
-
-    probabilities: tuple[float, float]
-    eigenvalues: tuple[tuple[float, float], tuple[float, float]]
 
 
 def _outcomes(p: BlochX, z3, theta):
@@ -83,43 +57,12 @@ def _entropy(p: BlochX, z3, theta):
     return p_hi * binary_entropy(lam_hi) + p_lo * binary_entropy(lam_lo)
 
 
-def _theta(p: BlochX, m: MeasurementPoint) -> float:
-    return (p.c1 * m.z1) ** 2 + (p.c2 * m.z2) ** 2 + (p.c3 * m.z3) ** 2
-
-
 def _polar_theta(p: BlochX, z3, phi):
     # theta at (z3, phi); the c1^2 + (c2^2 - c1^2) sin^2 form is exactly
     # flat in phi when |c1| = |c2|, so ties there resolve to phi = 0
     c1sq = p.c1 * p.c1
     return ((1.0 - z3 * z3) * (c1sq + (p.c2 * p.c2 - c1sq) * np.sin(phi) ** 2)
             + (p.c3 * z3) ** 2)
-
-
-def conditional_ensemble(p: BlochX, m: MeasurementPoint) -> ConditionalEnsemble:
-    """Ensemble of qubit-a states produced by projecting qubit b along m.
-
-    Outcome k has probability (1 +/- s z3)/2 and conditional eigenvalues
-    (1 +/- A_k)/2 with A_k = sqrt(r^2 +/- 2 r c3 z3 + theta) / (1 +/- s z3).
-    """
-    (p_hi, lam_hi), (p_lo, lam_lo) = _outcomes(p, m.z3, _theta(p, m))
-    return ConditionalEnsemble(
-        probabilities=(float(p_hi), float(p_lo)),
-        eigenvalues=((float(lam_hi), float(1.0 - lam_hi)),
-                     (float(lam_lo), float(1.0 - lam_lo))))
-
-
-def conditional_entropy(p: BlochX, m: MeasurementPoint) -> float:
-    """Measured conditional entropy for one direction, in bits."""
-    return float(_entropy(p, m.z3, _theta(p, m)))
-
-
-def correlation_objective(p: BlochX, z3: float, theta: float) -> float:
-    """G(theta, z3) = 1 - conditional entropy at the given theta.
-
-    Nondecreasing in theta for fixed z3, which is what lets the circle
-    maximum of theta stand in for the full two-angle search.
-    """
-    return float(1.0 - _entropy(p, z3, theta))
 
 
 def _sweep(p: BlochX, z3s: np.ndarray, phis: np.ndarray):
@@ -181,9 +124,10 @@ def oracle_classical_correlation(p: BlochX, grid_n: int = 256,
         if dz < ZOOM_MIN_STEP:
             break
 
-    m = MeasurementPoint.from_polar(z3, phi)
+    rho = math.sqrt(max(1.0 - z3 * z3, 0.0))
     sa = binary_entropy((1.0 + p.r) / 2.0)
     return OracleResult(classical_correlation=float(sa - best),
                         entropy_min=best, z3=z3, phi=phi,
-                        direction=(m.z1, m.z2, m.z3), grid_n=grid_n,
-                        grid_index=(i, j))
+                        direction=(rho * math.cos(phi), rho * math.sin(phi),
+                                   z3),
+                        grid_n=grid_n, grid_index=(i, j))

@@ -11,14 +11,22 @@ import math
 
 import numpy as np
 
-from .states import BlochX
+from .states import BlochX, physicality_margins
 
 
-def _accept_mask(params: np.ndarray, margin: float) -> np.ndarray:
-    r, s, c1, c2, c3 = params.T
-    m1 = (1.0 - c3) - np.hypot(r - s, c1 + c2)
-    m2 = (1.0 + c3) - np.hypot(r + s, c1 - c2)
-    return (m1 >= margin) & (m2 >= margin)
+def _physical(rows: np.ndarray, margin: float = 0.0) -> np.ndarray:
+    # rows (N, 5) with both positivity margins at least margin, in order
+    m1, m2 = physicality_margins(*rows.T)
+    return rows[(m1 >= margin) & (m2 >= margin)]
+
+
+def _fill(n: int, draw) -> list[BlochX]:
+    # the first n rows of successive draw(todo) batches, as states
+    out: list[BlochX] = []
+    while len(out) < n:
+        rows = draw(n - len(out))
+        out += [BlochX(*row) for row in rows[:n - len(out)]]
+    return out
 
 
 def random_states(rng: np.random.Generator, n: int,
@@ -28,27 +36,16 @@ def random_states(rng: np.random.Generator, n: int,
     margin > 0 keeps a slack of at least margin on both positivity
     constraints (useful where derivatives of boundary states blow up).
     """
-    out: list[BlochX] = []
-    while len(out) < n:
-        batch = rng.uniform(-1.0, 1.0, size=(max(16 * (n - len(out)), 64), 5))
-        for row in batch[_accept_mask(batch, margin)]:
-            out.append(BlochX(*row))
-            if len(out) == n:
-                break
-    return out
+    return _fill(n, lambda todo: _physical(
+        rng.uniform(-1.0, 1.0, size=(max(16 * todo, 64), 5)), margin))
 
 
 def random_bell_diagonal(rng: np.random.Generator, n: int) -> list[BlochX]:
     """n states with r = s = 0, uniform over the physical c-cube."""
-    out: list[BlochX] = []
-    while len(out) < n:
-        cs = rng.uniform(-1.0, 1.0, size=(max(4 * (n - len(out)), 64), 3))
-        rows = np.column_stack([np.zeros((len(cs), 2)), cs])
-        for row in rows[_accept_mask(rows, 0.0)]:
-            out.append(BlochX(*row))
-            if len(out) == n:
-                break
-    return out
+    def draw(todo):
+        cs = rng.uniform(-1.0, 1.0, size=(max(4 * todo, 64), 3))
+        return _physical(np.column_stack([np.zeros((len(cs), 2)), cs]))
+    return _fill(n, draw)
 
 
 def random_case(rng: np.random.Generator, case: str, n: int) -> list[BlochX]:
@@ -60,9 +57,8 @@ def random_case(rng: np.random.Generator, case: str, n: int) -> list[BlochX]:
     """
     if case not in ("a", "b", "c", "d"):
         raise ValueError(f"unknown case {case!r}")
-    out: list[BlochX] = []
-    while len(out) < n:
-        todo = n - len(out)
+
+    def draw(todo):
         if case in ("a", "b"):
             batch = rng.uniform(-1.0, 1.0, size=(max(32 * todo, 64), 5))
             r, s, c1, c2, c3 = batch.T
@@ -72,48 +68,40 @@ def random_case(rng: np.random.Generator, case: str, n: int) -> list[BlochX]:
                 ok = (s >= 0.0) & (rc3 <= 0.0) & (q >= s * rc3)
             else:
                 ok = (s <= 0.0) & (rc3 >= 0.0) & (q >= s * rc3)
-            ok &= _accept_mask(batch, 0.0)
-            rows = batch[ok]
-        elif case == "c":
+            return _physical(batch[ok])
+        if case == "c":
             batch = rng.uniform(-1.0, 1.0, size=(max(8 * todo, 64), 4))
             s, c1, c2, c3 = batch.T
             # half of the family: s = 0 exactly, any max |ci|
             s = np.where(rng.random(len(batch)) < 0.5, s, 0.0)
             axis_ok = (c3 * c3 >= np.maximum(np.abs(c1), np.abs(c2)) ** 2)
             keep = axis_ok | (s == 0.0)
-            rows = np.column_stack(
-                [np.zeros(len(batch)), s, c1, c2, c3])[keep]
-            rows = rows[_accept_mask(rows, 0.0)]
-        else:
-            c3 = rng.uniform(-1.0, 1.0, size=max(8 * todo, 64))
-            u = rng.uniform(0.0, 1.0, size=len(c3))
-            r = -np.sign(c3) * u          # makes r c3 <= 0
-            s = r * c3
-            big = np.where(rng.random(len(c3)) < 0.5, c3, -c3)
-            small = rng.uniform(-1.0, 1.0, size=len(c3)) * np.abs(c3)
-            which = rng.random(len(c3)) < 0.5
-            c1 = np.where(which, big, small)
-            c2 = np.where(which, small, big)
-            rows = np.column_stack([r, s, c1, c2, c3])
-            mask = (c3 * c3 + r * r <= 2.0 / 3.0) & _accept_mask(rows, 0.0)
-            rows = rows[mask]
-        for row in rows:
-            out.append(BlochX(*row))
-            if len(out) == n:
-                break
-    return out
+            return _physical(np.column_stack(
+                [np.zeros(len(batch)), s, c1, c2, c3])[keep])
+        c3 = rng.uniform(-1.0, 1.0, size=max(8 * todo, 64))
+        u = rng.uniform(0.0, 1.0, size=len(c3))
+        r = -np.sign(c3) * u          # makes r c3 <= 0
+        s = r * c3
+        big = np.where(rng.random(len(c3)) < 0.5, c3, -c3)
+        small = rng.uniform(-1.0, 1.0, size=len(c3)) * np.abs(c3)
+        which = rng.random(len(c3)) < 0.5
+        c1 = np.where(which, big, small)
+        c2 = np.where(which, small, big)
+        rows = np.column_stack([r, s, c1, c2, c3])
+        return _physical(rows[c3 * c3 + r * r <= 2.0 / 3.0])
+
+    return _fill(n, draw)
 
 
-def random_rank_two(rng: np.random.Generator, case: str, n: int,
-                    normal_form: bool = True) -> list[BlochX]:
+def random_rank_two(rng: np.random.Generator, case: str,
+                    n: int) -> list[BlochX]:
     """n rank-2 states of the named case ("I", "II", or "III").
 
     Case I: c3 = 1, s = r, c2 = -c1.  Case II: c3 = -1, s = -r, c2 = c1.
     Case III saturates both positivity constraints with |c3| <= 0.9 so
-    both surviving eigenvalues stay safely away from zero.  With
-    normal_form (default) case III emits |c1| >= |c2|; the two are
-    locally equivalent, and the closed concurrence form for the
-    complementary state assumes that ordering.
+    both surviving eigenvalues stay safely away from zero, and emits
+    |c1| >= |c2|; the two orderings are locally equivalent, and the
+    closed concurrence form for the complementary state assumes this one.
     """
     if case not in ("I", "II", "III"):
         raise ValueError(f"unknown case {case!r}")
@@ -140,7 +128,7 @@ def random_rank_two(rng: np.random.Generator, case: str, n: int,
         c2 = (cp - cm) / 2.0
         if max(abs(r), abs(s), abs(c1), abs(c2)) > 1.0:
             continue
-        if normal_form and abs(c1) < abs(c2):
+        if abs(c1) < abs(c2):
             c1, c2 = c2, c1
         out.append(BlochX(r, s, c1, c2, c3))
     return out

@@ -64,14 +64,15 @@ def blocks(r, s, c1, c2, c3):
 
     The X pattern block-diagonalizes into an inner block with
     (t, R1) = (1 - c3, sqrt((r - s)^2 + (c1 + c2)^2)) and an outer one with
-    (t, R2) = (1 + c3, sqrt((r + s)^2 + (c1 - c2)^2)).
+    (t, R2) = (1 + c3, sqrt((r + s)^2 + (c1 - c2)^2)).  Takes floats or
+    numpy arrays; "** 0.5" keeps the float path free of numpy.
     """
-    return ((1.0 - c3, math.hypot(r - s, c1 + c2)),
-            (1.0 + c3, math.hypot(r + s, c1 - c2)))
+    return ((1.0 - c3, ((r - s) ** 2 + (c1 + c2) ** 2) ** 0.5),
+            (1.0 + c3, ((r + s) ** 2 + (c1 - c2) ** 2) ** 0.5))
 
 
 def physicality_margins(r, s, c1, c2, c3):
-    """Slack of the two block positivity constraints.
+    """Slack of the two block positivity constraints, for floats or arrays.
 
     Both are nonnegative exactly when the Pauli coefficients describe a
     positive semidefinite matrix:

@@ -134,6 +134,28 @@ def test_wrong_number_count_is_input_error(capsys, tmp_path):
     assert "expected 5 numbers" in err
 
 
+def _matrix_with(entry):
+    rows = [[float(x) for x in row] for row in EX_MATRIX.real]
+    rows[1][2] = entry
+    return {"matrix": rows}
+
+
+@pytest.mark.parametrize("obj", [
+    {"bloch": ["x", 0, 0, 0, 0]},
+    {"bloch": [None, 0, 0, 0, 0]},
+    {"bloch": [True, 0, 0, 0, 0]},
+    _matrix_with(["a", 0]),
+    _matrix_with(False),
+], ids=["bloch-string", "bloch-null", "bloch-bool", "matrix-string",
+        "matrix-bool"])
+def test_non_numeric_json_value_is_input_error(capsys, tmp_path, obj):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, _, err = run_cli(capsys, "discord", "--input", str(path))
+    assert code == 2
+    assert err.startswith("error: ") and "must be a number" in err
+
+
 def test_non_x_matrix_exits_2(capsys, tmp_path):
     m = EX_MATRIX.copy()
     m[0, 1] = 0.01

@@ -9,8 +9,7 @@ from conftest import dense_entropy, ptrace_a
 from xdiscord import (BlochX, RankError, binary_entropy, bloch_to_matrix,
                       concurrence, discord, koashi_winter, mu_spectrum,
                       purification_marginal_ab, rank_two_classify)
-from xdiscord.entanglement import (entanglement_of_formation,
-                                   eof_from_concurrence, mu_spectrum_closed,
+from xdiscord.entanglement import (eof_from_concurrence, mu_spectrum_closed,
                                    spin_flip)
 from xdiscord.sampling import random_rank_two, random_states
 
@@ -36,10 +35,11 @@ def test_mu_spectrum_routes_agree(rng):
 def test_concurrence_of_known_states():
     bell = bloch_to_matrix(BlochX(0.0, 0.0, 1.0, -1.0, 1.0))
     assert concurrence(bell) == pytest.approx(1.0, abs=1e-12)
-    assert entanglement_of_formation(bell) == pytest.approx(1.0, abs=1e-12)
+    assert eof_from_concurrence(concurrence(bell)) == pytest.approx(
+        1.0, abs=1e-12)
     product = bloch_to_matrix(BlochX(0.4, -0.3, 0.0, 0.0, -0.12))
     assert concurrence(product) == 0.0
-    assert entanglement_of_formation(product) == 0.0
+    assert eof_from_concurrence(concurrence(product)) == 0.0
 
 
 def test_concurrence_of_werner_family():

@@ -12,8 +12,7 @@ from conftest import (BOUNDARY_BLOCH, EX_MATRIX, dense_entropy,
 from xdiscord import (BlochX, FContext, XDensityMatrix, bloch_to_matrix,
                       discord, f_value, matrix_to_bloch,
                       oracle_classical_correlation)
-from xdiscord.oracle import (MeasurementPoint, conditional_ensemble,
-                             conditional_entropy, correlation_objective)
+from xdiscord.oracle import _entropy, _outcomes
 from xdiscord.sampling import random_rank_two, random_states
 
 ORACLE_SRC = (Path(__file__).resolve().parents[1]
@@ -23,8 +22,17 @@ ORACLE_SRC = (Path(__file__).resolve().parents[1]
 
 def random_directions(rng, n):
     z = rng.normal(size=(n, 3))
-    return [MeasurementPoint(*row)
-            for row in z / np.linalg.norm(z, axis=1, keepdims=True)]
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
+def theta(p, direction):
+    z1, z2, z3 = direction
+    return (p.c1 * z1) ** 2 + (p.c2 * z2) ** 2 + (p.c3 * z3) ** 2
+
+
+def objective(p, z3, th):
+    # 1 - measured conditional entropy at (z3, theta)
+    return 1.0 - float(_entropy(p, z3, th))
 
 
 def best_theta(p, z3):
@@ -44,39 +52,40 @@ def test_oracle_imports_nothing_from_engine():
     assert not [m for m in modules if "engine" in m.split(".")]
 
 
-def test_measurement_point_constructors():
-    m = MeasurementPoint.from_polar(0.6, 0.25)
-    assert m.z3 == 0.6
-    assert math.hypot(m.z1, m.z2) == pytest.approx(0.8, abs=1e-12)
-    assert math.atan2(m.z2, m.z1) == pytest.approx(0.25, abs=1e-12)
-    with pytest.raises(ValueError):
-        MeasurementPoint(1.0, 1.0, 1.0)
+def test_oracle_direction_is_unit_vector_at_z3_phi(rng):
+    for p in random_states(rng, 5):
+        orc = oracle_classical_correlation(p, grid_n=32)
+        z1, z2, z3 = orc.direction
+        assert z3 == orc.z3
+        assert math.hypot(z1, z2) == pytest.approx(
+            math.sqrt(1.0 - orc.z3 ** 2), abs=1e-12)
+        if orc.z3 < 1.0:
+            assert math.atan2(z2, z1) == pytest.approx(orc.phi, abs=1e-12)
 
 
 def test_conditional_ensemble_against_projectors(rng):
     points = random_directions(rng, 60)
     for p, point in zip(random_states(rng, 60), points):
-        ens = conditional_ensemble(p, point)
-        dense = measured_ensemble(bloch_to_matrix(p).matrix,
-                                  (point.z1, point.z2, point.z3))
-        assert sum(ens.probabilities) == pytest.approx(1.0, abs=1e-12)
-        assert ens.probabilities[0] == pytest.approx(
-            (1.0 + p.s * point.z3) / 2.0, abs=1e-12)
-        for pk, lams, (dense_pk, state) in zip(ens.probabilities,
-                                               ens.eigenvalues, dense):
+        outcomes = _outcomes(p, point[2], theta(p, point))
+        dense = measured_ensemble(bloch_to_matrix(p).matrix, tuple(point))
+        assert sum(pk for pk, _ in outcomes) == pytest.approx(1.0, abs=1e-12)
+        assert outcomes[0][0] == pytest.approx(
+            (1.0 + p.s * point[2]) / 2.0, abs=1e-12)
+        for (pk, lam), (dense_pk, state) in zip(outcomes, dense):
             assert pk == pytest.approx(dense_pk, abs=1e-12)
             np.testing.assert_allclose(
-                lams, np.linalg.eigvalsh(state)[::-1], atol=1e-10)
+                (lam, 1.0 - lam), np.linalg.eigvalsh(state)[::-1],
+                atol=1e-10)
         expect = sum(pk * dense_entropy(state) for pk, state in dense)
-        assert conditional_entropy(p, point) == pytest.approx(expect,
-                                                              abs=1e-10)
+        assert float(_entropy(p, point[2], theta(p, point))) == (
+            pytest.approx(expect, abs=1e-10))
 
 
 def test_conditional_entropy_of_pure_state_vanishes(rng):
     bell = BlochX(0.0, 0.0, 1.0, -1.0, 1.0)
     for point in random_directions(rng, 25):
-        assert conditional_entropy(bell, point) == pytest.approx(0.0,
-                                                                 abs=1e-12)
+        assert float(_entropy(bell, point[2], theta(bell, point))) == (
+            pytest.approx(0.0, abs=1e-12))
 
 
 def test_theta_circle_max_closed_form(rng):
@@ -96,7 +105,7 @@ def test_objective_monotone_in_theta(rng):
         z3 = rng.uniform(0.0, 1.0)
         hi = best_theta(p, z3)
         thetas = np.linspace(0.0, hi, 9)
-        vals = [correlation_objective(p, z3, th) for th in thetas]
+        vals = [objective(p, z3, th) for th in thetas]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
@@ -105,7 +114,7 @@ def test_reduction_identity(rng):
     for p in random_states(rng, 40):
         ctx = FContext.from_state(p)
         for z3 in np.linspace(0.0, 1.0, 9):
-            best = correlation_objective(p, z3, best_theta(p, z3))
+            best = objective(p, z3, best_theta(p, z3))
             assert f_value(ctx, z3) == pytest.approx(best, abs=1e-10)
 
 

@@ -128,6 +128,17 @@ def test_margins_name_the_binding_inequality():
     assert m2 == pytest.approx(1.0 + 0.4 - math.hypot(0.1, 0.2))
 
 
+def test_margins_on_arrays_match_float_calls(rng):
+    # one formula serves single states and the samplers' (N, 5) batches
+    rows = np.vstack([rng.uniform(-1.0, 1.0, size=(10_000, 5)),
+                      np.array(BOUNDARY_BLOCH)])
+    m1, m2 = physicality_margins(*rows.T)
+    per_row = np.array([physicality_margins(*map(float, row))
+                        for row in rows])
+    np.testing.assert_allclose(m1, per_row[:, 0], rtol=0, atol=4.4e-16)
+    np.testing.assert_allclose(m2, per_row[:, 1], rtol=0, atol=4.4e-16)
+
+
 def test_entropy_helpers():
     assert binary_entropy(0.0) == 0.0
     assert binary_entropy(1.0) == 0.0
