@@ -38,6 +38,10 @@ class RankError(ValueError):
     """State does not have the rank required by the decomposition."""
 
 
+def _as_x(matrix) -> XDensityMatrix:
+    return matrix if isinstance(matrix, XDensityMatrix) else XDensityMatrix(matrix)
+
+
 def _as_array(matrix) -> np.ndarray:
     if isinstance(matrix, XDensityMatrix):
         matrix = matrix.matrix
@@ -163,8 +167,12 @@ def rank_two_classify(matrix) -> RankTwoDecomposition:
     Raises RankError when the state is not rank 2 at tolerance 1e-10; a
     third eigenvalue inside (1e-10, 1e-6) warns and is treated as zero.
     """
-    xm = matrix if isinstance(matrix, XDensityMatrix) else XDensityMatrix(matrix)
-    p = matrix_to_bloch(xm)
+    xm = _as_x(matrix)
+    return _classify(xm, matrix_to_bloch(xm))
+
+
+def _classify(xm: XDensityMatrix, p) -> RankTwoDecomposition:
+    # rank_two_classify on xm, whose Bloch form p the caller already has
     m = np.real(np.asarray(xm.matrix))
     # _eigenvalues lists the inner (middle) block's pair, then the outer's
     tagged = sorted(zip(_eigenvalues(p), ("mid", "mid", "out", "out")),
@@ -181,7 +189,7 @@ def rank_two_classify(matrix) -> RankTwoDecomposition:
     if lams[2] > RANK_TOL:
         warnings.warn(
             "third eigenvalue %.3e is barely zero; treating the state as "
-            "rank 2" % lams[2], RuntimeWarning, stacklevel=2)
+            "rank 2" % lams[2], RuntimeWarning, stacklevel=3)
     # residual slack grows with whatever the rank-2 truncation discards
     slack = max(1e-10, 8.0 * (abs(lams[2]) + abs(lams[3])))
 
@@ -237,9 +245,9 @@ def koashi_winter(matrix) -> KoashiWinterReport:
     The classical correlation measured on qubit a equals the one the
     engine computes (which measures b) on the qubit-swapped state.
     """
-    decomp = rank_two_classify(matrix)
-    p = matrix_to_bloch(matrix if isinstance(matrix, XDensityMatrix)
-                        else XDensityMatrix(matrix))
+    xm = _as_x(matrix)
+    p = matrix_to_bloch(xm)
+    decomp = _classify(xm, p)
     swapped = discord(p.swapped())
     c_a = swapped.classical_correlation
     con = concurrence(decomp.rho_bc)

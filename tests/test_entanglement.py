@@ -251,3 +251,33 @@ def test_bridge_regressions(name):
                                    atol=1e-10)
         assert mu[1] == pytest.approx(mu2, rel=1e-4)
     assert koashi_winter(m).residual < 1e-8
+
+
+def _mu_spectrum_50_digits(mp, rho):
+    # singular values of sqrt(rho) sqrt(rho-tilde) for the float matrix
+    # rho taken as exact, descending
+    def sqrtm(a):
+        e, q = mp.eigsy(a)
+        return q * mp.diag([mp.sqrt(max(x, 0)) for x in e]) * q.T
+
+    a = mp.matrix(np.real(rho).tolist())
+    syy = mp.matrix([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0],
+                     [-1, 0, 0, 0]])
+    s = mp.svd_r(sqrtm(a) * sqrtm(syy * a * syy), compute_uv=False)
+    return sorted((s[i] for i in range(4)), reverse=True)
+
+
+def test_mu_spectrum_matches_50_digit_reference():
+    # the bridge's concurrence path on the regression states; worst error
+    # seen: 2.1e-16 absolute (322/46), 3.5e-16 relative on 408/95's mu[1]
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(50):
+        for name, (bloch, mu2) in BRIDGE_REGRESSIONS.items():
+            rho_bc = rank_two_classify(bloch_to_matrix(BlochX(*bloch))).rho_bc
+            assert not np.iscomplexobj(rho_bc)
+            mu = mu_spectrum(rho_bc)
+            ref = _mu_spectrum_50_digits(mp, rho_bc)
+            for got, want in zip(mu, ref):
+                assert abs(got - want) <= 1e-15, (name, got, want)
+            if mu2 is not None:
+                assert abs(mu[1] - ref[1]) <= 1e-14 * ref[1], name

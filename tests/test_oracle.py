@@ -9,10 +9,10 @@ import pytest
 
 from conftest import (BOUNDARY_BLOCH, EX_MATRIX, dense_entropy,
                       measured_ensemble)
-from xdiscord import (BlochX, FContext, XDensityMatrix, bloch_to_matrix,
-                      discord, f_value, matrix_to_bloch,
+from xdiscord import (BlochX, FContext, XDensityMatrix, binary_entropy,
+                      bloch_to_matrix, discord, f_value, matrix_to_bloch,
                       oracle_classical_correlation)
-from xdiscord.oracle import _entropy, _outcomes
+from xdiscord.oracle import PROB_FLOOR, _entropy, _outcomes, _sweep
 from xdiscord.sampling import random_rank_two, random_states
 
 ORACLE_SRC = (Path(__file__).resolve().parents[1]
@@ -162,6 +162,12 @@ def test_oracle_is_deterministic():
     assert first == second
 
 
+def test_oracle_rejects_empty_grid():
+    with pytest.raises(ValueError, match="grid_n"):
+        oracle_classical_correlation(BlochX(0.1, 0.1, 0.2, 0.1, 0.1),
+                                     grid_n=0)
+
+
 def test_oracle_refinement_improves_on_coarse_grid():
     p = matrix_to_bloch(XDensityMatrix(EX_MATRIX))
     coarse = oracle_classical_correlation(p, grid_n=64, refine_rounds=0)
@@ -170,3 +176,57 @@ def test_oracle_refinement_improves_on_coarse_grid():
     res = discord(p)
     assert refined.classical_correlation == pytest.approx(
         res.classical_correlation, abs=1e-6)
+
+
+def textbook_outcomes(p, z3, theta):
+    # the conditional ensemble with a full-grid mask per outcome
+    out = []
+    for sign in (1.0, -1.0):
+        w = 1.0 + sign * p.s * z3
+        h = np.sqrt(np.maximum(p.r * p.r + sign * 2.0 * p.r * p.c3 * z3
+                               + theta, 0.0))
+        live = w > PROB_FLOOR
+        a = np.where(live, np.minimum(h / np.where(live, w, 1.0), 1.0), 0.0)
+        out.append((np.where(live, 0.5 * w, 0.0), 0.5 * (1.0 + a)))
+    return out
+
+
+def textbook_entropy(p, z3, theta):
+    (p_hi, lam_hi), (p_lo, lam_lo) = textbook_outcomes(p, z3, theta)
+    return p_hi * binary_entropy(lam_hi) + p_lo * binary_entropy(lam_lo)
+
+
+def same_bits(a, b):
+    return (np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_fused_kernel_matches_textbook_formula(rng, n):
+    # the in-place kernel and the blocked sweep reproduce the masked
+    # formula bit for bit.  |s| = 1 states leave a dead weight at z3 = 1;
+    # in the last state, half of PHYS_TOL outside the region, H_- = c3
+    # stays nonzero there.  The Bell state has lambda = 1 exactly.
+    states = (random_states(rng, 10)
+              + [p.swapped() for case in ("I", "II", "III")
+                 for p in random_rank_two(rng, case, 3)]
+              + [BlochX(*t) for t in BOUNDARY_BLOCH]
+              + [BlochX(0.0, 0.0, 1.0, -1.0, 1.0),
+                 BlochX(0.0, 0.0, 0.0, 0.0, 0.0),
+                 BlochX(0.0, 1.0, 0.0, 0.0, 5e-11)])
+    z3s = np.linspace(0.0, 1.0, n)
+    phis = np.linspace(0.0, math.pi / 2.0, n)
+    z3 = z3s[:, None]
+    for p in states:
+        c1sq = p.c1 * p.c1
+        th = ((1.0 - z3 * z3) * (c1sq + (p.c2 * p.c2 - c1sq)
+                                 * np.sin(phis[None, :]) ** 2)
+              + (p.c3 * z3) ** 2)
+        for got, want in zip(_outcomes(p, z3, th),
+                             textbook_outcomes(p, z3, th)):
+            assert same_bits(got[0], want[0]), p
+            assert same_bits(got[1], want[1]), p
+        ce = textbook_entropy(p, z3, th)
+        assert same_bits(_entropy(p, z3, th), ce), p
+        i, j = np.unravel_index(int(np.argmin(ce)), ce.shape)
+        assert _sweep(p, z3s, phis) == (float(ce[i, j]), i, j), p
