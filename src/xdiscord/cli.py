@@ -70,9 +70,15 @@ def _load_state(args) -> tuple[BlochX, dict]:
     if not path:
         raise InputError("no state given; use --bloch or --input")
     try:
-        text = sys.stdin.read() if path == "-" else open(path).read()
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from None
     text = text.strip()
     if not text:
         raise InputError(f"{path} is empty")

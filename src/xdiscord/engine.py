@@ -118,14 +118,15 @@ def _pair(w, h, xp):
                     0.0)
 
 
-def _f(ctx: FContext, z, xp):
-    wp, wm, hp, hm = _radicals(ctx, z, xp)
+def _f(rads, xp):
+    wp, wm, hp, hm = rads
     return _pair(wp, hp, xp) + _pair(wm, hm, xp)
 
 
 def f_value(ctx: FContext, z):
     """F(z) for scalar or array z in [0, 1]."""
-    return _f(ctx, *_on_backend(z))
+    z, xp = _on_backend(z)
+    return _f(_radicals(ctx, z, xp), xp)
 
 
 # F' is evaluated with the coefficients regrouped per logarithm:
@@ -154,11 +155,11 @@ def _branch(w, h, n, se, xp):
     return xp.where(big, full, series)
 
 
-def _fp(ctx: FContext, z, xp):
+def _fp(ctx: FContext, z, rads, xp):
     p = ctx.p
     r, s, c3, c = p.r, p.s, p.c3, ctx.c
     q = c3 * c3 - c * c
-    wp, wm, hp, hm = _radicals(ctx, z, xp)
+    wp, wm, hp, hm = rads
     tot = _branch(wp, hp, r * c3 + q * z, s, xp)
     tot += _branch(wm, hm, -r * c3 + q * z, -s, xp)
     tot += 2.0 * s * (xp.log(wm) - xp.log(wp))
@@ -167,13 +168,14 @@ def _fp(ctx: FContext, z, xp):
 
 def f_derivative(ctx: FContext, z):
     """F'(z) for scalar or array z.  F'(0) is exactly 0 (F is even)."""
-    return _fp(ctx, *_on_backend(z))
+    z, xp = _on_backend(z)
+    return _fp(ctx, z, _radicals(ctx, z, xp), xp)
 
 
-def _fpp(ctx: FContext, z, xp):
+def _fpp(ctx: FContext, z, rads, xp):
     p = ctx.p
     r, s, c3, c = p.r, p.s, p.c3, ctx.c
-    wp, wm, hp, hm = _radicals(ctx, z, xp)
+    wp, wm, hp, hm = rads
     dp = wp * wp - hp * hp
     dm = wm * wm - hm * hm
     # near-singular denominators: signal with nan, callers fall back; the
@@ -197,7 +199,8 @@ def _fpp(ctx: FContext, z, xp):
 
 def f_second_derivative(ctx: FContext, z):
     """F''(z); returns nan where a denominator degenerates."""
-    return _fpp(ctx, *_on_backend(z))
+    z, xp = _on_backend(z)
+    return _fpp(ctx, z, _radicals(ctx, z, xp), xp)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +257,7 @@ def analytic_max(p: BlochX,
         z_star = 0.0
     else:
         raise ValueError("state is outside the closed-form regions")
-    return z_star, _f(ctx, z_star, _FLOAT)
+    return z_star, _f(_radicals(ctx, z_star, _FLOAT), _FLOAT)
 
 
 # ---------------------------------------------------------------------------
@@ -278,34 +281,48 @@ def newton_critical_point(ctx: FContext, z0: float,
 
     Steps that leave the interval or increase |F'| are rejected; with a
     sign-change bracket the rejected step is replaced by bisection,
-    otherwise the run is abandoned.  Converged once a step moves z by
-    less than 1e-12, or once |F'| < 1e-13 and the next Newton step would
-    not shrink |F'| strictly or would move z by less than 1e-12; that
-    step is not taken.  The polishing below 1e-13 lets two runs at one
-    root stop together even where F is flat.  Capped at 100 steps.
+    otherwise the run is abandoned.  Converged once F' is exactly 0, once
+    a step moves z by less than 1e-12, or once |F'| < 1e-13 and the next
+    Newton step would not shrink |F'| strictly or would move z by less
+    than 1e-12; that step is not taken.  The polishing below 1e-13 lets
+    two runs at one root stop together even where F is flat.  Capped at
+    100 steps.
 
     F' is finite at every z on the float backend (logs are floored at
     TINY and every denominator is guarded), so a bracketed run never
     fails for want of a derivative: every rejected step can bisect.
     """
     z = float(z0)
-    g = _fp(ctx, z, _FLOAT)
-    lo, hi = (0.0, 1.0)
-    glo = 0.0
-    have_bracket = False
-    if bracket is not None:
-        lo, hi = float(bracket[0]), float(bracket[1])
-        # a bracket end at the seed reuses its F'
-        glo = g if lo == z else _fp(ctx, lo, _FLOAT)
-        have_bracket = glo * (g if hi == z else _fp(ctx, hi, _FLOAT)) < 0.0
+    rads = _radicals(ctx, z, _FLOAT)
+    g = _fp(ctx, z, rads, _FLOAT)
+    if bracket is None:
+        return _newton(ctx, z, g, rads)[0]
+    lo, hi = float(bracket[0]), float(bracket[1])
+    return _newton(ctx, z, g, rads, lo, hi,
+                   f_derivative(ctx, lo), f_derivative(ctx, hi))[0]
+
+
+def _newton(ctx: FContext, z: float, g: float, rads, lo: float = 0.0,
+            hi: float = 1.0, glo: float = 0.0, ghi: float = 0.0):
+    # newton_critical_point's loop, from a seed z whose F' (g) and
+    # radicals the caller already has.  glo and ghi are F' at lo and hi;
+    # a rejected step bisects [lo, hi] only where they differ in sign.
+    # Returns the run and the radicals at its z.
+    seed = z
+    have_bracket = glo * ghi < 0.0
     its: list[float] = []
     converged = False
     note = ""
     for _ in range(NEWTON_MAX_ITER):
-        h2 = _fpp(ctx, z, _FLOAT)
+        if g == 0.0:
+            converged = True      # zn = z, so no step can shrink |F'|
+            break
+        h2 = _fpp(ctx, z, rads, _FLOAT)
         zn = z - g / h2 if math.isfinite(h2) and h2 != 0.0 else math.nan
         ok = lo <= zn <= hi                                 # False on nan
-        gn = _fp(ctx, zn, _FLOAT) if ok else math.nan
+        if ok:
+            rn = _radicals(ctx, zn, _FLOAT)
+        gn = _fp(ctx, zn, rn, _FLOAT) if ok else math.nan
         if abs(g) < NEWTON_GRAD_TOL and not (
                 abs(gn) < abs(g) and abs(zn - z) >= NEWTON_STEP_TOL):
             converged = True
@@ -315,7 +332,8 @@ def newton_critical_point(ctx: FContext, z0: float,
                 note = "step rejected, no bracket to bisect"
                 break
             zn = 0.5 * (lo + hi)
-            gn = _fp(ctx, zn, _FLOAT)
+            rn = _radicals(ctx, zn, _FLOAT)
+            gn = _fp(ctx, zn, rn, _FLOAT)
             note = "bisection fallback used"
         its.append(zn)
         if have_bracket:
@@ -324,14 +342,14 @@ def newton_critical_point(ctx: FContext, z0: float,
             else:
                 hi = zn
         dz = abs(zn - z)
-        z, g = zn, gn
+        z, g, rads = zn, gn, rn
         if dz < NEWTON_STEP_TOL:
             converged = True
             break
     else:
         note = "iteration cap reached"
-    return NewtonRun(seed=float(z0), iterates=tuple(its),
-                     converged=converged, z=z, note=note)
+    return NewtonRun(seed=seed, iterates=tuple(its), converged=converged,
+                     z=z, note=note), rads
 
 
 @dataclass(frozen=True)
@@ -358,40 +376,44 @@ class MaxResult:
 
 def _pick(cands, runs, route: str) -> MaxResult:
     # the largest candidate, resolving ties towards z = 1, then z = 0;
-    # cands starts with (0, F(0)) and (1, F(1))
-    (_, f0), (_, f1) = cands[:2]
-    f_max = max(f for _, f in cands)
-    winners = [z for z, f in cands if f >= f_max - TIE_TOL]
+    # cands starts with (0, F(0)) and (1, F(1)), and holds only floats.
+    # Every numeric call ends here, so it builds no generators.
+    (_, f0), (_, f1) = cands[0], cands[1]
+    inner = cands[2:]
+    f_max = max(f0, f1)
+    for _, f in inner:
+        f_max = max(f_max, f)
+    low = f_max - TIE_TOL
     tie = abs(f0 - f1) <= TIE_TOL and f_max - max(f0, f1) <= TIE_TOL
     if f_max < 1e-12:
         z_star = 0.0              # flat F: state has no correlations
-    elif any(z >= 1.0 - TIE_TOL for z in winners):
+    elif f1 >= low or any([z >= 1.0 - TIE_TOL for z, f in inner if f >= low]):
         z_star = 1.0
-    elif any(z <= TIE_TOL for z in winners):
+    elif f0 >= low or any([z <= TIE_TOL for z, f in inner if f >= low]):
         z_star = 0.0
     else:
         z_star = max(cands, key=lambda t: t[1])[0]
-    return MaxResult(z_star=float(z_star), f_max=float(f_max),
-                     candidates=tuple((float(z), float(f)) for z, f in cands),
-                     newton_runs=tuple(runs), tie=bool(tie),
-                     fallback=("bisection" if any(
-                         "bisection" in run.note for run in runs) else None),
-                     route=route)
+    fallback = None
+    for run in runs:
+        if "bisection" in run.note:
+            fallback = "bisection"
+    return MaxResult(z_star, f_max, tuple(cands), tuple(runs), tie, fallback,
+                     route)
 
 
 def _global_max(ctx: FContext) -> MaxResult:
     zs = np.linspace(0.0, 1.0, SCAN_POINTS)
     with np.errstate(all="ignore"):
-        d = _fp(ctx, zs, _ARRAY)
+        d = _fp(ctx, zs, _radicals(ctx, zs, _ARRAY), _ARRAY)
         gi, gj = d[1:-1], d[2:]
         hits = (np.isfinite(gi) & np.isfinite(gj)
                 & ((gi == 0.0) | (gi * gj < 0.0)))
-    cands: list[tuple[float, float]] = [(0.0, _f(ctx, 0.0, _FLOAT)),
-                                        (1.0, _f(ctx, 1.0, _FLOAT))]
+    cands: list[tuple[float, float]] = [(0.0, f_value(ctx, 0.0)),
+                                        (1.0, f_value(ctx, 1.0))]
     run0 = newton_critical_point(ctx, 1.0)
     runs = [run0]
     if run0.converged:
-        cands.append((run0.z, _f(ctx, run0.z, _FLOAT)))
+        cands.append((run0.z, f_value(ctx, run0.z)))
 
     # interior grid cells where F' vanishes or changes sign; z = 0 is
     # always critical (F is even), covered above.  Newton runs where the
@@ -400,14 +422,14 @@ def _global_max(ctx: FContext) -> MaxResult:
     # level, and the grid point with the smaller |F'| is the root.
     for i in np.flatnonzero(hits) + 1:
         a, b = float(zs[i]), float(zs[i + 1])
-        ga, gb = _fp(ctx, a, _FLOAT), _fp(ctx, b, _FLOAT)
+        ga, gb = f_derivative(ctx, a), f_derivative(ctx, b)
         if ga * gb < 0.0:
             runs.append(newton_critical_point(ctx, 0.5 * (a + b),
                                               bracket=(a, b)))
             a = runs[-1].z
         elif abs(gb) < abs(ga):
             a = b
-        cands.append((a, _f(ctx, a, _FLOAT)))
+        cands.append((a, f_value(ctx, a)))
     return _pick(cands, runs, "scan")
 
 
@@ -415,6 +437,16 @@ def global_max(p: BlochX) -> MaxResult:
     """Locate max F by endpoint candidates, Newton from z = 1, and Newton
     inside every sign-change bracket of F' on SCAN_POINTS grid points."""
     return _global_max(FContext.from_state(p))
+
+
+# the route for each sign pair (F''(0) > 0, F'(1) > 0), and the zero-step
+# record that stands for Newton on the rows with no interior maximum
+_ROUTES = {(False, False): "signs -,-", (True, True): "signs +,+",
+           (False, True): "signs -,+", (True, False): "signs +,-"}
+_NOT_RUN = {
+    route: NewtonRun(seed=1.0, iterates=(), converged=False, z=1.0,
+                     note=f"not run: {route} leave no interior maximum")
+    for route in ("signs -,-", "signs +,+", "signs -,+")}
 
 
 def _routed_max(ctx: FContext) -> MaxResult:
@@ -425,23 +457,25 @@ def _routed_max(ctx: FContext) -> MaxResult:
     # above 0: halve lo from 0.5 until F'(lo) > 0, then run Newton from
     # z = 1 inside the sign-change bracket (lo, 1].  Untrusted signs, and
     # a (+,-) state with no F'(lo) > 0 for lo above 1e-12, take the scan.
-    a = _fpp(ctx, 0.0, _FLOAT)
-    b = _fp(ctx, 1.0, _FLOAT)
+    r0 = _radicals(ctx, 0.0, _FLOAT)
+    r1 = _radicals(ctx, 1.0, _FLOAT)
+    a = _fpp(ctx, 0.0, r0, _FLOAT)
+    b = _fp(ctx, 1.0, r1, _FLOAT)
     if not (abs(a) > SIGN_BAND and abs(b) > SIGN_BAND):    # nan too
         return _global_max(ctx)
-    route = f"signs {'+' if a > 0.0 else '-'},{'+' if b > 0.0 else '-'}"
-    cands = [(0.0, _f(ctx, 0.0, _FLOAT)), (1.0, _f(ctx, 1.0, _FLOAT))]
+    route = _ROUTES[a > 0.0, b > 0.0]
+    cands = [(0.0, _f(r0, _FLOAT)), (1.0, _f(r1, _FLOAT))]
     if a > 0.0 > b:
-        lo = 0.5
-        while not _fp(ctx, lo, _FLOAT) > 0.0:
+        lo, glo = 1.0, math.nan
+        while not glo > 0.0:
             lo *= 0.5
             if lo < NEWTON_STEP_TOL:
                 return _global_max(ctx)
-        run = newton_critical_point(ctx, 1.0, bracket=(lo, 1.0))
-        cands.append((run.z, _f(ctx, run.z, _FLOAT)))
+            glo = _fp(ctx, lo, _radicals(ctx, lo, _FLOAT), _FLOAT)
+        run, rz = _newton(ctx, 1.0, b, r1, lo, 1.0, glo, b)
+        cands.append((run.z, _f(rz, _FLOAT)))
     else:
-        run = NewtonRun(seed=1.0, iterates=(), converged=False, z=1.0,
-                        note=f"not run: {route} leave no interior maximum")
+        run = _NOT_RUN[route]
     return _pick(cands, (run,), route)
 
 
@@ -476,12 +510,13 @@ def discord(p: BlochX, method: str = "auto",
     method "auto" uses the closed forms when the state classifies into a
     known region and the numeric search otherwise; "numeric" forces the
     search; "analytic" raises outside the closed-form regions.  The
-    numeric search routes on the signs of F''(0) and F'(1); interior
-    maxima and untrusted signs take the derivative sign scan on
-    SCAN_POINTS points.  verify=True checks the route taken against a
-    second one and records the gap: the scan checks the closed forms and
-    the router, the closed form checks a numeric search forced inside a
-    region.
+    numeric search routes on the signs of F''(0) and F'(1); an interior
+    maximum takes one Newton run inside its own sign-change bracket, and
+    untrusted signs (or a bracket not found) take the derivative sign
+    scan on SCAN_POINTS points.  verify=True checks the route taken
+    against a second one and records the gap: the scan checks the closed
+    forms and the router, the closed form checks a numeric search forced
+    inside a region.
     """
     if method not in ("auto", "analytic", "numeric"):
         raise ValueError(f"unknown method {method!r}")

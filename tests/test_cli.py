@@ -2,13 +2,16 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import xdiscord
 from conftest import EX_MATRIX
 from xdiscord.cli import main
 from xdiscord.sampling import random_rank_two
@@ -124,6 +127,20 @@ def test_unparseable_file_is_input_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "discord", "--input", str(path))
     assert code == 2
     assert "could not parse" in err
+
+
+def test_non_utf8_input_is_input_error(capsys, monkeypatch, tmp_path):
+    raw = b"\xff\xfe0 0 -0.5 -0.5 -0.5"
+    path = tmp_path / "bad.txt"
+    path.write_bytes(raw)
+    code, _, err = run_cli(capsys, "discord", "--input", str(path))
+    assert code == 2
+    assert "not UTF-8" in err
+    monkeypatch.setattr("sys.stdin",
+                        io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+    code, _, err = run_cli(capsys, "discord", "--input", "-")
+    assert code == 2
+    assert "not UTF-8" in err
 
 
 def test_wrong_number_count_is_input_error(capsys, tmp_path):
@@ -267,10 +284,16 @@ def test_precision_flag(capsys):
 
 
 def test_module_entry_point():
+    # pytest's pythonpath setting does not reach a child process: point it
+    # at the src/ directory of the package imported here
+    src = str(Path(xdiscord.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "xdiscord", "discord", "--bloch",
          "0", "0", "-0.5", "-0.5", "-0.5"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "discord = " in proc.stdout
 

@@ -1,5 +1,7 @@
 """One-variable reduction F(z): values, derivatives, regions, search."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -248,6 +250,9 @@ def test_newton_trace_on_worked_example():
     assert run.converged
     assert len(run.iterates) == len(EX_ITERATES)
     np.testing.assert_allclose(run.iterates, EX_ITERATES, atol=1e-9)
+    # F'(0) is exactly 0, so a run seeded there stops without a step
+    at_zero = newton_critical_point(ctx, 0.0)
+    assert at_zero.converged and at_zero.iterates == () and at_zero.z == 0.0
 
 
 def test_bracket_turns_rejected_steps_into_bisection():
@@ -470,11 +475,9 @@ def test_default_path_runs_no_scan_and_no_numpy(rng, monkeypatch):
     assert routes >= {"analytic", "signs -,-", "signs +,+", "signs +,-"}
 
 
-def test_interior_maxima_match_50_digit_root():
-    # (+, -) states near the worked example and from uniform draws: z* of
-    # the router and of the scan against a 50-digit root of F' found by
-    # bracketing, and max F against F at that root
-    mp = pytest.importorskip("mpmath").mp
+@pytest.fixture(scope="module")
+def interior_maxima():
+    # (+, -) states near the worked example and from uniform draws
     rng = np.random.default_rng(47)
     ex = np.array(ex_state().as_tuple())
     pool = []
@@ -492,8 +495,15 @@ def test_interior_maxima_match_50_digit_root():
                 and f_derivative(ctx, 1.0) < -engine.SIGN_BAND):
             picked.append(p)
     assert len(picked) >= 90, len(picked)
+    return picked
+
+
+def test_interior_maxima_match_50_digit_root(interior_maxima):
+    # z* of the router and of the scan against a 50-digit root of F'
+    # found by bracketing, and max F against F at that root
+    mp = pytest.importorskip("mpmath").mp
     with mp.workdps(50):
-        for p in picked:
+        for p in interior_maxima:
             def fp(z):
                 return mp.diff(lambda t: _reference_f(mp, p, t), z)
             lo = mp.mpf(0.5)
@@ -510,6 +520,45 @@ def test_interior_maxima_match_50_digit_root():
                 for run in got.newton_runs:
                     assert run.converged and len(run.iterates) <= 20, \
                         p.as_tuple()
+
+
+def test_router_newton_run_is_the_public_run(interior_maxima):
+    # the router hands its own F'(1) and F'(lo) to the loop; the run must
+    # be the one the public function makes from scratch on the same bracket
+    for p in interior_maxima:
+        ctx = FContext.from_state(p)
+        lo = 0.5
+        while not f_derivative(ctx, lo) > 0.0:
+            lo *= 0.5
+        (run,) = discord(p).search.newton_runs
+        assert run == newton_critical_point(ctx, 1.0, bracket=(lo, 1.0)), \
+            p.as_tuple()
+
+
+def _count_kernel_calls(monkeypatch):
+    # calls per kernel, and the z of every radicals evaluation
+    calls, points = Counter(), []
+    for name in ("_f", "_fp", "_fpp", "_radicals"):
+        def call(*args, _name=name, _kernel=getattr(engine, name)):
+            calls[_name] += 1
+            if _name == "_radicals":
+                points.append(args[1])
+            return _kernel(*args)
+        monkeypatch.setattr(engine, name, call)
+    return calls, points
+
+
+def test_routed_path_evaluates_each_kernel_value_once(monkeypatch):
+    calls, points = _count_kernel_calls(monkeypatch)
+    assert discord(ex_state()).search.route == "signs +,-"
+    assert calls["_fp"] <= 7 and calls["_fpp"] <= 6 and calls["_f"] == 3
+    assert len(points) == len(set(points)), points
+    calls.clear()
+    points.clear()
+    assert discord(BlochX(0.1, 0.3, -0.35, 0.35, 0.2)).search.route == \
+        "signs -,-"
+    assert calls == {"_f": 2, "_fp": 1, "_fpp": 1, "_radicals": 2}
+    assert points == [0.0, 1.0]
 
 
 def test_verify_checks_router_against_scan(rng):
