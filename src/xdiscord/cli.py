@@ -9,6 +9,7 @@ codes: 0 success, 2 input problems, 3 unphysical state, 4 rank errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -62,13 +63,8 @@ def _matrix_from_rows(rows) -> np.ndarray:
     return arr
 
 
-def _load_state(args) -> tuple[BlochX, dict]:
-    """State from --bloch or --input; meta records source and any phases."""
-    if getattr(args, "bloch", None) is not None:
-        return BlochX(*args.bloch), {"source": "bloch"}
-    path = getattr(args, "input", None)
-    if not path:
-        raise InputError("no state given; use --bloch or --input")
+def _read_input(path: str) -> list[float] | np.ndarray:
+    """The 5 Pauli coefficients or the 4x4 matrix in a file; '-' is stdin."""
     try:
         if path == "-":
             text = sys.stdin.read()
@@ -91,24 +87,34 @@ def _load_state(args) -> tuple[BlochX, dict]:
             vals = obj["bloch"]
             if not isinstance(vals, list) or len(vals) != 5:
                 raise InputError("'bloch' must be a list of 5 numbers")
-            nums = [_number(v, "'bloch' entry") for v in vals]
-            return BlochX(*nums), {"source": "bloch"}
+            return [_number(v, "'bloch' entry") for v in vals]
         if "matrix" in obj:
-            arr = _matrix_from_rows(obj["matrix"])
-        else:
-            raise InputError("JSON needs a 'bloch' or 'matrix' key")
+            return _matrix_from_rows(obj["matrix"])
+        raise InputError("JSON needs a 'bloch' or 'matrix' key")
+    nums = _numbers(text)
+    if len(nums) == 5:
+        return nums
+    if len(nums) == 16:
+        return np.array(nums, dtype=complex).reshape(4, 4)
+    raise InputError(
+        f"expected 5 numbers (bloch) or 16 (matrix), got {len(nums)}")
+
+
+def _load_state(args) -> tuple[BlochX, dict]:
+    """State from --bloch or --input, and its JSON "input" block."""
+    if getattr(args, "bloch", None) is not None:
+        src = args.bloch
+    elif getattr(args, "input", None):
+        src = _read_input(args.input)
     else:
-        nums = _numbers(text)
-        if len(nums) == 5:
-            return BlochX(*nums), {"source": "bloch"}
-        if len(nums) == 16:
-            arr = np.array(nums, dtype=complex).reshape(4, 4)
-        else:
-            raise InputError(
-                f"expected 5 numbers (bloch) or 16 (matrix), got {len(nums)}")
-    xm = XDensityMatrix(arr)
-    p = matrix_to_bloch(xm)
-    return p, {"source": "matrix", "phases": list(corner_phases(xm))}
+        raise InputError("no state given; use --bloch or --input")
+    if isinstance(src, np.ndarray):
+        xm = XDensityMatrix(src)
+        p = matrix_to_bloch(xm)
+        meta = {"source": "matrix", "phases": list(corner_phases(xm))}
+    else:
+        p, meta = BlochX(*src), {"source": "bloch"}
+    return p, {"bloch": list(p.as_tuple()), **meta}
 
 
 def _int_at_least(low: int):
@@ -151,9 +157,9 @@ def _g(prec: int):
 
 # ---------------------------------------------------------------------------
 
-def _result_payload(p: BlochX, res, meta: dict) -> dict:
+def _result_payload(p: BlochX, res, inp: dict) -> dict:
     out = {
-        "input": {"bloch": list(p.as_tuple()), **meta},
+        "input": inp,
         "region": res.region,
         "method": res.method,
         "z_star": res.z_star,
@@ -181,9 +187,9 @@ def _result_payload(p: BlochX, res, meta: dict) -> dict:
 
 
 def cmd_discord(args) -> int:
-    p, meta = _load_state(args)
+    p, inp = _load_state(args)
     res = discord(p, method=args.method, verify=args.verify)
-    payload = _result_payload(p, res, meta)
+    payload = _result_payload(p, res, inp)
     if args.verify:
         orc = oracle_classical_correlation(p, grid_n=args.grid)
         payload["oracle"] = {
@@ -197,7 +203,7 @@ def cmd_discord(args) -> int:
     g = _g(args.precision)
     lines = ["state: r=%s s=%s c1=%s c2=%s c3=%s"
              % tuple(g(v) for v in payload["input"]["bloch"])]
-    phases = meta.get("phases")
+    phases = inp.get("phases")
     if phases and any(abs(x) > 0 for x in phases):
         lines.append("stripped corner phases: %s %s"
                      % (g(phases[0]), g(phases[1])))
@@ -236,7 +242,7 @@ def cmd_discord(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    p, meta = _load_state(args)
+    p, inp = _load_state(args)
     ctx = FContext.from_state(p)
     zs = np.linspace(0.0, 1.0, args.points)
     with np.errstate(all="ignore"):
@@ -244,7 +250,7 @@ def cmd_scan(args) -> int:
         d1 = f_derivative(ctx, zs)
         d2 = f_second_derivative(ctx, zs)
     payload = {
-        "input": {"bloch": list(p.as_tuple()), **meta},
+        "input": inp,
         "z": [float(x) for x in zs],
         "f": [float(x) for x in fs],
         "f_prime": [float(x) for x in d1],
@@ -261,12 +267,12 @@ def cmd_scan(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    p, meta = _load_state(args)
+    p, inp = _load_state(args)
     conds = region_conditions(p)
     tag = classify_region(p)
     m1, m2 = p.margins
     payload = {
-        "input": {"bloch": list(p.as_tuple()), **meta},
+        "input": inp,
         "selected": tag.value,
         "conditions": conds,
         "margins": [m1, m2],
@@ -283,19 +289,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_kw(args) -> int:
-    p, meta = _load_state(args)
+    p, inp = _load_state(args)
     rep = koashi_winter(bloch_to_matrix(p))
-    payload = {
-        "input": {"bloch": list(p.as_tuple()), **meta},
-        "case": rep.case,
-        "weights": list(rep.weights),
-        "classical_correlation_a": rep.classical_correlation_a,
-        "concurrence_bc": rep.concurrence_bc,
-        "eof_bc": rep.eof_bc,
-        "marginal_entropy_b": rep.marginal_entropy_b,
-        "residual": rep.residual,
-        "z_star_swapped": rep.z_star_swapped,
-    }
+    payload = {"input": inp, **dataclasses.asdict(rep)}
     g = _g(args.precision)
     lines = [f"rank-2 case {rep.case}, weights %s %s"
              % (g(rep.weights[0]), g(rep.weights[1])),

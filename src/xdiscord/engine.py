@@ -523,15 +523,7 @@ def discord(p: BlochX, method: str = "auto",
     tag = classify_region(p)
     search = None
     verify_gap = None
-    if method == "analytic" and tag is Region.GENERAL:
-        raise ValueError("state is outside the closed-form regions")
-    if method in ("auto", "analytic") and tag is not Region.GENERAL:
-        z_star, f_max = analytic_max(p, tag)
-        how = "analytic"
-        if verify:
-            search = global_max(p)
-            verify_gap = abs(search.f_max - f_max)
-    else:
+    if method == "numeric" or (method == "auto" and tag is Region.GENERAL):
         ctx = FContext.from_state(p)
         search = _routed_max(ctx)
         z_star, f_max = search.z_star, search.f_max
@@ -540,6 +532,12 @@ def discord(p: BlochX, method: str = "auto",
             verify_gap = abs(analytic_max(p, tag)[1] - f_max)
         elif verify:
             verify_gap = abs(_global_max(ctx).f_max - f_max)
+    else:
+        z_star, f_max = analytic_max(p, tag)
+        how = "analytic"
+        if verify:
+            search = global_max(p)
+            verify_gap = abs(search.f_max - f_max)
 
     if f_max < TIE_TOL:
         z_star = 0.0    # flat F: no correlations, every direction ties

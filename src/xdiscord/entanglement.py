@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import discord
-from .states import (_OFF_X, XDensityMatrix, _eigenvalues, binary_entropy,
-                     entropies, matrix_to_bloch)
+from .states import (_OFF_X, XDensityMatrix, _as_x, _eigenvalues,
+                     binary_entropy, entropies, matrix_to_bloch)
 
 RANK_TOL = 1e-10        # eigenvalues below this count as zero
 NEAR_RANK_BAND = 1e-6   # third eigenvalue in (RANK_TOL, this) warns
@@ -36,10 +36,6 @@ _SYY = np.array([
 
 class RankError(ValueError):
     """State does not have the rank required by the decomposition."""
-
-
-def _as_x(matrix) -> XDensityMatrix:
-    return matrix if isinstance(matrix, XDensityMatrix) else XDensityMatrix(matrix)
 
 
 def _as_array(matrix) -> np.ndarray:

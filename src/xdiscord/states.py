@@ -128,8 +128,9 @@ class BlochX:
 class XDensityMatrix:
     """A validated 4x4 X-shaped density matrix.
 
-    Checks the X pattern, hermiticity, unit trace, and positive
-    semidefiniteness at construction.  The wrapped array is read-only.
+    Checks finite entries, the X pattern, hermiticity, unit trace, and
+    positive semidefiniteness at construction.  The wrapped array is
+    read-only.
     """
 
     matrix: np.ndarray
@@ -138,6 +139,8 @@ class XDensityMatrix:
         m = np.array(self.matrix, dtype=complex)
         if m.shape != (4, 4):
             raise XPatternError(f"expected a 4x4 matrix, got {m.shape}")
+        if not np.isfinite(m).all():    # nan would pass every ">" below
+            raise PhysicalityError("matrix has a non-finite entry")
         stray = np.abs(m[_OFF_X])
         if stray.max() > HERM_TOL:
             raise XPatternError(
@@ -148,10 +151,10 @@ class XDensityMatrix:
         tr = m.trace().real
         if abs(tr - 1.0) > TRACE_TOL:
             raise PhysicalityError(f"trace {tr!r} differs from 1")
-        if np.linalg.eigvalsh(m).min() < -PHYS_TOL:
+        low = np.linalg.eigvalsh(m).min()
+        if low < -PHYS_TOL:
             raise PhysicalityError(
-                "matrix has a negative eigenvalue (%.3e)"
-                % np.linalg.eigvalsh(m).min())
+                "matrix has a negative eigenvalue (%.3e)" % low)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -181,12 +184,16 @@ def bloch_to_matrix(p: BlochX) -> XDensityMatrix:
     return XDensityMatrix(m)
 
 
-def _real_or_modulus(corner: complex) -> float:
-    # keep real corners (either sign) exact; rotate complex ones positive
-    scale = max(1.0, abs(corner))
-    if abs(corner.imag) > PHASE_TOL * scale:
-        return abs(corner)
-    return corner.real
+def _as_x(m) -> XDensityMatrix:
+    return m if isinstance(m, XDensityMatrix) else XDensityMatrix(m)
+
+
+def _corner(corner: complex) -> tuple[float, float]:
+    # (value kept, phase removed): real corners of either sign stay exact,
+    # complex ones rotate onto their modulus
+    if abs(corner.imag) > PHASE_TOL * max(1.0, abs(corner)):
+        return abs(corner), float(np.angle(corner))
+    return corner.real, 0.0
 
 
 def matrix_to_bloch(m) -> BlochX:
@@ -198,10 +205,10 @@ def matrix_to_bloch(m) -> BlochX:
     measurement optimum unchanged); the removed phases are available from
     corner_phases.
     """
-    xm = m if isinstance(m, XDensityMatrix) else XDensityMatrix(m)
+    xm = _as_x(m)
     d = np.real(np.diag(xm.matrix))
-    e14 = _real_or_modulus(xm.corner_outer)
-    e23 = _real_or_modulus(xm.corner_inner)
+    e14 = _corner(xm.corner_outer)[0]
+    e23 = _corner(xm.corner_inner)[0]
     r = d[0] + d[1] - d[2] - d[3]
     s = d[0] - d[1] + d[2] - d[3]
     c3 = d[0] - d[1] - d[2] + d[3]
@@ -212,14 +219,8 @@ def matrix_to_bloch(m) -> BlochX:
 
 def corner_phases(m) -> tuple[float, float]:
     """Phases (outer, inner) removed by matrix_to_bloch, in radians."""
-    xm = m if isinstance(m, XDensityMatrix) else XDensityMatrix(m)
-    out = []
-    for corner in (xm.corner_outer, xm.corner_inner):
-        if abs(corner.imag) > PHASE_TOL * max(1.0, abs(corner)):
-            out.append(float(np.angle(corner)))
-        else:
-            out.append(0.0)
-    return out[0], out[1]
+    xm = _as_x(m)
+    return _corner(xm.corner_outer)[1], _corner(xm.corner_inner)[1]
 
 
 def _eigenvalues(p: BlochX) -> list[float]:

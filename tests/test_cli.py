@@ -189,6 +189,59 @@ def test_unphysical_state_exits_3(capsys):
                            "0", "0", "1.01", "0", "0")
     assert code == 3
     assert "unphysical" in err
+    # every entry in [-1, 1], but the first positivity inequality fails
+    code, _, err = run_cli(capsys, "discord", "--bloch",
+                           "0", "0", "0.6", "0.6", "0")
+    assert code == 3
+    assert "violated by 2.000e-01" in err
+
+
+@pytest.mark.parametrize("where, value", [((0, 1), "nan"), ((0, 3), "inf")],
+                         ids=["nan-off-x-upper", "inf-corner"])
+def test_non_finite_matrix_entry_exits_3(capsys, tmp_path, where, value):
+    m = EX_MATRIX.real.astype(object)
+    m[where] = value
+    path = tmp_path / "state.txt"
+    path.write_text(" ".join(str(x) for x in m.ravel()))
+    code, out, err = run_cli(capsys, "discord", "--input", str(path))
+    assert (code, out) == (3, "")
+    assert "unphysical state: matrix has a non-finite entry" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"bloch": [0.1, 0.2, 0.3]}', "'bloch' must be a list of 5 numbers"),
+    ('{"state": [0.1, 0.2, 0.3, 0.4, 0.5]}',
+     "JSON needs a 'bloch' or 'matrix' key"),
+    ('{"bloch": [0.1, 0.2', "bad JSON"),
+    (" \n\t \n", "is empty"),
+    ('{"matrix": [[0.25, 0, 0, 0]]}', "matrix must be a list of 4 rows"),
+    ('{"matrix": [[0.25, 0, 0], [0, 0.25, 0, 0], [0, 0, 0.25, 0], '
+     '[0, 0, 0, 0.25]]}', "matrix row 0 must have 4 entries"),
+    ('{"bloch": [1' + "0" * 399 + ', 0, 0, 0, 0]}',
+     "'bloch' entry is out of range"),
+    (None, "cannot read"),
+], ids=["short-bloch", "no-state-key", "truncated-json", "whitespace-only",
+        "one-row-matrix", "three-entry-row", "huge-integer", "missing-path"])
+def test_bad_input_file_exits_2(capsys, tmp_path, text, message):
+    path = tmp_path / "state.json"
+    if text is not None:
+        path.write_text(text)
+    code, out, err = run_cli(capsys, "discord", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+
+
+def test_json_bloch_file_matches_bloch_option(capsys, tmp_path):
+    bloch = ["0.4", "0.1", "0.1", "-0.05", "-0.2"]
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"bloch": [float(x) for x in bloch]}))
+    code, from_file, _ = run_cli(capsys, "discord", "--input", str(path),
+                                 "--format", "json")
+    assert code == 0
+    code, from_option, _ = run_cli(capsys, "discord", "--bloch", *bloch,
+                                   "--format", "json")
+    assert code == 0
+    assert from_file == from_option
 
 
 def test_full_rank_kw_exits_4(capsys):

@@ -352,6 +352,12 @@ def test_verify_records_route_gap(rng):
             if res.region != "general":
                 assert res.verify_gap is not None
                 assert res.verify_gap < 1e-9
+                # a numeric search forced inside a region is checked
+                # against that region's closed form
+                num = discord(p, method="numeric", verify=True)
+                closed = analytic_max(p, Region(res.region))[1]
+                assert num.verify_gap == abs(closed - num.f_max)
+                assert num.verify_gap < 1e-9
 
 
 def test_numeric_matches_analytic_on_closed_form_regions(rng):

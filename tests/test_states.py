@@ -105,6 +105,20 @@ def test_rejects_negative_eigenvalue():
         XDensityMatrix(m)
 
 
+@pytest.mark.parametrize("where, value", [
+    ((0, 1), np.nan), ((1, 0), np.nan), ((2, 2), np.nan),
+    ((0, 3), np.inf), ((1, 2), complex(0.1, np.inf)),
+], ids=["nan-off-x-upper", "nan-off-x-lower", "nan-diagonal",
+        "inf-corner", "inf-imaginary-corner"])
+def test_rejects_non_finite_entry(where, value):
+    # nan compares False with every tolerance, and eigvalsh reads only
+    # the lower triangle, so each check on its own would let it through
+    m = EX_MATRIX.astype(complex)
+    m[where] = value
+    with pytest.raises(PhysicalityError, match="non-finite"):
+        XDensityMatrix(m)
+
+
 def test_parameter_range_validation():
     with pytest.raises(PhysicalityError):
         BlochX(1.2, 0.0, 0.0, 0.0, 0.0)
@@ -120,6 +134,12 @@ def test_positivity_boundary():
         BlochX(0.0, 0.0, 1.0 + 1e-8, -1.0 - 1e-8, 1.0)
     # violations inside the tolerance band are accepted
     BlochX(0.0, 0.0, 1.0, -1.0 - 1e-12, 1.0)
+    # every entry inside [-1, 1]: each inequality raises, naming itself
+    with pytest.raises(PhysicalityError,
+                       match=r"^1 - c3 >= .* violated by 2\.000e-01$"):
+        BlochX(0.0, 0.0, 0.6, 0.6, 0.0)
+    with pytest.raises(PhysicalityError, match=r"^1 \+ c3 >= .* violated"):
+        BlochX(0.9, 0.9, 0.9, 0.0, 0.0)
 
 
 def test_margins_name_the_binding_inequality():
