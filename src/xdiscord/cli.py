@@ -188,7 +188,12 @@ def _result_payload(p: BlochX, res, inp: dict) -> dict:
 
 def cmd_discord(args) -> int:
     p, inp = _load_state(args)
-    res = discord(p, method=args.method, verify=args.verify)
+    try:
+        res = discord(p, method=args.method, verify=args.verify)
+    except ValueError as exc:
+        # p is already validated, so this is --method analytic on a state
+        # outside regions a-d
+        raise InputError(str(exc)) from None
     payload = _result_payload(p, res, inp)
     if args.verify:
         orc = oracle_classical_correlation(p, grid_n=args.grid)

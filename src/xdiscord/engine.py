@@ -52,16 +52,25 @@ class Region(Enum):
     GENERAL = "general"   # no closed form; numeric search
 
 
-@dataclass(frozen=True)
+_REGIONS = {region.value: region for region in Region}
+
+
+# Records are frozen dataclasses whose __init__ fills the instance __dict__
+# in one update; the generated one sets each field through
+# object.__setattr__, which costs more than a closed-form call's arithmetic.
+@dataclass(frozen=True, init=False)
 class FContext:
     """Scalars shared by every F(z) evaluation for one state."""
 
     p: BlochX
     c: float        # max(|c1|, |c2|)
 
+    def __init__(self, p, c):
+        self.__dict__.update(p=p, c=c)
+
     @classmethod
     def from_state(cls, p: BlochX) -> "FContext":
-        return cls(p=p, c=max(abs(p.c1), abs(p.c2)))
+        return cls(p, max(abs(p.c1), abs(p.c2)))
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +249,7 @@ def classify_region(p: BlochX) -> Region:
     conds = region_conditions(p)
     for tag in "abcd":
         if conds[tag]:
-            return Region(tag)
+            return _REGIONS[tag]    # Region(tag), without Enum.__call__
     return Region.GENERAL
 
 
@@ -263,7 +272,7 @@ def analytic_max(p: BlochX,
 # ---------------------------------------------------------------------------
 # Numeric search: safeguarded Newton plus a derivative sign scan.
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class NewtonRun:
     """Trace of one safeguarded Newton run on F'."""
 
@@ -272,6 +281,10 @@ class NewtonRun:
     converged: bool
     z: float
     note: str = ""
+
+    def __init__(self, seed, iterates, converged, z, note=""):
+        self.__dict__.update(seed=seed, iterates=iterates,
+                             converged=converged, z=z, note=note)
 
 
 def newton_critical_point(ctx: FContext, z0: float,
@@ -348,11 +361,10 @@ def _newton(ctx: FContext, z: float, g: float, rads, lo: float = 0.0,
             break
     else:
         note = "iteration cap reached"
-    return NewtonRun(seed=seed, iterates=tuple(its), converged=converged,
-                     z=z, note=note), rads
+    return NewtonRun(seed, tuple(its), converged, z, note), rads
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MaxResult:
     """Outcome of the global search for max F on [0, 1].
 
@@ -372,6 +384,12 @@ class MaxResult:
     tie: bool
     fallback: str | None
     route: str
+
+    def __init__(self, z_star, f_max, candidates, newton_runs, tie, fallback,
+                 route):
+        self.__dict__.update(z_star=z_star, f_max=f_max,
+                             candidates=candidates, newton_runs=newton_runs,
+                             tie=tie, fallback=fallback, route=route)
 
 
 def _pick(cands, runs, route: str) -> MaxResult:
@@ -482,7 +500,7 @@ def _routed_max(ctx: FContext) -> MaxResult:
 # ---------------------------------------------------------------------------
 # Assembly.
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DiscordResult:
     """Discord and companions for one state.
 
@@ -501,6 +519,14 @@ class DiscordResult:
     method: str
     search: MaxResult | None = None
     verify_gap: float | None = None
+
+    def __init__(self, discord, classical_correlation, mutual_information,
+                 z_star, f_max, region, method, search=None, verify_gap=None):
+        self.__dict__.update(
+            discord=discord, classical_correlation=classical_correlation,
+            mutual_information=mutual_information, z_star=z_star,
+            f_max=f_max, region=region, method=method, search=search,
+            verify_gap=verify_gap)
 
 
 def discord(p: BlochX, method: str = "auto",
@@ -546,7 +572,5 @@ def discord(p: BlochX, method: str = "auto",
     q = 1.0 + sb - sab - f_max
     cc = f_max - 1.0 + sa
     mi = sa + sb - sab
-    return DiscordResult(discord=q, classical_correlation=cc,
-                         mutual_information=mi, z_star=float(z_star),
-                         f_max=float(f_max), region=tag.value, method=how,
-                         search=search, verify_gap=verify_gap)
+    return DiscordResult(q, cc, mi, float(z_star), float(f_max), tag.value,
+                         how, search, verify_gap)

@@ -196,6 +196,16 @@ def test_unphysical_state_exits_3(capsys):
     assert "violated by 2.000e-01" in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_analytic_method_outside_regions_exits_2(capsys, fmt):
+    # a GENERAL state has no closed form: an input error, not a traceback
+    code, out, err = run_cli(capsys, "discord", "--method", "analytic",
+                             "--bloch", "0.1", "0.3", "-0.35", "0.35", "0.2",
+                             "--format", fmt)
+    assert code == 2 and out == ""
+    assert err == "error: state is outside the closed-form regions\n"
+
+
 @pytest.mark.parametrize("where, value", [((0, 1), "nan"), ((0, 3), "inf")],
                          ids=["nan-off-x-upper", "inf-corner"])
 def test_non_finite_matrix_entry_exits_3(capsys, tmp_path, where, value):

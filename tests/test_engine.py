@@ -1,5 +1,8 @@
 """One-variable reduction F(z): values, derivatives, regions, search."""
 
+import dataclasses
+import inspect
+import pickle
 from collections import Counter
 
 import numpy as np
@@ -195,6 +198,22 @@ def test_classify_region_examples():
     assert classify_region(BlochX(0.0, 0.0, 0.5, 0.1, -0.2)) is Region.CASE_C
     assert classify_region(BlochX(0.4, -0.12, 0.3, 0.3, -0.3)) is Region.CASE_D
     assert classify_region(ex_state()) is Region.GENERAL
+
+
+def test_classify_region_is_first_matching_condition(rng):
+    # the member classify_region returns is Region(tag) for the first
+    # hypothesis region_conditions finds true, so its tag map cannot drift
+    states = (random_states(rng, 300) + random_bell_diagonal(rng, 50)
+              + [BlochX(*t) for t in BOUNDARY_BLOCH])
+    for case in "abcd":
+        states += random_case(rng, case, 50)
+    seen = set()
+    for p in states:
+        conds = region_conditions(p)
+        tag = next((t for t, holds in conds.items() if holds), "general")
+        assert classify_region(p) is Region(tag), p.as_tuple()
+        seen.add(tag)
+    assert seen == {"a", "b", "c", "d", "general"}
 
 
 def test_region_conditions_for_case_d_example():
@@ -578,3 +597,70 @@ def test_verify_checks_router_against_scan(rng):
             checked += 1
             assert res.verify_gap < 1e-12, p.as_tuple()
     assert checked > 300
+
+
+# one record of each kind, built by the library; each call builds a new one
+RECORDS = {
+    "discord-analytic": lambda: discord(BlochX(0.4, 0.1, 0.1, -0.05, -0.2)),
+    "discord-numeric": lambda: discord(ex_state()),
+    "discord-verify": lambda: discord(ex_state(), verify=True),
+    "max-result": lambda: global_max(ex_state()),
+    "newton-run": lambda: discord(ex_state()).search.newton_runs[0],
+    "newton-run-not-run": lambda: discord(
+        BlochX(0.1, 0.3, -0.35, 0.35, 0.2)).search.newton_runs[0],
+    "fcontext": lambda: FContext.from_state(ex_state()),
+}
+
+
+@pytest.mark.parametrize("make", RECORDS.values(), ids=RECORDS.keys())
+def test_record_contract(make):
+    rec = make()
+    cls = type(rec)
+    fields = dataclasses.fields(cls)
+    names = [f.name for f in fields]
+    values = [getattr(rec, n) for n in names]
+    assert list(vars(rec)) == names
+
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(rec, names[-1], values[-1])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        delattr(rec, names[0])
+
+    twin = make()
+    assert twin == rec and hash(twin) == hash(rec)
+    assert pickle.loads(pickle.dumps(rec)) == rec
+    assert cls(*values) == cls(**dict(zip(names, values))) == rec
+
+    # every argument lands in its own field, positionally or by keyword
+    marks = [f"<{n}>" for n in names]
+    assert vars(cls(*marks)) == dict(zip(names, marks))
+    assert vars(cls(**dict(zip(names, marks)))) == dict(zip(names, marks))
+    # the same parameters and defaults as the fields
+    params = list(inspect.signature(cls).parameters.values())
+    assert [q.name for q in params] == names
+    assert [q.default for q in params] == [
+        inspect.Parameter.empty if f.default is dataclasses.MISSING
+        else f.default for f in fields]
+    required = [m for m, f in zip(marks, fields)
+                if f.default is dataclasses.MISSING]
+    assert vars(cls(*required)) == {
+        n: m if f.default is dataclasses.MISSING else f.default
+        for n, m, f in zip(names, marks, fields)}
+
+    moved = dataclasses.replace(rec, **{names[0]: "<new>"})
+    assert vars(moved) == dict(zip(names, ["<new>"] + values[1:]))
+    assert dataclasses.replace(rec) == rec
+    flat = dataclasses.asdict(rec)
+    assert list(flat) == names
+    assert flat == dataclasses.asdict(cls(*values))
+
+    assert repr(rec) == f"{cls.__name__}(" + ", ".join(
+        f"{n}={v!r}" for n, v in zip(names, values)) + ")"
+
+
+def test_routes_leave_optional_fields_at_their_defaults():
+    analytic = discord(BlochX(0.4, 0.1, 0.1, -0.05, -0.2))
+    assert analytic.search is None and analytic.verify_gap is None
+    assert discord(ex_state()).verify_gap is None
+    assert discord(ex_state(), verify=True).verify_gap is not None
+    assert discord(ex_state()).search.newton_runs[0].note == ""
