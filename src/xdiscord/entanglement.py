@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import discord
-from .states import (_OFF_X, XDensityMatrix, _as_x, _eigenvalues,
+from .states import (_OFF_X, EIG_CLAMP, XDensityMatrix, _as_x, _corner,
                      binary_entropy, entropies, matrix_to_bloch)
 
 RANK_TOL = 1e-10        # eigenvalues below this count as zero
@@ -135,45 +135,41 @@ class RankTwoDecomposition:
     rho_bc: np.ndarray
 
 
-def _block_eigvecs(t: float, u: float):
-    # eigenpairs of [[1 + t, u], [u, 1 - t]] / 2, descending eigenvalue:
-    # with (t, u) = k (cos 2a, sin 2a) they are (cos a, sin a) for
-    # (1 + k)/2 and (-sin a, cos a) for (1 - k)/2
+def _block(m: np.ndarray, i: int, j: int):
+    # (weight, vector) pairs of m on span(|i>, |j>), heavier first: with
+    # (m_ii - m_jj, 2 m_ij) = tr k (cos 2a, sin 2a), tr the block's trace,
+    # (cos a, sin a) has weight tr (1 + k)/2 and (-sin a, cos a) has
+    # tr (1 - k)/2.  An empty block gives two zero pairs.
+    tr = m[i, i] + m[j, j]
+    if tr == 0.0:
+        return [(0.0, np.zeros(4))] * 2
+    t, u = (m[i, i] - m[j, j]) / tr, 2.0 * m[i, j] / tr
     k = math.hypot(t, u)
     a = 0.5 * math.atan2(u, t)
     ca, sa = math.cos(a), math.sin(a)
-    return [(0.5 * (1.0 + k), (ca, sa)), (0.5 * (1.0 - k), (-sa, ca))]
-
-
-def _block(m: np.ndarray, i: int, j: int):
-    # (weight, vector) pairs of m restricted to span(|i>, |j>), heavier first
-    tr = m[i, i] + m[j, j]
-    out = []
-    for lam, pair in _block_eigvecs((m[i, i] - m[j, j]) / tr,
-                                    2.0 * m[i, j] / tr):
-        v = np.zeros(4)
-        v[i], v[j] = pair
-        out.append((tr * lam, v))
-    return out
+    v0, v1 = np.zeros(4), np.zeros(4)
+    v0[i], v0[j], v1[i], v1[j] = ca, sa, -sa, ca
+    return [(tr * (0.5 * (1.0 + k)), v0), (tr * (0.5 * (1.0 - k)), v1)]
 
 
 def rank_two_classify(matrix) -> RankTwoDecomposition:
     """Classify a rank-2 X-state and build its spectral decomposition.
 
-    Raises RankError when the state is not rank 2 at tolerance 1e-10; a
-    third eigenvalue inside (1e-10, 1e-6) warns and is treated as zero.
+    Rank, case and eigenpairs come from the two 2x2 blocks of the state in
+    matrix_to_bloch's corner gauge (complex corners replaced by their
+    moduli; corner_phases gives the phases removed).  Raises RankError
+    when the state is not rank 2 at tolerance 1e-10; a third eigenvalue
+    inside (1e-10, 1e-6) warns and is treated as zero.
     """
     xm = _as_x(matrix)
-    return _classify(xm, matrix_to_bloch(xm))
-
-
-def _classify(xm: XDensityMatrix, p) -> RankTwoDecomposition:
-    # rank_two_classify on xm, whose Bloch form p the caller already has
-    m = np.real(np.asarray(xm.matrix))
-    # _eigenvalues lists the inner (middle) block's pair, then the outer's
-    tagged = sorted(zip(_eigenvalues(p), ("mid", "mid", "out", "out")),
-                    key=lambda t: t[0], reverse=True)
-    lams = [t[0] for t in tagged]
+    m = xm.matrix.real.copy()
+    m[0, 3] = m[3, 0] = _corner(xm.corner_outer)[0]
+    m[1, 2] = m[2, 1] = _corner(xm.corner_inner)[0]
+    out, mid = _block(m, 0, 3), _block(m, 1, 2)
+    # a weight within EIG_CLAMP of 0 is 0, as in states.spectrum, so a
+    # rank-1 error prints no rounding noise
+    lams = sorted([w if abs(w) >= EIG_CLAMP else 0.0 for w, _ in mid + out],
+                  reverse=True)
     if lams[1] <= RANK_TOL:
         raise RankError(
             "state has rank 1 (second eigenvalue %.3e); decomposition "
@@ -185,38 +181,36 @@ def _classify(xm: XDensityMatrix, p) -> RankTwoDecomposition:
     if lams[2] > RANK_TOL:
         warnings.warn(
             "third eigenvalue %.3e is barely zero; treating the state as "
-            "rank 2" % lams[2], RuntimeWarning, stacklevel=3)
+            "rank 2" % lams[2], RuntimeWarning, stacklevel=2)
     # residual slack grows with whatever the rank-2 truncation discards
     slack = max(1e-10, 8.0 * (abs(lams[2]) + abs(lams[3])))
 
-    top_blocks = {tagged[0][1], tagged[1][1]}
-    if top_blocks == {"out"}:
-        case, pairs = "I", _block(m, 0, 3)
-    elif top_blocks == {"mid"}:
-        case, pairs = "II", _block(m, 1, 2)
+    # the two heaviest pairs; on a tie the middle block's pair ranks first
+    if out[1][0] > mid[0][0]:
+        case, pairs = "I", out
+    elif mid[1][0] >= out[0][0]:
+        case, pairs = "II", mid
     else:
-        case, pairs = "III", [_block(m, 0, 3)[0], _block(m, 1, 2)[0]]
-    weights = (pairs[0][0], pairs[1][0])
-    vecs = np.array([pairs[0][1], pairs[1][1]])
-    recon = (weights[0] * np.outer(vecs[0], vecs[0])
-             + weights[1] * np.outer(vecs[1], vecs[1]))
-    if np.abs(recon - m).max() > slack:
+        case, pairs = "III", [out[0], mid[0]]
+    (w0, v0), (w1, v1) = pairs
+    gap = np.abs(w0 * np.outer(v0, v0) + w1 * np.outer(v1, v1) - m).max()
+    if gap > slack:
         raise RuntimeError(
             "decomposition residual %.3e; eigenvector formulas do not "
-            "match the input" % np.abs(recon - m).max())
+            "match the input" % gap)
 
     psi = np.zeros((2, 2, 2))
-    for k in (0, 1):
-        psi[:, :, k] = math.sqrt(max(weights[k], 0.0)) * vecs[k].reshape(2, 2)
+    for k, (w, v) in enumerate(pairs):
+        psi[:, :, k] = math.sqrt(max(w, 0.0)) * v.reshape(2, 2)
     rho_bc = np.einsum("abc,ade->bcde", psi, psi).reshape(4, 4)
-    return RankTwoDecomposition(case=case,
-                                weights=(float(weights[0]), float(weights[1])),
-                                vectors=vecs, purification=psi,
+    return RankTwoDecomposition(case=case, weights=(float(w0), float(w1)),
+                                vectors=np.array([v0, v1]), purification=psi,
                                 rho_bc=rho_bc)
 
 
 def purification_marginal_ab(decomp: RankTwoDecomposition) -> np.ndarray:
-    """Trace the ancilla back out; must reproduce the input state."""
+    """Trace the ancilla back out: the input state in matrix_to_bloch's
+    corner gauge (corner_phases gives the phases removed)."""
     psi = decomp.purification
     return np.einsum("abc,dec->abde", psi, psi).reshape(4, 4)
 
@@ -239,11 +233,13 @@ def koashi_winter(matrix) -> KoashiWinterReport:
     """Check the purification identity on a rank-2 X-state.
 
     The classical correlation measured on qubit a equals the one the
-    engine computes (which measures b) on the qubit-swapped state.
+    engine computes (which measures b) on the qubit-swapped state.  Like
+    rank_two_classify, it works on the state in matrix_to_bloch's corner
+    gauge; corner_phases gives the phases removed.
     """
     xm = _as_x(matrix)
     p = matrix_to_bloch(xm)
-    decomp = _classify(xm, p)
+    decomp = rank_two_classify(xm)
     swapped = discord(p.swapped())
     c_a = swapped.classical_correlation
     con = concurrence(decomp.rho_bc)

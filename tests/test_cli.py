@@ -1,5 +1,6 @@
 """Command line behavior: parsing, formats, exit codes."""
 
+import dataclasses
 import io
 import json
 import os
@@ -14,7 +15,7 @@ import pytest
 import xdiscord
 from conftest import EX_MATRIX
 from xdiscord.cli import main
-from xdiscord.sampling import random_rank_two
+from xdiscord.sampling import random_rank_two, random_states
 
 EX_DISCORD = 0.13274145387467
 WERNER_ARGS = ["--bloch", "0", "0", "-0.5", "-0.5", "-0.5"]
@@ -76,6 +77,24 @@ def test_discord_text_reports_route_and_gap(capsys):
     assert code == 0
     assert "route: signs -,-" in out
     assert "newton from z0=1: not run: signs -,-" in out
+
+
+def test_discord_reports_a_bisection_fallback(capsys, monkeypatch):
+    # no sampled state has been seen to need one, so the CLI gets a result
+    # whose search record says it did
+    def bisected(*args, **kwargs):
+        res = xdiscord.discord(*args, **kwargs)
+        return dataclasses.replace(res, search=dataclasses.replace(
+            res.search, fallback="bisection"))
+
+    monkeypatch.setattr(xdiscord.cli, "discord", bisected)
+    bloch = [str(x) for x in xdiscord.matrix_to_bloch(EX_MATRIX).as_tuple()]
+    code, out, _ = run_cli(capsys, "discord", "--bloch", *bloch)
+    assert code == 0
+    assert "note: bisection fallback was used" in out
+    code, out, _ = run_cli(capsys, "discord", "--bloch", *bloch,
+                           "--format", "json")
+    assert json.loads(out)["search"]["fallback"] == "bisection"
 
 
 def test_verify_adds_oracle_and_gap(capsys):
@@ -308,6 +327,17 @@ def test_random_is_deterministic(capsys):
     payload = json.loads(out1)
     assert len(payload["states"]) == 5
     assert sum(payload["summary"]["regions"].values()) == 5
+
+
+def test_random_counts_interior_maximizers(capsys):
+    # seed 11 draws a "signs +,-" state, with z* inside (0, 1), at index 31
+    code, out, _ = run_cli(capsys, "random", "--count", "40", "--seed", "11")
+    assert code == 0
+    states = random_states(np.random.default_rng(11), 40)
+    interior = sum(1 for p in states
+                   if 1e-9 < xdiscord.discord(p).z_star < 1.0 - 1e-9)
+    assert interior > 0
+    assert f"interior maximizers: {interior}\n" in out
 
 
 def test_random_verify_sample(capsys):

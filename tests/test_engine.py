@@ -286,6 +286,20 @@ def test_bracket_turns_rejected_steps_into_bisection():
     assert run.z == pytest.approx(EX_Z_STAR, abs=1e-9)
 
 
+def test_pick_reports_a_bisected_run_as_fallback():
+    # the bracketed run above bisects; a record holding it says so
+    ctx = FContext.from_state(ex_state())
+    bisected = newton_critical_point(ctx, 0.05, bracket=(0.05, 1.0))
+    plain = newton_critical_point(ctx, 1.0)
+    assert "bisection" not in plain.note
+    cands = [(0.0, f_value(ctx, 0.0)), (1.0, f_value(ctx, 1.0)),
+             (bisected.z, f_value(ctx, bisected.z))]
+    res = engine._pick(cands, [plain, bisected], "signs +,-")
+    assert res.fallback == "bisection"
+    assert res.z_star == bisected.z
+    assert engine._pick(cands, [plain], "signs +,-").fallback is None
+
+
 def test_worked_example_discord():
     res = discord(ex_state())
     assert res.region == "general"

@@ -1,5 +1,6 @@
 """Concurrence, rank-2 decompositions, and the purification identity."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,8 +8,9 @@ import pytest
 
 from conftest import dense_entropy, ptrace_a
 from xdiscord import (BlochX, RankError, binary_entropy, bloch_to_matrix,
-                      concurrence, discord, koashi_winter, mu_spectrum,
-                      purification_marginal_ab, rank_two_classify)
+                      concurrence, discord, koashi_winter, matrix_to_bloch,
+                      mu_spectrum, purification_marginal_ab,
+                      rank_two_classify)
 from xdiscord.entanglement import (eof_from_concurrence, mu_spectrum_closed,
                                    spin_flip)
 from xdiscord.sampling import random_rank_two, random_states
@@ -251,6 +253,34 @@ def test_bridge_regressions(name):
                                    atol=1e-10)
         assert mu[1] == pytest.approx(mu2, rel=1e-4)
     assert koashi_winter(m).residual < 1e-8
+
+
+def test_complex_corners_decompose_in_the_real_gauge(rng):
+    # corner phases are a local unitary: the bridge works on the state in
+    # matrix_to_bloch's gauge, whose spectrum is the input's
+    for case in ("I", "II", "III"):
+        for p in random_rank_two(rng, case, 15):
+            for q in (p, p.swapped()):
+                m = bloch_to_matrix(q).matrix.copy()
+                a, b = np.exp(1j * rng.uniform(-np.pi, np.pi, 2))
+                m[0, 3] *= a
+                m[3, 0] *= a.conjugate()
+                m[1, 2] *= b
+                m[2, 1] *= b.conjugate()
+                gauged = bloch_to_matrix(matrix_to_bloch(m)).matrix
+                decomp = rank_two_classify(m)
+                assert decomp.case == case
+                np.testing.assert_allclose(
+                    sorted(decomp.weights),
+                    np.linalg.eigvalsh(m)[2:], rtol=0.0, atol=1e-12)
+                np.testing.assert_allclose(purification_marginal_ab(decomp),
+                                           gauged, rtol=0.0, atol=1e-12)
+                rep, ref = koashi_winter(m), koashi_winter(gauged)
+                assert rep.case == ref.case
+                for f in dataclasses.fields(rep)[1:]:
+                    np.testing.assert_allclose(
+                        getattr(rep, f.name), getattr(ref, f.name),
+                        rtol=0.0, atol=1e-12, err_msg=f.name)
 
 
 def _mu_spectrum_50_digits(mp, rho):

@@ -85,6 +85,12 @@ def test_rejects_non_x_pattern():
         XDensityMatrix(m)
 
 
+def test_rejects_wrong_shape():
+    for shape in ((3, 3), (4,), (2, 8)):
+        with pytest.raises(XPatternError, match="expected a 4x4 matrix"):
+            XDensityMatrix(np.zeros(shape))
+
+
 def test_rejects_non_hermitian():
     m = EX_MATRIX.astype(complex)
     m[1, 2] = 0.1 + 0.05j
