@@ -18,8 +18,16 @@ rank-2 state and its swap prints its koashi_winter() report and its
 rank_two_classify() decomposition; each uniform state, and each of a
 set of rank-1 and rank-3 states, prints the exception
 rank_two_classify() raises on it; and a near-rank ladder
-c3 = +/-(1 - eps) prints each warning and result of both calls.  Needs
-only numpy.
+c3 = +/-(1 - eps) prints each warning and result of both calls.
+
+A last section prints what matrix validation makes of a fixed list of
+matrices: the worked example; a case-I, a case-III and a uniform state
+with k * 1e-11 moved from rho_22 to rho_11, k = 1 to 20, which walks the
+rank-2 states out through the PHYS_TOL band; and one non-positive,
+non-X, non-hermitian, bad-trace, non-finite and wrong-shape matrix.
+Each gets the result or the exception of XDensityMatrix(),
+matrix_to_bloch(), corner_phases() and rank_two_classify(), one line
+each.  Needs only numpy.
 """
 
 from __future__ import annotations
@@ -29,9 +37,10 @@ import warnings
 import numpy as np
 
 from xdiscord import (BlochX, PhysicalityError, XDensityMatrix,
-                      bloch_to_matrix, discord, global_max, koashi_winter,
-                      matrix_to_bloch, random_bell_diagonal, random_case,
-                      random_rank_two, random_states, rank_two_classify)
+                      bloch_to_matrix, corner_phases, discord, global_max,
+                      koashi_winter, matrix_to_bloch, random_bell_diagonal,
+                      random_case, random_rank_two, random_states,
+                      rank_two_classify)
 
 WORKED_EXAMPLE = np.array([
     [0.0783, 0.0,   0.0,   0.0],
@@ -83,6 +92,30 @@ LADDER_BASES = [(0.3, 0.3, 0.2, -0.2, 1.0), (0.3, -0.3, 0.2, 0.2, -1.0),
                 (-0.55, -0.55, -0.1, 0.1, 1.0), (0.1, -0.1, 0.6, 0.6, -1.0)]
 
 
+def validation_corpus() -> list[tuple[str, object]]:
+    """(label, matrix) pairs for the validation section."""
+    uniform = random_states(np.random.default_rng(20163), 1)[0]
+    mats = [("worked", WORKED_EXAMPLE)]
+    for label, p in (("case-I", BlochX(0.3, 0.3, 0.2, -0.2, 1.0)),
+                     ("case-III", BlochX(0.3, 0.3, 0.9, 0.1, 0.0)),
+                     ("uniform", uniform)):
+        for k in range(1, 21):
+            m = bloch_to_matrix(p).matrix.copy()
+            m[1, 1] -= k * 1e-11
+            m[0, 0] += k * 1e-11
+            mats.append((f"{label} k={k}", m))
+    bad = {name: WORKED_EXAMPLE.astype(complex) for name in
+           ("non-X", "non-hermitian", "bad-trace", "non-finite")}
+    bad["non-X"][0, 1] = 1e-6
+    bad["non-hermitian"][1, 2] = 0.1 + 0.05j
+    bad["bad-trace"] *= 1.5
+    bad["non-finite"][2, 2] = np.nan
+    non_psd = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
+    non_psd[0, 3] = non_psd[3, 0] = 0.6
+    return (mats + [("non-PSD", non_psd)] + list(bad.items())
+            + [("wrong-shape", np.eye(3) / 3.0)])
+
+
 def decomposition_lines(m) -> list[str]:
     """The report and the decomposition of the bridge on matrix m."""
     d = rank_two_classify(m)
@@ -131,6 +164,11 @@ def main() -> None:
             print("  classify", outcome(
                 lambda x: rank_two_classify(x).weights, m))
             print("  kw", outcome(koashi_winter, m))
+    for label, m in validation_corpus():
+        print("validate", label)
+        for call in (XDensityMatrix, matrix_to_bloch, corner_phases,
+                     rank_two_classify):
+            print(f"  {call.__name__}", " ".join(outcome(call, m).split()))
 
 
 if __name__ == "__main__":

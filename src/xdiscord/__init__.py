@@ -33,5 +33,6 @@ __all__ = [
     "newton_critical_point", "oracle_classical_correlation",
     "physicality_margins", "purification_marginal_ab",
     "random_bell_diagonal", "random_case", "random_rank_two",
-    "random_states", "region_conditions", "spectrum", "xlog2",
+    "random_states", "rank_two_classify", "region_conditions", "spectrum",
+    "xlog2",
 ]

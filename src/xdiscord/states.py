@@ -128,9 +128,9 @@ class BlochX:
 class XDensityMatrix:
     """A validated 4x4 X-shaped density matrix.
 
-    Checks finite entries, the X pattern, hermiticity, unit trace, and
-    positive semidefiniteness at construction.  The wrapped array is
-    read-only.
+    Checks finite entries, the X pattern, hermiticity and unit trace at
+    construction, then positivity by building its Bloch form with
+    matrix_to_bloch, so BlochX alone decides it.  The array is read-only.
     """
 
     matrix: np.ndarray
@@ -151,12 +151,9 @@ class XDensityMatrix:
         tr = m.trace().real
         if abs(tr - 1.0) > TRACE_TOL:
             raise PhysicalityError(f"trace {tr!r} differs from 1")
-        low = np.linalg.eigvalsh(m).min()
-        if low < -PHYS_TOL:
-            raise PhysicalityError(
-                "matrix has a negative eigenvalue (%.3e)" % low)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+        matrix_to_bloch(self)
 
     @property
     def corner_outer(self) -> complex:
@@ -200,7 +197,7 @@ def matrix_to_bloch(m) -> BlochX:
     """Extract Pauli coefficients from a matrix, stripping corner phases.
 
     Real corners of either sign are preserved, so bloch -> matrix -> bloch
-    is an exact identity.  Complex corners are replaced by their moduli
+    agrees up to rounding.  Complex corners are replaced by their moduli
     (a local phase gauge that leaves discord, entanglement, and the
     measurement optimum unchanged); the removed phases are available from
     corner_phases.

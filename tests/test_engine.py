@@ -274,6 +274,25 @@ def test_newton_trace_on_worked_example():
     assert at_zero.converged and at_zero.iterates == () and at_zero.z == 0.0
 
 
+def test_newton_reports_the_iteration_cap(monkeypatch):
+    monkeypatch.setattr(engine, "NEWTON_MAX_ITER", 2)
+    run = newton_critical_point(FContext.from_state(ex_state()), 1.0)
+    np.testing.assert_allclose(run.iterates, EX_ITERATES[:2], atol=1e-9)
+    assert not run.converged and run.note == "iteration cap reached"
+
+
+def test_interior_maximum_with_no_rising_f_prime_takes_the_scan(monkeypatch):
+    # F''(0) > 0 and F'(1) < 0, but F' < 0 everywhere inside: the halving
+    # finds no F'(lo) > 0, so the router hands the state to the scan
+    fp = engine._fp
+
+    def falling(ctx, z, rads, xp):
+        g = fp(ctx, z, rads, xp)
+        return -abs(g) if xp is engine._FLOAT and 0.0 < z < 1.0 else g
+    monkeypatch.setattr(engine, "_fp", falling)
+    assert discord(ex_state()).search.route == "scan"
+
+
 def test_bracket_turns_rejected_steps_into_bisection():
     # F'' > 0 at z = 0.05 sends the Newton step below 0: alone the run is
     # abandoned, inside a sign-change bracket the step bisects instead

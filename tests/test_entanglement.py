@@ -11,6 +11,7 @@ from xdiscord import (BlochX, RankError, binary_entropy, bloch_to_matrix,
                       concurrence, discord, koashi_winter, matrix_to_bloch,
                       mu_spectrum, purification_marginal_ab,
                       rank_two_classify)
+from xdiscord import entanglement
 from xdiscord.entanglement import (eof_from_concurrence, mu_spectrum_closed,
                                    spin_flip)
 from xdiscord.sampling import random_rank_two, random_states
@@ -49,6 +50,14 @@ def test_concurrence_of_werner_family():
     for a, expect in ((0.2, 0.0), (1.0 / 3.0, 0.0), (0.6, 0.4), (1.0, 1.0)):
         m = bloch_to_matrix(BlochX(0.0, 0.0, -a, -a, -a))
         assert concurrence(m) == pytest.approx(expect, abs=1e-12)
+
+
+def test_concurrence_raises_when_its_routes_disagree(monkeypatch):
+    def shifted(m):
+        return mu_spectrum_closed(m) + [1e-6, 0.0, 0.0, 0.0]
+    monkeypatch.setattr(entanglement, "mu_spectrum_closed", shifted)
+    with pytest.raises(RuntimeError, match="concurrence routes disagree"):
+        concurrence(bloch_to_matrix(BlochX(0.0, 0.0, 1.0, -1.0, 1.0)))
 
 
 def test_eof_from_concurrence_shape():
@@ -130,6 +139,17 @@ def test_rank_errors():
         rank_two_classify(bloch_to_matrix(BlochX(0.0, 0.0, -0.5, -0.5, -0.5)))
     with pytest.raises(RankError):
         rank_two_classify(bloch_to_matrix(BlochX(0.0, 0.0, 1.0, -1.0, 1.0)))
+
+
+def test_rank_two_classify_checks_its_residual(monkeypatch):
+    block = entanglement._block
+
+    def heavier(m, i, j):
+        (w0, v0), pair = block(m, i, j)
+        return [(w0 * (1.0 + 1e-6), v0), pair]
+    monkeypatch.setattr(entanglement, "_block", heavier)
+    with pytest.raises(RuntimeError, match="decomposition residual"):
+        rank_two_classify(bloch_to_matrix(CASE_III))
 
 
 def test_barely_rank_three_warns_but_proceeds():

@@ -44,6 +44,15 @@ def xdiscord_names(tree: ast.AST) -> set[tuple[str, str]]:
     return found
 
 
+def test_all_lists_every_public_name_the_package_imports():
+    tree = ast.parse((ROOT / "src" / "xdiscord" / "__init__.py").read_text())
+    imported = {a.asname or a.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert len(set(xdiscord.__all__)) == len(xdiscord.__all__)
+    assert {n for n in imported if not n.startswith("_")} == \
+        set(xdiscord.__all__)
+
+
 def test_users_found():
     names = {p.name for p in USERS}
     assert {"run.py", "traced.py", "workloads.py",

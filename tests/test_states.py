@@ -9,11 +9,25 @@ from conftest import (BOUNDARY_BLOCH, EX_MATRIX, dense_entropy, ptrace_a,
                       ptrace_b)
 from xdiscord import (BlochX, PhysicalityError, XDensityMatrix, XPatternError,
                       binary_entropy, bloch_to_matrix, corner_phases,
-                      entropies, matrix_to_bloch, physicality_margins,
-                      spectrum, xlog2)
+                      entropies, koashi_winter, matrix_to_bloch,
+                      physicality_margins, rank_two_classify, spectrum,
+                      xlog2)
 from xdiscord.sampling import (random_bell_diagonal, random_rank_two,
                                random_states)
-from xdiscord.states import EIG_CLAMP, blocks
+from xdiscord.states import EIG_CLAMP, PHYS_TOL, blocks
+
+# rank-2 states with a zero eigenvalue in the (|01>, |10>) block: case I
+# (both inner eigenvalues 0) and case III (one in each block)
+EDGE_CASE_I = BlochX(0.3, 0.3, 0.2, -0.2, 1.0)
+EDGE_CASE_III = BlochX(0.3, 0.3, 0.9, 0.1, 0.0)
+
+
+def moved_weight(p: BlochX, delta: float) -> np.ndarray:
+    """The matrix of p with delta moved from rho_22 to rho_11."""
+    m = bloch_to_matrix(p).matrix.copy()
+    m[1, 1] -= delta
+    m[0, 0] += delta
+    return m
 
 
 def test_worked_matrix_to_bloch():
@@ -111,14 +125,73 @@ def test_rejects_negative_eigenvalue():
         XDensityMatrix(m)
 
 
+@pytest.mark.parametrize("p, message", [
+    (EDGE_CASE_I, r"^c3 = 1\.00000000012 outside \[-1, 1\]$"),
+    (EDGE_CASE_III, r"^1 - c3 >= .* violated by 1\.200e-10$"),
+], ids=["case-I", "case-III"])
+def test_every_matrix_path_rejects_a_state_past_the_margin(p, message):
+    # lowest eigenvalue -3e-11 (case III) or -6e-11 (case I): above
+    # -PHYS_TOL, but the Bloch margin, 4x a block eigenvalue, is past it
+    m = moved_weight(p, 6e-11)
+    assert -PHYS_TOL < np.linalg.eigvalsh(m).min() < -2.5e-11
+    messages = set()
+    for call in (XDensityMatrix, matrix_to_bloch, corner_phases,
+                 rank_two_classify, koashi_winter):
+        with pytest.raises(PhysicalityError, match=message) as err:
+            call(m)
+        messages.add(str(err.value))
+    assert len(messages) == 1, messages
+
+
+def test_every_accepted_matrix_has_a_bloch_form(rng):
+    # k * 1e-11 moved onto rho_11 walks rank-2 states out through the
+    # tolerance band; an accepted matrix always has a Bloch form, and no
+    # matrix with an eigenvalue below -PHYS_TOL is accepted
+    states = [EDGE_CASE_I, EDGE_CASE_III] + random_states(rng, 5) + [
+        q for case in ("I", "II", "III")
+        for p in random_rank_two(rng, case, 5) for q in (p, p.swapped())]
+    accepted = 0
+    for p in states:
+        for k in range(1, 21):
+            m = moved_weight(p, k * 1e-11)
+            try:
+                XDensityMatrix(m)
+            except PhysicalityError:
+                continue
+            accepted += 1
+            matrix_to_bloch(m)
+            assert np.linalg.eigvalsh(m).min() >= -PHYS_TOL
+    assert 0 < accepted < 20 * len(states)
+
+
+def test_round_trip_accepts_states_just_inside_the_tolerance(rng):
+    # c3 moved so the smaller margin sits 1e-13 inside -PHYS_TOL; at
+    # 1e-16 inside, rounding rejects about one state in five (README)
+    edge = []
+    for p in random_states(rng, 2000):
+        r, s, c1, c2, c3 = p.as_tuple()
+        m1, m2 = p.margins
+        if m1 <= m2:
+            c3 += m1 + PHYS_TOL - 1e-13
+        else:
+            c3 -= m2 + PHYS_TOL - 1e-13
+        if abs(c3) <= 1.0:
+            edge.append(BlochX(r, s, c1, c2, c3))
+    assert len(edge) > 1800
+    for p in edge:
+        q = matrix_to_bloch(bloch_to_matrix(p))
+        np.testing.assert_allclose(q.as_tuple(), p.as_tuple(), atol=1e-12)
+
+
 @pytest.mark.parametrize("where, value", [
     ((0, 1), np.nan), ((1, 0), np.nan), ((2, 2), np.nan),
     ((0, 3), np.inf), ((1, 2), complex(0.1, np.inf)),
 ], ids=["nan-off-x-upper", "nan-off-x-lower", "nan-diagonal",
         "inf-corner", "inf-imaginary-corner"])
 def test_rejects_non_finite_entry(where, value):
-    # nan compares False with every tolerance, and eigvalsh reads only
-    # the lower triangle, so each check on its own would let it through
+    # nan compares False with every tolerance, and the Bloch form reads
+    # only the diagonal and the corners, so a nan off the X would pass
+    # every later check
     m = EX_MATRIX.astype(complex)
     m[where] = value
     with pytest.raises(PhysicalityError, match="non-finite"):
