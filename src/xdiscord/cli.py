@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 import numpy as np
@@ -21,8 +22,7 @@ from .entanglement import RankError, koashi_winter
 from .oracle import oracle_classical_correlation
 from .sampling import random_states
 from .states import (BlochX, PhysicalityError, XDensityMatrix, XPatternError,
-                     bloch_to_matrix, corner_phases, matrix_to_bloch,
-                     spectrum)
+                     bloch_to_matrix, spectrum)
 
 
 class InputError(ValueError):
@@ -102,16 +102,12 @@ def _read_input(path: str) -> list[float] | np.ndarray:
 
 def _load_state(args) -> tuple[BlochX, dict]:
     """State from --bloch or --input, and its JSON "input" block."""
-    if getattr(args, "bloch", None) is not None:
-        src = args.bloch
-    elif getattr(args, "input", None):
-        src = _read_input(args.input)
-    else:
+    if args.bloch is None and not args.input:    # argparse refuses both
         raise InputError("no state given; use --bloch or --input")
+    src = args.bloch if args.bloch is not None else _read_input(args.input)
     if isinstance(src, np.ndarray):
         xm = XDensityMatrix(src)
-        p = matrix_to_bloch(xm)
-        meta = {"source": "matrix", "phases": list(corner_phases(xm))}
+        p, meta = xm.bloch, {"source": "matrix", "phases": list(xm.phases)}
     else:
         p, meta = BlochX(*src), {"source": "bloch"}
     return p, {"bloch": list(p.as_tuple()), **meta}
@@ -130,12 +126,13 @@ def _int_at_least(low: int):
 
 
 def _add_state_args(sp):
-    sp.add_argument("--bloch", nargs=5, type=float,
-                    metavar=("R", "S", "C1", "C2", "C3"),
-                    help="Pauli coefficients of the state")
-    sp.add_argument("--input",
-                    help="file with the state (JSON with 'bloch' or "
-                         "'matrix', or plain numbers); '-' reads stdin")
+    one = sp.add_mutually_exclusive_group()
+    one.add_argument("--bloch", nargs=5, type=float,
+                     metavar=("R", "S", "C1", "C2", "C3"),
+                     help="Pauli coefficients of the state")
+    one.add_argument("--input",
+                     help="file with the state (JSON with 'bloch' or "
+                          "'matrix', or plain numbers); '-' reads stdin")
 
 
 def _add_format_args(sp):
@@ -443,4 +440,11 @@ def main(argv=None) -> int:
 
 
 def main_entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; devnull keeps the flush at exit quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import discord
-from .states import (_OFF_X, EIG_CLAMP, XDensityMatrix, _as_x, _corner,
-                     binary_entropy, entropies, matrix_to_bloch)
+from .states import (_OFF_X, EIG_CLAMP, XDensityMatrix, _as_x,
+                     binary_entropy, entropies)
 
 RANK_TOL = 1e-10        # eigenvalues below this count as zero
 NEAR_RANK_BAND = 1e-6   # third eigenvalue in (RANK_TOL, this) warns
@@ -118,7 +118,7 @@ def eof_from_concurrence(con: float) -> float:
 # eigenvectors inside the outer span(|00>, |11>) and middle span(|01>, |10>)
 # blocks, so the decomposition is written down entrywise.
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankTwoDecomposition:
     """Spectral decomposition rho = w0 |v0><v0| + w1 |v1><v1|.
 
@@ -156,15 +156,12 @@ def rank_two_classify(matrix) -> RankTwoDecomposition:
     """Classify a rank-2 X-state and build its spectral decomposition.
 
     Rank, case and eigenpairs come from the two 2x2 blocks of the state in
-    matrix_to_bloch's corner gauge (complex corners replaced by their
-    moduli; corner_phases gives the phases removed).  Raises RankError
+    its corner gauge (XDensityMatrix.gauged: complex corners replaced by
+    their moduli; corner_phases gives the phases removed).  Raises RankError
     when the state is not rank 2 at tolerance 1e-10; a third eigenvalue
     inside (1e-10, 1e-6) warns and is treated as zero.
     """
-    xm = _as_x(matrix)
-    m = xm.matrix.real.copy()
-    m[0, 3] = m[3, 0] = _corner(xm.corner_outer)[0]
-    m[1, 2] = m[2, 1] = _corner(xm.corner_inner)[0]
+    m = _as_x(matrix).gauged
     out, mid = _block(m, 0, 3), _block(m, 1, 2)
     # a weight within EIG_CLAMP of 0 is 0, as in states.spectrum, so a
     # rank-1 error prints no rounding noise
@@ -209,8 +206,8 @@ def rank_two_classify(matrix) -> RankTwoDecomposition:
 
 
 def purification_marginal_ab(decomp: RankTwoDecomposition) -> np.ndarray:
-    """Trace the ancilla back out: the input state in matrix_to_bloch's
-    corner gauge (corner_phases gives the phases removed)."""
+    """Trace the ancilla back out: the input state in its corner gauge,
+    XDensityMatrix.gauged (corner_phases gives the phases removed)."""
     psi = decomp.purification
     return np.einsum("abc,dec->abde", psi, psi).reshape(4, 4)
 
@@ -234,11 +231,11 @@ def koashi_winter(matrix) -> KoashiWinterReport:
 
     The classical correlation measured on qubit a equals the one the
     engine computes (which measures b) on the qubit-swapped state.  Like
-    rank_two_classify, it works on the state in matrix_to_bloch's corner
-    gauge; corner_phases gives the phases removed.
+    rank_two_classify, it works on the state in its corner gauge;
+    corner_phases gives the phases removed.
     """
     xm = _as_x(matrix)
-    p = matrix_to_bloch(xm)
+    p = xm.bloch
     decomp = rank_two_classify(xm)
     swapped = discord(p.swapped())
     c_a = swapped.classical_correlation

@@ -126,8 +126,6 @@ def random_rank_two(rng: np.random.Generator, case: str,
         s = (rp - rm) / 2.0
         c1 = (cp + cm) / 2.0
         c2 = (cp - cm) / 2.0
-        if max(abs(r), abs(s), abs(c1), abs(c2)) > 1.0:
-            continue
         if abs(c1) < abs(c2):
             c1, c2 = c2, c1
         out.append(BlochX(r, s, c1, c2, c3))

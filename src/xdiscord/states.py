@@ -12,7 +12,7 @@ with r, s the local z-polarizations and ci the diagonal correlators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -124,16 +124,29 @@ class BlochX:
         return physicality_margins(*self.as_tuple())
 
 
-@dataclass(frozen=True)
-class XDensityMatrix:
-    """A validated 4x4 X-shaped density matrix.
+def _corner(corner: complex) -> tuple[float, float]:
+    # (value kept, phase removed): real corners of either sign stay exact,
+    # complex ones rotate onto their modulus
+    if abs(corner.imag) > PHASE_TOL * max(1.0, abs(corner)):
+        return abs(corner), float(np.angle(corner))
+    return corner.real, 0.0
 
-    Checks finite entries, the X pattern, hermiticity and unit trace at
-    construction, then positivity by building its Bloch form with
-    matrix_to_bloch, so BlochX alone decides it.  The array is read-only.
+
+@dataclass(frozen=True, eq=False)
+class XDensityMatrix:
+    """A validated 4x4 X-shaped density matrix, read once.
+
+    Checks finite entries, the X pattern, hermiticity and unit trace, then
+    keeps the corner gauge: gauged (real, complex corners replaced by their
+    moduli), phases (outer, inner) removed, and bloch, the BlochX of gauged,
+    whose construction alone decides positivity.  Arrays are read-only,
+    copies rebuild through the constructor, and == is identity.
     """
 
     matrix: np.ndarray
+    gauged: np.ndarray = field(init=False, repr=False)
+    phases: tuple[float, float] = field(init=False, repr=False)
+    bloch: BlochX = field(init=False, repr=False)
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
@@ -151,17 +164,21 @@ class XDensityMatrix:
         tr = m.trace().real
         if abs(tr - 1.0) > TRACE_TOL:
             raise PhysicalityError(f"trace {tr!r} differs from 1")
+        g = m.real.copy()
+        (e14, ph14), (e23, ph23) = _corner(m[0, 3]), _corner(m[1, 2])
+        g[0, 3] = g[3, 0] = e14
+        g[1, 2] = g[2, 1] = e23
+        d = np.diag(g)
+        bloch = BlochX(d[0] + d[1] - d[2] - d[3], d[0] - d[1] + d[2] - d[3],
+                       2.0 * (e23 + e14), 2.0 * (e23 - e14),
+                       d[0] - d[1] - d[2] + d[3])
         m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        matrix_to_bloch(self)
+        g.setflags(write=False)
+        self.__dict__.update(matrix=m, gauged=g, phases=(ph14, ph23),
+                             bloch=bloch)
 
-    @property
-    def corner_outer(self) -> complex:
-        return complex(self.matrix[0, 3])
-
-    @property
-    def corner_inner(self) -> complex:
-        return complex(self.matrix[1, 2])
+    def __reduce__(self):
+        return XDensityMatrix, (self.matrix,)
 
 
 def bloch_to_matrix(p: BlochX) -> XDensityMatrix:
@@ -185,14 +202,6 @@ def _as_x(m) -> XDensityMatrix:
     return m if isinstance(m, XDensityMatrix) else XDensityMatrix(m)
 
 
-def _corner(corner: complex) -> tuple[float, float]:
-    # (value kept, phase removed): real corners of either sign stay exact,
-    # complex ones rotate onto their modulus
-    if abs(corner.imag) > PHASE_TOL * max(1.0, abs(corner)):
-        return abs(corner), float(np.angle(corner))
-    return corner.real, 0.0
-
-
 def matrix_to_bloch(m) -> BlochX:
     """Extract Pauli coefficients from a matrix, stripping corner phases.
 
@@ -202,22 +211,12 @@ def matrix_to_bloch(m) -> BlochX:
     measurement optimum unchanged); the removed phases are available from
     corner_phases.
     """
-    xm = _as_x(m)
-    d = np.real(np.diag(xm.matrix))
-    e14 = _corner(xm.corner_outer)[0]
-    e23 = _corner(xm.corner_inner)[0]
-    r = d[0] + d[1] - d[2] - d[3]
-    s = d[0] - d[1] + d[2] - d[3]
-    c3 = d[0] - d[1] - d[2] + d[3]
-    c1 = 2.0 * (e23 + e14)
-    c2 = 2.0 * (e23 - e14)
-    return BlochX(r, s, c1, c2, c3)
+    return _as_x(m).bloch
 
 
 def corner_phases(m) -> tuple[float, float]:
     """Phases (outer, inner) removed by matrix_to_bloch, in radians."""
-    xm = _as_x(m)
-    return _corner(xm.corner_outer)[1], _corner(xm.corner_inner)[1]
+    return _as_x(m).phases
 
 
 def _eigenvalues(p: BlochX) -> list[float]:

@@ -140,6 +140,18 @@ def test_missing_state_is_input_error(capsys):
     assert "no state given" in err
 
 
+@pytest.mark.parametrize("command", ["discord", "scan", "kw-check",
+                                     "classify"])
+def test_bloch_and_input_are_exclusive(capsys, tmp_path, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *WERNER_ARGS, "--input", str(tmp_path / "none.txt")])
+    assert exc.value.code == 2
+    assert "not allowed with argument --bloch" in capsys.readouterr().err
+    code, out, err = run_cli(capsys, command)
+    assert code == 2 and out == ""
+    assert "no state given" in err
+
+
 def test_unparseable_file_is_input_error(capsys, tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("this is not a state")
@@ -389,6 +401,24 @@ def test_module_entry_point():
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "discord = " in proc.stdout
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    # 1 MB of JSON: the child blocks on the full pipe until it is closed
+    src = str(Path(xdiscord.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "xdiscord", "random", "--count", "3000",
+         "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert err == b""
 
 
 def test_kw_check_warns_once_on_near_rank_two(capsys):

@@ -8,10 +8,10 @@ import pytest
 
 from conftest import dense_entropy, ptrace_a
 from xdiscord import (BlochX, RankError, binary_entropy, bloch_to_matrix,
-                      concurrence, discord, koashi_winter, matrix_to_bloch,
-                      mu_spectrum, purification_marginal_ab,
+                      concurrence, corner_phases, discord, koashi_winter,
+                      matrix_to_bloch, mu_spectrum, purification_marginal_ab,
                       rank_two_classify)
-from xdiscord import entanglement
+from xdiscord import entanglement, states
 from xdiscord.entanglement import (eof_from_concurrence, mu_spectrum_closed,
                                    spin_flip)
 from xdiscord.sampling import random_rank_two, random_states
@@ -301,6 +301,28 @@ def test_complex_corners_decompose_in_the_real_gauge(rng):
                     np.testing.assert_allclose(
                         getattr(rep, f.name), getattr(ref, f.name),
                         rtol=0.0, atol=1e-12, err_msg=f.name)
+
+
+def test_matrix_paths_read_the_corners_once(monkeypatch):
+    calls = []
+    corner = states._corner
+    monkeypatch.setattr(states, "_corner",
+                        lambda c: calls.append(c) or corner(c))
+    xm = bloch_to_matrix(CASE_III)
+    assert len(calls) == 2
+    for call in (matrix_to_bloch, corner_phases, rank_two_classify,
+                 koashi_winter):
+        calls.clear()
+        call(xm)
+        assert calls == [], call.__name__
+
+
+def test_records_holding_arrays_compare_by_identity():
+    for make in (bloch_to_matrix,
+                 lambda p: rank_two_classify(bloch_to_matrix(p))):
+        a, b = make(CASE_III), make(CASE_III)
+        assert a == a and a != b
+        assert hash(a) == hash(a) and len({a, b}) == 2
 
 
 def _mu_spectrum_50_digits(mp, rho):

@@ -1,6 +1,9 @@
 """Representation layer: Pauli parameters, matrices, spectra, entropies."""
 
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -59,8 +62,8 @@ def test_matrix_diagonal_and_corners():
         d, [(1 + 0.3 - 0.2 + 0.25) / 4, (1 + 0.3 + 0.2 - 0.25) / 4,
             (1 - 0.3 - 0.2 - 0.25) / 4, (1 - 0.3 + 0.2 + 0.25) / 4],
         atol=1e-15)
-    assert m.corner_outer == pytest.approx((0.3 - 0.1) / 4)
-    assert m.corner_inner == pytest.approx((0.3 + 0.1) / 4)
+    assert m.matrix[0, 3] == pytest.approx((0.3 - 0.1) / 4)
+    assert m.matrix[1, 2] == pytest.approx((0.3 + 0.1) / 4)
 
 
 def test_spectrum_matches_dense_eigensolver(rng):
@@ -90,6 +93,44 @@ def test_complex_corner_phase_stripped():
     assert abs(outer) > 1e-3 and abs(inner) > 1e-3
     outer0, inner0 = corner_phases(m)
     assert outer0 == 0.0 and inner0 == 0.0
+
+
+# a state with both corners complex: local phases diag(1, e^0.7i) on
+# qubit a and diag(1, e^-0.4i) on qubit b
+U_PHASE = np.kron(np.diag([1.0, np.exp(0.7j)]), np.diag([1.0, np.exp(-0.4j)]))
+PHASED = (U_PHASE @ bloch_to_matrix(BlochX(0.1, -0.2, 0.4, 0.2, 0.1)).matrix
+          @ U_PHASE.conj().T)
+
+
+def test_matrix_keeps_what_it_reads():
+    xm = XDensityMatrix(PHASED)
+    assert matrix_to_bloch(xm) is xm.bloch
+    assert corner_phases(xm) is xm.phases
+    assert not xm.gauged.flags.writeable
+    assert not np.iscomplexobj(xm.gauged)
+    np.testing.assert_allclose(xm.gauged,
+                               bloch_to_matrix(xm.bloch).matrix.real,
+                               rtol=0.0, atol=1e-15)
+
+
+def test_copies_rebuild_through_the_constructor():
+    xm = XDensityMatrix(PHASED)
+    for twin in (pickle.loads(pickle.dumps(xm)), copy.copy(xm),
+                 copy.deepcopy(xm)):
+        assert twin is not xm
+        assert not twin.matrix.flags.writeable
+        assert not twin.gauged.flags.writeable
+        np.testing.assert_array_equal(twin.matrix, xm.matrix)
+        assert twin.bloch == xm.bloch and twin.phases == xm.phases
+
+
+def test_replace_derives_every_field_again():
+    xm = bloch_to_matrix(BlochX(0.3, -0.2, 0.3, 0.1, 0.25))
+    fresh = dataclasses.replace(xm, matrix=PHASED)
+    ref = XDensityMatrix(PHASED)
+    np.testing.assert_array_equal(fresh.gauged, ref.gauged)
+    assert fresh.phases == ref.phases != xm.phases
+    assert fresh.bloch == ref.bloch != xm.bloch
 
 
 def test_rejects_non_x_pattern():
