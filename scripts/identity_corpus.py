@@ -27,7 +27,15 @@ rank-2 states out through the PHYS_TOL band; and one non-positive,
 non-X, non-hermitian, bad-trace, non-finite and wrong-shape matrix.
 Each gets the result or the exception of XDensityMatrix(),
 matrix_to_bloch(), corner_phases() and rank_two_classify(), one line
-each.  Needs only numpy.
+each.
+
+The oracle section prints oracle_classical_correlation() on states with
+c1^2 = c2^2, where the sweep needs one phi column, and on states
+without: the rank-2 states of cases I to III and their swaps, the worked
+example, the first uniform states and their swaps, one-corner states
+(a uniform state's matrix with rho_14 or rho_23 set to 0) and Werner
+states.  Each runs at grid_n 1, 17 and 64 without refinement, and at
+grid_n 1 and 256 with it.  Needs only numpy.
 """
 
 from __future__ import annotations
@@ -38,7 +46,8 @@ import numpy as np
 
 from xdiscord import (BlochX, PhysicalityError, XDensityMatrix,
                       bloch_to_matrix, corner_phases, discord, global_max,
-                      koashi_winter, matrix_to_bloch, random_bell_diagonal,
+                      koashi_winter, matrix_to_bloch,
+                      oracle_classical_correlation, random_bell_diagonal,
                       random_case, random_rank_two, random_states,
                       rank_two_classify)
 
@@ -116,6 +125,28 @@ def validation_corpus() -> list[tuple[str, object]]:
             + [("wrong-shape", np.eye(3) / 3.0)])
 
 
+# (grid_n, refine_rounds) of each oracle call
+ORACLE_RUNS = [(1, 0), (1, 30), (17, 0), (64, 0), (256, 30)]
+WERNER_W = [-0.3, 0.0, 0.2, 0.5, 0.9, 1.0]
+
+
+def oracle_corpus(states) -> list[tuple[str, BlochX]]:
+    """(label, state) pairs for the oracle section, from corpus()."""
+    picked = [(label, p) for label, p in states
+              if label.startswith(("worked", "rank2"))]
+    picked += [(label, p) for label, p in states
+               if label.startswith("uniform")][:12]
+    for p in random_states(np.random.default_rng(20164), 6):
+        for corner in ((0, 3), (1, 2)):
+            m = bloch_to_matrix(p).matrix.copy()
+            m[corner] = m[corner[::-1]] = 0.0
+            picked.append((f"corner{corner}=0",
+                           matrix_to_bloch(XDensityMatrix(m))))
+    picked += [(f"werner w={w}", BlochX(0.0, 0.0, -w, -w, -w))
+               for w in WERNER_W]
+    return picked
+
+
 def decomposition_lines(m) -> list[str]:
     """The report and the decomposition of the bridge on matrix m."""
     d = rank_two_classify(m)
@@ -164,6 +195,11 @@ def main() -> None:
             print("  classify", outcome(
                 lambda x: rank_two_classify(x).weights, m))
             print("  kw", outcome(koashi_winter, m))
+    for i, (label, p) in enumerate(oracle_corpus(states)):
+        print("oracle", i, label, repr(p))
+        for grid_n, rounds in ORACLE_RUNS:
+            print(f"  grid {grid_n} rounds {rounds}", repr(
+                oracle_classical_correlation(p, grid_n, rounds)))
     for label, m in validation_corpus():
         print("validate", label)
         for call in (XDensityMatrix, matrix_to_bloch, corner_phases,

@@ -125,7 +125,8 @@ class RankTwoDecomposition:
     case is "I" (support in the outer block, c3 = 1), "II" (middle block,
     c3 = -1), or "III" (one eigenvector in each block).  purification is
     the three-qubit pure state sum_k sqrt(w_k) |v_k>|k>_c as a (2, 2, 2)
-    tensor over (a, b, c); rho_bc is its (b, c) marginal.
+    tensor over (a, b, c); rho_bc is its (b, c) marginal.  The three
+    arrays are read-only.
     """
 
     case: str
@@ -133,6 +134,10 @@ class RankTwoDecomposition:
     vectors: np.ndarray
     purification: np.ndarray
     rho_bc: np.ndarray
+
+    def __post_init__(self):
+        for arr in (self.vectors, self.purification, self.rho_bc):
+            arr.setflags(write=False)
 
 
 def _block(m: np.ndarray, i: int, j: int):

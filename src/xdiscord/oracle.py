@@ -7,8 +7,12 @@ spectra, and minimize the measured conditional entropy directly.  The
 conditional entropy depends on the direction (z1, z2, z3) only through
 z3 and theta = (c1 z1)^2 + (c2 z2)^2 + (c3 z3)^2, and is even in each
 component, so the quarter disk z3 in [0, 1], phi in [0, pi/2] covers
-everything.  The sweep, oracle_classical_correlation, is the module's
-only entry point; the per-direction kernels are private.
+everything.  When c1^2 = c2^2 in floats the state is symmetric about z:
+theta does not depend on phi, every phi column of a grid holds the same
+values, and the sweep evaluates the phi = 0 column alone, where the
+row-major tie rule lands on the full grid.  The sweep,
+oracle_classical_correlation, is the module's only entry point; the
+per-direction kernels are private.
 
 Nothing here is shared with engine.py: the search is a grid sweep
 refined by zooming grids, and the entropy is summed over the conditional
@@ -103,11 +107,16 @@ def _weighted_bits(pk, lam, q, qlog):
     return h
 
 
+def _phi_weight(p: BlochX) -> float:
+    # coefficient of sin^2 phi in _polar_theta; at exactly 0.0 theta is
+    # (1 - z3^2) c1^2 + (c3 z3)^2 bit for bit at every phi
+    return p.c2 * p.c2 - p.c1 * p.c1
+
+
 def _polar_theta(p: BlochX, z3, phi):
-    # theta at (z3, phi); the c1^2 + (c2^2 - c1^2) sin^2 form is exactly
-    # flat in phi when |c1| = |c2|, so ties there resolve to phi = 0
-    c1sq = p.c1 * p.c1
-    theta = (1.0 - z3 * z3) * (c1sq + (p.c2 * p.c2 - c1sq) * np.sin(phi) ** 2)
+    # theta at (z3, phi) in the c1^2 + (c2^2 - c1^2) sin^2 form, so a
+    # zero _phi_weight makes every phi column of a grid tie with phi = 0
+    theta = (1.0 - z3 * z3) * (p.c1 * p.c1 + _phi_weight(p) * np.sin(phi) ** 2)
     theta += (p.c3 * z3) ** 2
     return theta
 
@@ -153,13 +162,16 @@ def oracle_classical_correlation(p: BlochX, grid_n: int = 256,
     sweeps a small grid spanning one current step on either side of the
     best point and divides the step by 8.  Refinement ends once the z3
     step falls below ZOOM_MIN_STEP, or earlier when the best point sits on
-    a corner of the domain and a round gains less than CORNER_GAIN.
+    a corner of the domain and a round gains less than CORNER_GAIN.  On a
+    state with c1^2 = c2^2 every grid shrinks to its phi = 0 column, where
+    the full grid's ties resolve; the result is the same bit for bit.
     """
     if grid_n < 1:
         raise ValueError(f"grid_n must be at least 1, got {grid_n}")
+    cols = 1 if _phi_weight(p) == 0.0 else None    # phi columns swept
     z3s = np.linspace(0.0, 1.0, grid_n)
     phis = np.linspace(0.0, HALF_PI, grid_n)
-    best, i, j = _sweep(p, z3s, phis)
+    best, i, j = _sweep(p, z3s, phis[:cols])
     z3, phi = float(z3s[i]), float(phis[j])
 
     dz = 1.0 / max(grid_n - 1, 1)
@@ -168,7 +180,7 @@ def oracle_classical_correlation(p: BlochX, grid_n: int = 256,
         zs = np.linspace(max(z3 - dz, 0.0), min(z3 + dz, 1.0), ZOOM_POINTS)
         fs = np.linspace(max(phi - dphi, 0.0), min(phi + dphi, HALF_PI),
                          ZOOM_POINTS)
-        cand, a, b = _sweep(p, zs, fs)
+        cand, a, b = _sweep(p, zs, fs[:cols])
         gain = best - cand
         if gain > 0.0:
             best, z3, phi = cand, float(zs[a]), float(fs[b])

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from conftest import dense_entropy, ptrace_a
-from xdiscord import (BlochX, RankError, binary_entropy, bloch_to_matrix,
-                      concurrence, corner_phases, discord, koashi_winter,
-                      matrix_to_bloch, mu_spectrum, purification_marginal_ab,
-                      rank_two_classify)
+from xdiscord import (BlochX, RankError, XDensityMatrix, binary_entropy,
+                      bloch_to_matrix, concurrence, corner_phases, discord,
+                      koashi_winter, matrix_to_bloch, mu_spectrum,
+                      purification_marginal_ab, rank_two_classify)
 from xdiscord import entanglement, states
 from xdiscord.entanglement import (eof_from_concurrence, mu_spectrum_closed,
                                    spin_flip)
@@ -95,6 +95,19 @@ def test_rank_two_case_ii():
         assert np.abs(m.matrix @ v - w * v).max() < 1e-12
     np.testing.assert_allclose(purification_marginal_ab(decomp), m.matrix,
                                atol=1e-12)
+
+
+def test_decomposition_arrays_are_read_only():
+    # local phases make a corner complex, so the decomposition describes
+    # the gauged matrix; no write through its arrays can change that
+    u = np.kron(np.diag([1.0, np.exp(0.7j)]), np.eye(2))
+    xm = XDensityMatrix(u @ bloch_to_matrix(CASE_III).matrix @ u.conj().T)
+    decomp = rank_two_classify(xm)
+    for arr in (decomp.vectors, decomp.purification, decomp.rho_bc):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0.0
+    np.testing.assert_allclose(purification_marginal_ab(decomp), xm.gauged,
+                               rtol=0.0, atol=1e-12)
 
 
 def test_rank_two_case_iii():

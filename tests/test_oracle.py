@@ -12,7 +12,9 @@ from conftest import (BOUNDARY_BLOCH, EX_MATRIX, dense_entropy,
 from xdiscord import (BlochX, FContext, XDensityMatrix, binary_entropy,
                       bloch_to_matrix, discord, f_value, matrix_to_bloch,
                       oracle_classical_correlation)
-from xdiscord.oracle import PROB_FLOOR, _entropy, _outcomes, _sweep
+from xdiscord import oracle
+from xdiscord.oracle import (HALF_PI, PROB_FLOOR, ZOOM_POINTS, _entropy,
+                             _outcomes, _phi_weight, _sweep)
 from xdiscord.sampling import random_rank_two, random_states
 
 ORACLE_SRC = (Path(__file__).resolve().parents[1]
@@ -230,3 +232,71 @@ def test_fused_kernel_matches_textbook_formula(rng, n):
         assert same_bits(_entropy(p, z3, th), ce), p
         i, j = np.unravel_index(int(np.argmin(ce)), ce.shape)
         assert _sweep(p, z3s, phis) == (float(ce[i, j]), i, j), p
+
+
+def flat_states():
+    # c1^2 = c2^2 in floats: the state is symmetric about z, and theta
+    # does not depend on phi
+    return [BlochX(0.2, -0.1, 0.3, 0.3, 0.1),
+            BlochX(0.1, 0.2, 0.4, -0.4, 0.2),
+            BlochX(0.3, 0.1, 0.0, 0.0, 0.2),
+            BlochX(0.0, 0.0, -0.6, -0.6, -0.6),          # Werner
+            matrix_to_bloch(XDensityMatrix(EX_MATRIX)),  # rho_14 = 0
+            random_rank_two(np.random.default_rng(5), "I", 1)[0].swapped()]
+
+
+# |c2| one ulp above |c1|: theta depends on phi, if barely
+ULP_APART = BlochX(0.1, 0.2, 0.3, float(np.nextafter(0.3, 1.0)), 0.2)
+
+
+def record_columns(monkeypatch):
+    # the number of phi columns of every grid the oracle sweeps
+    seen = []
+
+    def counting(p, z3s, phis):
+        seen.append(len(phis))
+        return _sweep(p, z3s, phis)
+
+    monkeypatch.setattr(oracle, "_sweep", counting)
+    return seen
+
+
+@pytest.mark.parametrize("grid_n", [1, 2, 17, 256])
+def test_flat_states_tie_across_phi(grid_n):
+    # the premise of the one-column sweep: on the full grid every row
+    # ties, so the row-major argmin is the phi = 0 column's
+    z3s = np.linspace(0.0, 1.0, grid_n)
+    phis = np.linspace(0.0, HALF_PI, grid_n)
+    for p in flat_states():
+        assert _phi_weight(p) == 0.0, p
+        assert _sweep(p, z3s, phis) == _sweep(p, z3s, phis[:1]), p
+
+
+@pytest.mark.parametrize("grid_n", [1, 2, 17, 256])
+def test_oracle_sweeps_phi_only_when_theta_depends_on_it(monkeypatch,
+                                                         grid_n):
+    assert _phi_weight(ULP_APART) != 0.0
+    non_flat = [BlochX(0.31, -0.22, 0.47, -0.18, 0.29), ULP_APART]
+    for p, flat in ([(q, True) for q in flat_states()]
+                    + [(q, False) for q in non_flat]):
+        seen = record_columns(monkeypatch)
+        orc = oracle_classical_correlation(p, grid_n=grid_n,
+                                           refine_rounds=4)
+        assert seen[0] == (1 if flat else grid_n), p
+        assert seen[1:] and set(seen[1:]) == {
+            1 if flat else ZOOM_POINTS}, p
+        if flat:
+            assert orc.phi == 0.0 and orc.grid_index[1] == 0
+
+
+def test_one_point_grid_still_refines_phi(monkeypatch):
+    # grid_n = 1 sweeps the single point phi = 0, but a state whose best
+    # axis lies at phi = pi/2 (|c2| > |c1|) must find it in the zoom
+    p = BlochX(0.1, -0.2, 0.1, 0.5, 0.2)
+    seen = record_columns(monkeypatch)
+    orc = oracle_classical_correlation(p, grid_n=1)
+    assert seen[0] == 1
+    assert seen[1:] and set(seen[1:]) == {ZOOM_POINTS}
+    assert orc.phi == HALF_PI
+    assert orc.classical_correlation == pytest.approx(
+        discord(p).classical_correlation, abs=1e-9)
