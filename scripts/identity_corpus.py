@@ -9,9 +9,13 @@ outputs byte for byte:
 
 The corpus draws, with fixed seeds, uniform states, states of endpoint
 regions a to d, Bell-diagonal states and rank-2 states of cases I to III,
-each also with its qubits swapped, plus the worked example.  Every state
-gets one line for each of discord() with method "auto", "numeric" and
-verify=True, and one for global_max().
+the boundary states BOUNDARY_BLOCH and the region-edge states
+REGION_EDGE_BLOCH of tests/conftest.py (the latter at -2, -0.5, 0.5 and
+2 times CLASSIFY_TOL from each inequality of hypotheses a to d), each
+also with its qubits swapped, plus the worked example.  Every state gets
+one line each for region_conditions() and entropies(), and one for each
+of discord() with method "auto", "numeric" and verify=True, and one for
+global_max().
 
 The rank-2 bridge gets three more sections, all on real matrices: each
 rank-2 state and its swap prints its koashi_winter() report and its
@@ -40,16 +44,21 @@ grid_n 1 and 256 with it.  Needs only numpy.
 
 from __future__ import annotations
 
+import os
+import sys
 import warnings
 
 import numpy as np
 
 from xdiscord import (BlochX, PhysicalityError, XDensityMatrix,
-                      bloch_to_matrix, corner_phases, discord, global_max,
-                      koashi_winter, matrix_to_bloch,
+                      bloch_to_matrix, corner_phases, discord, entropies,
+                      global_max, koashi_winter, matrix_to_bloch,
                       oracle_classical_correlation, random_bell_diagonal,
                       random_case, random_rank_two, random_states,
-                      rank_two_classify)
+                      rank_two_classify, region_conditions)
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
+from conftest import BOUNDARY_BLOCH, REGION_EDGE_BLOCH  # noqa: E402
 
 WORKED_EXAMPLE = np.array([
     [0.0783, 0.0,   0.0,   0.0],
@@ -69,6 +78,8 @@ def corpus() -> list[tuple[str, object]]:
     for case in ("I", "II", "III"):
         drawn += [(f"rank2-{case}", p)
                   for p in random_rank_two(rng, case, 40)]
+    drawn += [("boundary", BlochX(*t)) for t in BOUNDARY_BLOCH]
+    drawn += [("edge", BlochX(*t)) for t in REGION_EDGE_BLOCH]
     states = [("worked", matrix_to_bloch(XDensityMatrix(WORKED_EXAMPLE)))]
     for label, p in drawn:
         states += [(label, p), (label + "-swap", p.swapped())]
@@ -173,6 +184,8 @@ def main() -> None:
     states = corpus()
     for i, (label, p) in enumerate(states):
         print(i, label, repr(p))
+        print("  regions", repr(region_conditions(p)))
+        print("  entropies", repr(entropies(p)))
         print("  auto", repr(discord(p)))
         print("  numeric", repr(discord(p, method="numeric")))
         print("  verify", repr(discord(p, verify=True)))

@@ -37,6 +37,36 @@ BOUNDARY_BLOCH = [
 ]
 
 
+def _region_edges(d: float) -> list[tuple[float, ...]]:
+    # one state per inequality of the region hypotheses a-d, whose left
+    # side minus its right side is d (up to rounding), the others held
+    c_ab, c_q, c_d = (math.sqrt(x - d) for x in (0.096, 0.16, 0.09))
+    r_d = math.sqrt(2.0 / 3.0 - 0.09 + d)
+    return [
+        (0.3, d, 0.2, 0.1, -0.5),            # a: s >= 0
+        (0.3, d, 0.2, 0.1, 0.5),             # a: s = 0; b: s <= 0
+        (2.0 * d, 0.2, 0.2, 0.1, 0.5),       # a: r c3 <= 0
+        (2.0 * d, -0.2, 0.2, 0.1, 0.5),      # b: r c3 >= 0
+        (0.2, 0.1, c_ab, 0.0, -0.3),         # a: q >= s r c3
+        (0.2, -0.1, c_ab, 0.0, 0.3),         # b: q >= s r c3
+        (0.3, 0.0, c_q, 0.0, 0.4),           # a: q >= 0 at s = 0
+        (0.0, 0.2, c_q, 0.0, 0.4),           # c: q >= 0
+        (d, 0.0, 0.5, 0.1, -0.2),            # c: r = 0
+        (0.0, d, 0.5, 0.1, -0.2),            # c: s = 0
+        (0.4, -0.12 + d, 0.3, 0.3, -0.3),    # d: s = r c3
+        (0.4, d, 2.5 * d, 2.5 * d, 2.5 * d),  # d: s <= 0
+        (0.4, -0.12, c_d, c_d, -0.3),        # d: q = 0
+        (r_d, -0.3 * r_d, 0.3, 0.3, -0.3),   # d: c^2 + r^2 <= 2/3
+    ]
+
+
+# (r, s, c1, c2, c3) at -2, -0.5, 0.5 and 2 times CLASSIFY_TOL (1e-12)
+# from each inequality of the region hypotheses: the inner two sit inside
+# the classifier's equality band, the outer two outside it
+REGION_EDGE_BLOCH = [t for k in (-2.0, -0.5, 0.5, 2.0)
+                     for t in _region_edges(k * 1e-12)]
+
+
 def dense_entropy(matrix) -> float:
     """Von Neumann entropy in bits via the dense eigensolver."""
     w = np.linalg.eigvalsh(np.asarray(matrix, dtype=complex))
