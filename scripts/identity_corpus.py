@@ -39,7 +39,8 @@ without: the rank-2 states of cases I to III and their swaps, the worked
 example, the first uniform states and their swaps, one-corner states
 (a uniform state's matrix with rho_14 or rho_23 set to 0) and Werner
 states.  Each runs at grid_n 1, 17 and 64 without refinement, and at
-grid_n 1 and 256 with it.  Needs only numpy.
+grid_n 1 and 256 with it.  Needs numpy, and pytest for the states it
+reads from tests/conftest.py.
 """
 
 from __future__ import annotations

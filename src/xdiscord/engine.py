@@ -52,7 +52,8 @@ class Region(Enum):
     GENERAL = "general"   # no closed form; numeric search
 
 
-_REGIONS = {region.value: region for region in Region}
+# members as globals, values read as _value_: Enum's own lookups are slow
+_A, _B, _C, _D, _GENERAL = Region
 
 
 # Records are frozen dataclasses whose __init__ fills the instance __dict__
@@ -79,13 +80,14 @@ class FContext:
 # _ARRAY uses numpy for grids.  Each keeps its own libm; a test pins the
 # two against each other.  The float backend evaluates both arms of every
 # where(), so every denominator and log argument below is guarded even in
-# the arm that is not selected.
+# the arm that is not selected.  Some guards are arithmetic on a comparison
+# instead, which counts as 1 or 0 on both backends.
 
 _FLOAT = SimpleNamespace(
     sqrt=math.sqrt,
     log=lambda x: math.log(x if x > TINY else TINY),
-    # what max() and min() return, at a lower call cost than the builtins
-    maximum=lambda a, b: b if b > a else a,
+    log2=math.log2,
+    # what min() returns, at a lower call cost than the builtin
     minimum=lambda a, b: b if b < a else a,
     where=lambda cond, a, b: a if cond else b,
     xlog2=xlog2_float,
@@ -93,7 +95,7 @@ _FLOAT = SimpleNamespace(
 _ARRAY = SimpleNamespace(
     sqrt=np.sqrt,
     log=lambda x: np.log(np.maximum(x, TINY)),
-    maximum=np.maximum,
+    log2=np.log2,
     minimum=np.minimum,
     where=np.where,
     xlog2=xlog2,
@@ -109,22 +111,21 @@ def _on_backend(z):
 
 def _radicals(ctx: FContext, z, xp):
     # weights w+- = 1 +- s z and radicals H+- = sqrt(c^2 (1 - z^2)
-    # + (r +- c3 z)^2)
+    # + (r +- c3 z)^2), each radicand a sum of two floats >= 0 on [-1, 1]
     p = ctx.p
     rad = ctx.c * ctx.c * (1.0 - z * z)
-    hp = xp.sqrt(xp.maximum(rad + (p.r + p.c3 * z) ** 2, 0.0))
-    hm = xp.sqrt(xp.maximum(rad + (p.r - p.c3 * z) ** 2, 0.0))
+    hp = xp.sqrt(rad + (p.r + p.c3 * z) ** 2)
+    hm = xp.sqrt(rad + (p.r - p.c3 * z) ** 2)
     return 1.0 + p.s * z, 1.0 - p.s * z, hp, hm
 
 
 def _pair(w, h, xp):
     # (w/4) [(1+A)log2(1+A) + (1-A)log2(1-A)], A = min(h/w, 1) with h >= 0;
-    # exact for the two log terms sharing weight w, finite at A -> 1
-    big = w > PAIR_FLOOR
-    w = xp.where(big, w, 1.0)
-    a = xp.minimum(h / w, 1.0)
-    return xp.where(big, 0.25 * w * (xp.xlog2(1.0 + a) + xp.xlog2(1.0 - a)),
-                    0.0)
+    # exact for the two log terms sharing weight w, finite at A -> 1 (only
+    # 1 - A needs 0 log 0 = 0); w <= PAIR_FLOOR gives 0, dividing by 1 + w
+    a = xp.minimum(h / (w + (w <= PAIR_FLOOR)), 1.0)
+    return ((w > PAIR_FLOOR) * 0.25 * w
+            * ((1.0 + a) * xp.log2(1.0 + a) + xp.xlog2(1.0 - a)))
 
 
 def _f(rads, xp):
@@ -155,13 +156,15 @@ def f_value(ctx: FContext, z):
 # at TINY no longer cancel, so that point takes the limit 0 directly.
 
 def _branch(w, h, n, se, xp):
+    # 1 + h stands in for a radical at or below H_FLOOR, where the series
+    # is used, and 1 + w for a weight at or below TINY, where _fp gives 0
     lp = xp.log(w + h)
     lm = xp.log(w - h)
-    big = h > H_FLOOR
-    u = n / xp.where(big, h, 1.0)
+    small = h <= H_FLOOR
+    u = n / (h + small)
     full = (se + u) * lp + (se - u) * lm
-    series = se * (lp + lm) + 2.0 * n / xp.maximum(w, TINY)
-    return xp.where(big, full, series)
+    series = se * (lp + lm) + 2.0 * n / (w + (w <= TINY))
+    return xp.where(small, series, full)
 
 
 def _fp(ctx: FContext, z, rads, xp):
@@ -185,15 +188,14 @@ def _fpp(ctx: FContext, z, rads, xp):
     p = ctx.p
     r, s, c3, c = p.r, p.s, p.c3, ctx.c
     wp, wm, hp, hm = rads
+    # near-singular denominators: signal with nan, callers fall back; the
+    # stand-ins w = 1, H = 1/2 keep the unselected arm finite
+    bad = ((hp <= H_FLOOR) | (hm <= H_FLOOR) | (wp <= TINY) | (wm <= TINY)
+           | (wp * wp - hp * hp <= TINY) | (wm * wm - hm * hm <= TINY))
+    wp, wm = xp.where(bad, 1.0, wp), xp.where(bad, 1.0, wm)
+    hp, hm = xp.where(bad, 0.5, hp), xp.where(bad, 0.5, hm)
     dp = wp * wp - hp * hp
     dm = wm * wm - hm * hm
-    # near-singular denominators: signal with nan, callers fall back; the
-    # stand-in values keep the unselected arm finite
-    bad = ((hp <= H_FLOOR) | (hm <= H_FLOOR) | (dp <= TINY) | (dm <= TINY)
-           | (wp <= TINY) | (wm <= TINY))
-    hp, hm = xp.where(bad, 0.5, hp), xp.where(bad, 0.5, hm)
-    dp, dm = xp.where(bad, 1.0, dp), xp.where(bad, 1.0, dm)
-    wp, wm = xp.where(bad, 1.0, wp), xp.where(bad, 1.0, wm)
     q = c3 * c3 - c * c
     gp = (r * c3 + q * z) / hp
     gm = (-r * c3 + q * z) / hm
@@ -217,56 +219,66 @@ def f_second_derivative(ctx: FContext, z):
 # its value is F there; the 50-digit reference in the tests checks F(0)
 # and F(1) against the defining sum.
 
+def _first_region(p: BlochX, c: float, start: int = 0) -> Region:
+    # the first of hypotheses a-d, from the start-th on, that the state
+    # satisfies (c = max(|c1|, |c2|)), or GENERAL; each is written once
+    tol = CLASSIFY_TOL
+    r, s, c3 = p.r, p.s, p.c3
+    q = c3 * c3 - c * c
+    rc3 = r * c3
+    src3 = s * rc3
+    if start <= 0 and ((s >= -tol and rc3 <= tol and q >= src3 - tol)
+                       or (abs(s) <= tol and q >= -tol)):
+        return _A
+    if start <= 1 and s <= tol and rc3 >= -tol and q >= src3 - tol:
+        return _B
+    if start <= 2 and abs(r) <= tol and (q >= -tol or abs(s) <= tol):
+        return _C
+    if (start <= 3 and abs(s - rc3) <= tol and s <= tol and abs(q) <= tol
+            and c * c + r * r <= 2.0 / 3.0 + tol):
+        return _D
+    return _GENERAL
+
+
 def region_conditions(p: BlochX) -> dict[str, bool]:
     """Which of the four endpoint-region hypotheses the state satisfies.
 
     The regions overlap; classify_region resolves overlaps by the fixed
     precedence a, b, c, d (consistent, since the endpoint values agree on
-    every overlap).
+    every overlap).  Both read the same predicates.
     """
-    tol = CLASSIFY_TOL
-    r, s, c3 = p.r, p.s, p.c3
     c = max(abs(p.c1), abs(p.c2))
-    q = c3 * c3 - c * c
-    rc3 = r * c3
-    src3 = s * rc3
-    return {
-        "a": (s >= -tol and rc3 <= tol and q >= src3 - tol)
-             or (abs(s) <= tol and q >= -tol),
-        "b": s <= tol and rc3 >= -tol and q >= src3 - tol,
-        "c": abs(r) <= tol and (q >= -tol or abs(s) <= tol),
-        "d": (abs(s - rc3) <= tol and s <= tol and abs(q) <= tol
-              and c * c + r * r <= 2.0 / 3.0 + tol),
-    }
+    return {region.value: _first_region(p, c, i) is region
+            for i, region in enumerate((_A, _B, _C, _D))}
 
 
 def classify_region(p: BlochX) -> Region:
     """Assign the state to the first matching region, a through d.
 
     Comparisons use a small equality band; states matching no hypothesis
-    get Region.GENERAL and take the numeric search.
+    get Region.GENERAL and take the numeric search.  Stops at the first.
     """
-    conds = region_conditions(p)
-    for tag in "abcd":
-        if conds[tag]:
-            return _REGIONS[tag]    # Region(tag), without Enum.__call__
-    return Region.GENERAL
+    return _first_region(p, max(abs(p.c1), abs(p.c2)))
+
+
+def _analytic_max(ctx: FContext, tag: Region) -> tuple[float, float]:
+    if tag is _A or tag is _B:
+        z_star = 1.0
+    elif tag is _C:
+        z_star = float(ctx.p.c3 * ctx.p.c3 >= ctx.c * ctx.c - CLASSIFY_TOL)
+    elif tag is _D:
+        z_star = 0.0
+    else:
+        raise ValueError("state is outside the closed-form regions")
+    return z_star, _f(_radicals(ctx, z_star, _FLOAT), _FLOAT)
 
 
 def analytic_max(p: BlochX,
                  region: Region | None = None) -> tuple[float, float]:
     """(z*, max F) from the closed forms; requires a non-general region."""
-    tag = classify_region(p) if region is None else region
     ctx = FContext.from_state(p)
-    if tag in (Region.CASE_A, Region.CASE_B):
-        z_star = 1.0
-    elif tag is Region.CASE_C:
-        z_star = 1.0 if p.c3 * p.c3 >= ctx.c * ctx.c - CLASSIFY_TOL else 0.0
-    elif tag is Region.CASE_D:
-        z_star = 0.0
-    else:
-        raise ValueError("state is outside the closed-form regions")
-    return z_star, _f(_radicals(ctx, z_star, _FLOAT), _FLOAT)
+    return _analytic_max(
+        ctx, _first_region(p, ctx.c) if region is None else region)
 
 
 # ---------------------------------------------------------------------------
@@ -546,23 +558,23 @@ def discord(p: BlochX, method: str = "auto",
     """
     if method not in ("auto", "analytic", "numeric"):
         raise ValueError(f"unknown method {method!r}")
-    tag = classify_region(p)
+    ctx = FContext.from_state(p)
+    tag = _first_region(p, ctx.c)
     search = None
     verify_gap = None
-    if method == "numeric" or (method == "auto" and tag is Region.GENERAL):
-        ctx = FContext.from_state(p)
+    if method == "numeric" or (method == "auto" and tag is _GENERAL):
         search = _routed_max(ctx)
         z_star, f_max = search.z_star, search.f_max
         how = "numeric"
-        if verify and tag is not Region.GENERAL:
-            verify_gap = abs(analytic_max(p, tag)[1] - f_max)
+        if verify and tag is not _GENERAL:
+            verify_gap = abs(_analytic_max(ctx, tag)[1] - f_max)
         elif verify:
             verify_gap = abs(_global_max(ctx).f_max - f_max)
     else:
-        z_star, f_max = analytic_max(p, tag)
+        z_star, f_max = _analytic_max(ctx, tag)
         how = "analytic"
         if verify:
-            search = global_max(p)
+            search = _global_max(ctx)
             verify_gap = abs(search.f_max - f_max)
 
     if f_max < TIE_TOL:
@@ -572,5 +584,5 @@ def discord(p: BlochX, method: str = "auto",
     q = 1.0 + sb - sab - f_max
     cc = f_max - 1.0 + sa
     mi = sa + sb - sab
-    return DiscordResult(q, cc, mi, float(z_star), float(f_max), tag.value,
+    return DiscordResult(q, cc, mi, float(z_star), float(f_max), tag._value_,
                          how, search, verify_gap)

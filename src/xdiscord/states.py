@@ -117,7 +117,10 @@ class BlochX:
 
     def swapped(self) -> "BlochX":
         """The same state with the roles of the two qubits exchanged."""
-        return BlochX(self.s, self.r, self.c1, self.c2, self.c3)
+        # not validated again: (r - s)^2 and r + s are symmetric in floats
+        q = object.__new__(BlochX)
+        q.__dict__.update(vars(self), r=self.s, s=self.r)
+        return q
 
     @property
     def margins(self) -> tuple[float, float]:
@@ -219,14 +222,17 @@ def corner_phases(m) -> tuple[float, float]:
     return _as_x(m).phases
 
 
-def _eigenvalues(p: BlochX) -> list[float]:
-    # (t +/- R)/4 per block, snapped to 0 or 1 within EIG_CLAMP; unsorted
-    lam = []
-    for t, big in blocks(*p.as_tuple()):
-        for x in ((t + big) / 4.0, (t - big) / 4.0):
-            lam.append(0.0 if abs(x) < EIG_CLAMP
-                       else 1.0 if abs(x - 1.0) < EIG_CLAMP else x)
-    return lam
+def _snap(x: float) -> float:
+    return (0.0 if abs(x) < EIG_CLAMP
+            else 1.0 if abs(x - 1.0) < EIG_CLAMP else x)
+
+
+def _eigenvalues(p: BlochX) -> tuple[float, float, float, float]:
+    # (t + R)/4 and (t - R)/4 of the inner block, then of the outer one,
+    # each snapped to 0 or 1 within EIG_CLAMP; unsorted
+    (t1, r1), (t2, r2) = blocks(p.r, p.s, p.c1, p.c2, p.c3)
+    return (_snap((t1 + r1) / 4.0), _snap((t1 - r1) / 4.0),
+            _snap((t2 + r2) / 4.0), _snap((t2 - r2) / 4.0))
 
 
 def spectrum(p: BlochX) -> np.ndarray:
@@ -239,9 +245,11 @@ def entropies(p: BlochX) -> tuple[float, float, float]:
 
     The marginals are diag((1 + x)/2, (1 - x)/2) with x = r for qubit a and
     x = s for qubit b; S(ab) sums over the clamped eigenvalues of
-    spectrum(p), in any order.  Plain floats throughout, no numpy.
+    spectrum(p), inner block first.  Plain floats throughout, no numpy.
     """
     a, b = (1.0 + p.r) / 2.0, (1.0 + p.s) / 2.0
+    l1, l2, l3, l4 = _eigenvalues(p)
     return (-(xlog2_float(a) + xlog2_float(1.0 - a)) + 0.0,
             -(xlog2_float(b) + xlog2_float(1.0 - b)) + 0.0,
-            -sum(map(xlog2_float, _eigenvalues(p))) + 0.0)
+            -(xlog2_float(l1) + xlog2_float(l2) + xlog2_float(l3)
+              + xlog2_float(l4)) + 0.0)

@@ -3,12 +3,17 @@
 Everything here recomputes quantities from dense 4x4 matrices with
 numpy's general-purpose eigensolver, deliberately bypassing the closed
 forms in the package, so each test compares two independent derivations.
+The state lists and the families fixture only supply inputs.
 """
 
 import math
 
 import numpy as np
 import pytest
+
+from xdiscord import BlochX
+from xdiscord.sampling import (random_bell_diagonal, random_case,
+                               random_rank_two, random_states)
 
 SIGMA = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -126,3 +131,16 @@ def ex_matrix() -> np.ndarray:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260815)
+
+
+@pytest.fixture
+def families(rng) -> list[BlochX]:
+    """Seeded uniform, region a-d, Bell-diagonal and rank-2 I-III states,
+    each followed by its swap, then the boundary states."""
+    drawn = random_states(rng, 300) + random_bell_diagonal(rng, 40)
+    for case in "abcd":
+        drawn += random_case(rng, case, 40)
+    for case in ("I", "II", "III"):
+        drawn += random_rank_two(rng, case, 40)
+    return ([q for p in drawn for q in (p, p.swapped())]
+            + [BlochX(*t) for t in BOUNDARY_BLOCH])

@@ -8,7 +8,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import BOUNDARY_BLOCH, EX_MATRIX, closed_form_bell_diagonal
+from conftest import (BOUNDARY_BLOCH, EX_MATRIX, REGION_EDGE_BLOCH,
+                      closed_form_bell_diagonal)
 from xdiscord import (BlochX, FContext, PhysicalityError, Region,
                       XDensityMatrix, analytic_max, classify_region, discord,
                       f_derivative, f_second_derivative, f_value, global_max,
@@ -202,9 +203,13 @@ def test_classify_region_examples():
 
 def test_classify_region_is_first_matching_condition(rng):
     # the member classify_region returns is Region(tag) for the first
-    # hypothesis region_conditions finds true, so its tag map cannot drift
+    # hypothesis region_conditions finds true, so its short-circuit order
+    # cannot drift; the region-edge states probe every inequality inside
+    # and outside the CLASSIFY_TOL band
+    edges = [BlochX(*t) for t in REGION_EDGE_BLOCH]
     states = (random_states(rng, 300) + random_bell_diagonal(rng, 50)
-              + [BlochX(*t) for t in BOUNDARY_BLOCH])
+              + [BlochX(*t) for t in BOUNDARY_BLOCH]
+              + edges + [p.swapped() for p in edges])
     for case in "abcd":
         states += random_case(rng, case, 50)
     seen = set()

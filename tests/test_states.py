@@ -8,8 +8,8 @@ import pickle
 import numpy as np
 import pytest
 
-from conftest import (BOUNDARY_BLOCH, EX_MATRIX, dense_entropy, ptrace_a,
-                      ptrace_b)
+from conftest import (BOUNDARY_BLOCH, EX_MATRIX, REGION_EDGE_BLOCH,
+                      dense_entropy, ptrace_a, ptrace_b)
 from xdiscord import (BlochX, PhysicalityError, XDensityMatrix, XPatternError,
                       binary_entropy, bloch_to_matrix, corner_phases,
                       entropies, koashi_winter, matrix_to_bloch,
@@ -363,6 +363,17 @@ def test_swapped_exchanges_parties():
     swap[0, 0] = swap[3, 3] = swap[1, 2] = swap[2, 1] = 1.0
     np.testing.assert_allclose(bloch_to_matrix(q).matrix,
                                swap @ m @ swap, atol=1e-15)
+
+
+def test_swapped_is_the_validated_state(families):
+    # swapped() skips validation: r <-> s must leave both margins the same
+    # floats, and the result equal to the state built through the checks
+    for p in families + [BlochX(*t) for t in REGION_EDGE_BLOCH]:
+        q = p.swapped()
+        built = BlochX(p.s, p.r, p.c1, p.c2, p.c3)
+        assert q == built and vars(q) == vars(built), p.as_tuple()
+        assert q.margins == p.margins, p.as_tuple()
+        assert q.swapped() == p
 
 
 def test_matrix_is_read_only():
