@@ -61,7 +61,7 @@ _A, _B, _C, _D, _GENERAL = Region
 # object.__setattr__, which costs more than a closed-form call's arithmetic.
 @dataclass(frozen=True, init=False)
 class FContext:
-    """Scalars shared by every F(z) evaluation for one state."""
+    """A state and its c, taken only by the public F functions."""
 
     p: BlochX
     c: float        # max(|c1|, |c2|)
@@ -71,7 +71,11 @@ class FContext:
 
     @classmethod
     def from_state(cls, p: BlochX) -> "FContext":
-        return cls(p, max(abs(p.c1), abs(p.c2)))
+        return cls(p, _cmax(p))
+
+
+def _cmax(p: BlochX) -> float:
+    return max(abs(p.c1), abs(p.c2))        # c, read by F with r, s, c3
 
 
 # ---------------------------------------------------------------------------
@@ -102,18 +106,17 @@ _ARRAY = SimpleNamespace(
 )
 
 
-def _on_backend(z):
-    """z as a float on the math backend, or as an array on numpy's."""
+def _unpack(ctx: FContext, z):
+    # p, c, and z as a float on the math backend or an array on numpy's
     if np.ndim(z) == 0:
-        return float(z), _FLOAT
-    return np.asarray(z, dtype=float), _ARRAY
+        return ctx.p, ctx.c, float(z), _FLOAT
+    return ctx.p, ctx.c, np.asarray(z, dtype=float), _ARRAY
 
 
-def _radicals(ctx: FContext, z, xp):
+def _radicals(p: BlochX, c: float, z, xp):
     # weights w+- = 1 +- s z and radicals H+- = sqrt(c^2 (1 - z^2)
     # + (r +- c3 z)^2), each radicand a sum of two floats >= 0 on [-1, 1]
-    p = ctx.p
-    rad = ctx.c * ctx.c * (1.0 - z * z)
+    rad = c * c * (1.0 - z * z)
     hp = xp.sqrt(rad + (p.r + p.c3 * z) ** 2)
     hm = xp.sqrt(rad + (p.r - p.c3 * z) ** 2)
     return 1.0 + p.s * z, 1.0 - p.s * z, hp, hm
@@ -135,8 +138,8 @@ def _f(rads, xp):
 
 def f_value(ctx: FContext, z):
     """F(z) for scalar or array z in [0, 1]."""
-    z, xp = _on_backend(z)
-    return _f(_radicals(ctx, z, xp), xp)
+    p, c, z, xp = _unpack(ctx, z)
+    return _f(_radicals(p, c, z, xp), xp)
 
 
 # F' is evaluated with the coefficients regrouped per logarithm:
@@ -167,9 +170,8 @@ def _branch(w, h, n, se, xp):
     return xp.where(small, series, full)
 
 
-def _fp(ctx: FContext, z, rads, xp):
-    p = ctx.p
-    r, s, c3, c = p.r, p.s, p.c3, ctx.c
+def _fp(p: BlochX, c: float, z, rads, xp):
+    r, s, c3 = p.r, p.s, p.c3
     q = c3 * c3 - c * c
     wp, wm, hp, hm = rads
     tot = _branch(wp, hp, r * c3 + q * z, s, xp)
@@ -180,13 +182,12 @@ def _fp(ctx: FContext, z, rads, xp):
 
 def f_derivative(ctx: FContext, z):
     """F'(z) for scalar or array z.  F'(0) is exactly 0 (F is even)."""
-    z, xp = _on_backend(z)
-    return _fp(ctx, z, _radicals(ctx, z, xp), xp)
+    p, c, z, xp = _unpack(ctx, z)
+    return _fp(p, c, z, _radicals(p, c, z, xp), xp)
 
 
-def _fpp(ctx: FContext, z, rads, xp):
-    p = ctx.p
-    r, s, c3, c = p.r, p.s, p.c3, ctx.c
+def _fpp(p: BlochX, c: float, z, rads, xp):
+    r, s, c3 = p.r, p.s, p.c3
     wp, wm, hp, hm = rads
     # near-singular denominators: signal with nan, callers fall back; the
     # stand-ins w = 1, H = 1/2 keep the unselected arm finite
@@ -210,8 +211,8 @@ def _fpp(ctx: FContext, z, rads, xp):
 
 def f_second_derivative(ctx: FContext, z):
     """F''(z); returns nan where a denominator degenerates."""
-    z, xp = _on_backend(z)
-    return _fpp(ctx, z, _radicals(ctx, z, xp), xp)
+    p, c, z, xp = _unpack(ctx, z)
+    return _fpp(p, c, z, _radicals(p, c, z, xp), xp)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +248,7 @@ def region_conditions(p: BlochX) -> dict[str, bool]:
     precedence a, b, c, d (consistent, since the endpoint values agree on
     every overlap).  Both read the same predicates.
     """
-    c = max(abs(p.c1), abs(p.c2))
+    c = _cmax(p)
     return {region.value: _first_region(p, c, i) is region
             for i, region in enumerate((_A, _B, _C, _D))}
 
@@ -258,27 +259,27 @@ def classify_region(p: BlochX) -> Region:
     Comparisons use a small equality band; states matching no hypothesis
     get Region.GENERAL and take the numeric search.  Stops at the first.
     """
-    return _first_region(p, max(abs(p.c1), abs(p.c2)))
+    return _first_region(p, _cmax(p))
 
 
-def _analytic_max(ctx: FContext, tag: Region) -> tuple[float, float]:
+def _analytic_max(p: BlochX, c: float, tag: Region) -> tuple[float, float]:
     if tag is _A or tag is _B:
         z_star = 1.0
     elif tag is _C:
-        z_star = float(ctx.p.c3 * ctx.p.c3 >= ctx.c * ctx.c - CLASSIFY_TOL)
+        z_star = float(p.c3 * p.c3 >= c * c - CLASSIFY_TOL)
     elif tag is _D:
         z_star = 0.0
     else:
         raise ValueError("state is outside the closed-form regions")
-    return z_star, _f(_radicals(ctx, z_star, _FLOAT), _FLOAT)
+    return z_star, _f(_radicals(p, c, z_star, _FLOAT), _FLOAT)
 
 
 def analytic_max(p: BlochX,
                  region: Region | None = None) -> tuple[float, float]:
     """(z*, max F) from the closed forms; requires a non-general region."""
-    ctx = FContext.from_state(p)
+    c = _cmax(p)
     return _analytic_max(
-        ctx, _first_region(p, ctx.c) if region is None else region)
+        p, c, _first_region(p, c) if region is None else region)
 
 
 # ---------------------------------------------------------------------------
@@ -317,17 +318,21 @@ def newton_critical_point(ctx: FContext, z0: float,
     TINY and every denominator is guarded), so a bracketed run never
     fails for want of a derivative: every rejected step can bisect.
     """
-    z = float(z0)
-    rads = _radicals(ctx, z, _FLOAT)
-    g = _fp(ctx, z, rads, _FLOAT)
+    p, c, z = ctx.p, ctx.c, float(z0)
     if bracket is None:
-        return _newton(ctx, z, g, rads)[0]
+        return _newton(p, c, z, *_slope(p, c, z))[0]
     lo, hi = float(bracket[0]), float(bracket[1])
-    return _newton(ctx, z, g, rads, lo, hi,
-                   f_derivative(ctx, lo), f_derivative(ctx, hi))[0]
+    return _newton(p, c, z, *_slope(p, c, z), lo, hi,
+                   _slope(p, c, lo)[0], _slope(p, c, hi)[0])[0]
 
 
-def _newton(ctx: FContext, z: float, g: float, rads, lo: float = 0.0,
+def _slope(p: BlochX, c: float, z: float):
+    # F'(z) on the float backend, and the radicals it read
+    rads = _radicals(p, c, z, _FLOAT)
+    return _fp(p, c, z, rads, _FLOAT), rads
+
+
+def _newton(p: BlochX, c: float, z: float, g: float, rads, lo: float = 0.0,
             hi: float = 1.0, glo: float = 0.0, ghi: float = 0.0):
     # newton_critical_point's loop, from a seed z whose F' (g) and
     # radicals the caller already has.  glo and ghi are F' at lo and hi;
@@ -342,12 +347,10 @@ def _newton(ctx: FContext, z: float, g: float, rads, lo: float = 0.0,
         if g == 0.0:
             converged = True      # zn = z, so no step can shrink |F'|
             break
-        h2 = _fpp(ctx, z, rads, _FLOAT)
+        h2 = _fpp(p, c, z, rads, _FLOAT)
         zn = z - g / h2 if math.isfinite(h2) and h2 != 0.0 else math.nan
         ok = lo <= zn <= hi                                 # False on nan
-        if ok:
-            rn = _radicals(ctx, zn, _FLOAT)
-        gn = _fp(ctx, zn, rn, _FLOAT) if ok else math.nan
+        gn, rn = _slope(p, c, zn) if ok else (math.nan, None)
         if abs(g) < NEWTON_GRAD_TOL and not (
                 abs(gn) < abs(g) and abs(zn - z) >= NEWTON_STEP_TOL):
             converged = True
@@ -357,8 +360,7 @@ def _newton(ctx: FContext, z: float, g: float, rads, lo: float = 0.0,
                 note = "step rejected, no bracket to bisect"
                 break
             zn = 0.5 * (lo + hi)
-            rn = _radicals(ctx, zn, _FLOAT)
-            gn = _fp(ctx, zn, rn, _FLOAT)
+            gn, rn = _slope(p, c, zn)
             note = "bisection fallback used"
         its.append(zn)
         if have_bracket:
@@ -407,22 +409,24 @@ class MaxResult:
 def _pick(cands, runs, route: str) -> MaxResult:
     # the largest candidate, resolving ties towards z = 1, then z = 0;
     # cands starts with (0, F(0)) and (1, F(1)), and holds only floats.
-    # Every numeric call ends here, so it builds no generators.
-    (_, f0), (_, f1) = cands[0], cands[1]
-    inner = cands[2:]
-    f_max = max(f0, f1)
-    for _, f in inner:
-        f_max = max(f_max, f)
+    # An endpoint row brings no inner candidate: both loops are empty.
+    f0, f1 = cands[0][1], cands[1][1]
+    f_end = f1 if f1 > f0 else f0                   # max(f0, f1)
+    f_max, z_star, inner = f_end, None, cands[2:]
+    for z, f in inner:
+        if f > f_max:
+            f_max, z_star = f, z                    # the first largest
     low = f_max - TIE_TOL
-    tie = abs(f0 - f1) <= TIE_TOL and f_max - max(f0, f1) <= TIE_TOL
+    tie = abs(f0 - f1) <= TIE_TOL and f_max - f_end <= TIE_TOL
+    at1, at0 = f1 >= low, f0 >= low
+    for z, f in inner:
+        if f >= low:
+            at1 = at1 or z >= 1.0 - TIE_TOL
+            at0 = at0 or z <= TIE_TOL
     if f_max < 1e-12:
         z_star = 0.0              # flat F: state has no correlations
-    elif f1 >= low or any([z >= 1.0 - TIE_TOL for z, f in inner if f >= low]):
-        z_star = 1.0
-    elif f0 >= low or any([z <= TIE_TOL for z, f in inner if f >= low]):
-        z_star = 0.0
-    else:
-        z_star = max(cands, key=lambda t: t[1])[0]
+    elif at1 or at0:
+        z_star = float(at1)
     fallback = None
     for run in runs:
         if "bisection" in run.note:
@@ -431,19 +435,18 @@ def _pick(cands, runs, route: str) -> MaxResult:
                      route)
 
 
-def _global_max(ctx: FContext) -> MaxResult:
+def _global_max(p: BlochX, c: float) -> MaxResult:
     zs = np.linspace(0.0, 1.0, SCAN_POINTS)
     with np.errstate(all="ignore"):
-        d = _fp(ctx, zs, _radicals(ctx, zs, _ARRAY), _ARRAY)
+        d = _fp(p, c, zs, _radicals(p, c, zs, _ARRAY), _ARRAY)
         gi, gj = d[1:-1], d[2:]
         hits = (np.isfinite(gi) & np.isfinite(gj)
                 & ((gi == 0.0) | (gi * gj < 0.0)))
-    cands: list[tuple[float, float]] = [(0.0, f_value(ctx, 0.0)),
-                                        (1.0, f_value(ctx, 1.0))]
-    run0 = newton_critical_point(ctx, 1.0)
+    cands = [(z, _f(_radicals(p, c, z, _FLOAT), _FLOAT)) for z in (0.0, 1.0)]
+    run0, rz = _newton(p, c, 1.0, *_slope(p, c, 1.0))
     runs = [run0]
     if run0.converged:
-        cands.append((run0.z, f_value(ctx, run0.z)))
+        cands.append((run0.z, _f(rz, _FLOAT)))
 
     # interior grid cells where F' vanishes or changes sign; z = 0 is
     # always critical (F is even), covered above.  Newton runs where the
@@ -452,21 +455,21 @@ def _global_max(ctx: FContext) -> MaxResult:
     # level, and the grid point with the smaller |F'| is the root.
     for i in np.flatnonzero(hits) + 1:
         a, b = float(zs[i]), float(zs[i + 1])
-        ga, gb = f_derivative(ctx, a), f_derivative(ctx, b)
+        ga, gb = _slope(p, c, a)[0], _slope(p, c, b)[0]
         if ga * gb < 0.0:
-            runs.append(newton_critical_point(ctx, 0.5 * (a + b),
-                                              bracket=(a, b)))
+            zm = 0.5 * (a + b)
+            runs.append(_newton(p, c, zm, *_slope(p, c, zm), a, b, ga, gb)[0])
             a = runs[-1].z
         elif abs(gb) < abs(ga):
             a = b
-        cands.append((a, f_value(ctx, a)))
+        cands.append((a, _f(_radicals(p, c, a, _FLOAT), _FLOAT)))
     return _pick(cands, runs, "scan")
 
 
 def global_max(p: BlochX) -> MaxResult:
     """Locate max F by endpoint candidates, Newton from z = 1, and Newton
     inside every sign-change bracket of F' on SCAN_POINTS grid points."""
-    return _global_max(FContext.from_state(p))
+    return _global_max(p, _cmax(p))
 
 
 # the route for each sign pair (F''(0) > 0, F'(1) > 0), and the zero-step
@@ -479,7 +482,7 @@ _NOT_RUN = {
     for route in ("signs -,-", "signs +,+", "signs -,+")}
 
 
-def _routed_max(ctx: FContext) -> MaxResult:
+def _routed_max(p: BlochX, c: float) -> MaxResult:
     # F'(0) = 0, and F' has at most one zero on (0, 1) (conjectured; see
     # the README), so the signs of F''(0) and F'(1) say where it lies:
     # (-,-) and (+,+) have none, (-,+) an interior minimum, (+,-) an
@@ -487,12 +490,10 @@ def _routed_max(ctx: FContext) -> MaxResult:
     # above 0: halve lo from 0.5 until F'(lo) > 0, then run Newton from
     # z = 1 inside the sign-change bracket (lo, 1].  Untrusted signs, and
     # a (+,-) state with no F'(lo) > 0 for lo above 1e-12, take the scan.
-    r0 = _radicals(ctx, 0.0, _FLOAT)
-    r1 = _radicals(ctx, 1.0, _FLOAT)
-    a = _fpp(ctx, 0.0, r0, _FLOAT)
-    b = _fp(ctx, 1.0, r1, _FLOAT)
+    r0, r1 = _radicals(p, c, 0.0, _FLOAT), _radicals(p, c, 1.0, _FLOAT)
+    a, b = _fpp(p, c, 0.0, r0, _FLOAT), _fp(p, c, 1.0, r1, _FLOAT)
     if not (abs(a) > SIGN_BAND and abs(b) > SIGN_BAND):    # nan too
-        return _global_max(ctx)
+        return _global_max(p, c)
     route = _ROUTES[a > 0.0, b > 0.0]
     cands = [(0.0, _f(r0, _FLOAT)), (1.0, _f(r1, _FLOAT))]
     if a > 0.0 > b:
@@ -500,9 +501,9 @@ def _routed_max(ctx: FContext) -> MaxResult:
         while not glo > 0.0:
             lo *= 0.5
             if lo < NEWTON_STEP_TOL:
-                return _global_max(ctx)
-            glo = _fp(ctx, lo, _radicals(ctx, lo, _FLOAT), _FLOAT)
-        run, rz = _newton(ctx, 1.0, b, r1, lo, 1.0, glo, b)
+                return _global_max(p, c)
+            glo = _fp(p, c, lo, _radicals(p, c, lo, _FLOAT), _FLOAT)
+        run, rz = _newton(p, c, 1.0, b, r1, lo, 1.0, glo, b)
         cands.append((run.z, _f(rz, _FLOAT)))
     else:
         run = _NOT_RUN[route]
@@ -558,23 +559,22 @@ def discord(p: BlochX, method: str = "auto",
     """
     if method not in ("auto", "analytic", "numeric"):
         raise ValueError(f"unknown method {method!r}")
-    ctx = FContext.from_state(p)
-    tag = _first_region(p, ctx.c)
-    search = None
-    verify_gap = None
+    c = _cmax(p)
+    tag = _first_region(p, c)
+    search = verify_gap = None
     if method == "numeric" or (method == "auto" and tag is _GENERAL):
-        search = _routed_max(ctx)
+        search = _routed_max(p, c)
         z_star, f_max = search.z_star, search.f_max
         how = "numeric"
         if verify and tag is not _GENERAL:
-            verify_gap = abs(_analytic_max(ctx, tag)[1] - f_max)
+            verify_gap = abs(_analytic_max(p, c, tag)[1] - f_max)
         elif verify:
-            verify_gap = abs(_global_max(ctx).f_max - f_max)
+            verify_gap = abs(_global_max(p, c).f_max - f_max)
     else:
-        z_star, f_max = _analytic_max(ctx, tag)
+        z_star, f_max = _analytic_max(p, c, tag)
         how = "analytic"
         if verify:
-            search = _global_max(ctx)
+            search = _global_max(p, c)
             verify_gap = abs(search.f_max - f_max)
 
     if f_max < TIE_TOL:

@@ -291,8 +291,8 @@ def test_interior_maximum_with_no_rising_f_prime_takes_the_scan(monkeypatch):
     # finds no F'(lo) > 0, so the router hands the state to the scan
     fp = engine._fp
 
-    def falling(ctx, z, rads, xp):
-        g = fp(ctx, z, rads, xp)
+    def falling(p, c, z, rads, xp):
+        g = fp(p, c, z, rads, xp)
         return -abs(g) if xp is engine._FLOAT and 0.0 < z < 1.0 else g
     monkeypatch.setattr(engine, "_fp", falling)
     assert discord(ex_state()).search.route == "scan"
@@ -518,19 +518,29 @@ def test_route_counts(rng):
         assert discord(BlochX(*t), method="numeric").search.route == "scan"
 
 
-class _NoNumpy:
-    def __getattr__(self, name):
-        raise AssertionError(f"numpy.{name} called")
+class _Forbidden:
+    # stands in for a module or class that a call must not use
+    def __init__(self, name):
+        self._name = name
+
+    def __getattr__(self, attr):
+        raise AssertionError(f"{self._name}.{attr} used")
+
+    def __call__(self, *args, **kwargs):
+        raise AssertionError(f"{self._name} built")
 
 
 def test_default_path_runs_no_scan_and_no_numpy(rng, monkeypatch):
     # an interior maximum takes one bracketed Newton run instead of the
-    # scan, and no route of a default call goes through numpy
+    # scan, and no route of a default call goes through numpy or builds
+    # an FContext
     ex = ex_state()
     pool = [ex] + random_states(rng, 300)
-    monkeypatch.setattr(engine, "_global_max", lambda c: pytest.fail("scan"))
-    monkeypatch.setattr("xdiscord.engine.np", _NoNumpy())
-    monkeypatch.setattr("xdiscord.states.np", _NoNumpy())
+    monkeypatch.setattr(engine, "_global_max",
+                        lambda p, c: pytest.fail("scan"))
+    monkeypatch.setattr("xdiscord.engine.np", _Forbidden("numpy"))
+    monkeypatch.setattr("xdiscord.states.np", _Forbidden("numpy"))
+    monkeypatch.setattr(engine, "FContext", _Forbidden("FContext"))
     routes = set()
     for p in pool:
         res = discord(p)
@@ -605,7 +615,7 @@ def _count_kernel_calls(monkeypatch):
         def call(*args, _name=name, _kernel=getattr(engine, name)):
             calls[_name] += 1
             if _name == "_radicals":
-                points.append(args[1])
+                points.append(args[2])
             return _kernel(*args)
         monkeypatch.setattr(engine, name, call)
     return calls, points
@@ -624,10 +634,12 @@ def test_routed_path_evaluates_each_kernel_value_once(monkeypatch):
     assert points == [0.0, 1.0]
 
 
-def test_verify_checks_router_against_scan(rng):
+def test_verify_checks_router_against_scan(rng, monkeypatch):
     states = random_states(rng, 300) + [
         p.swapped() for case in ("I", "II", "III")
         for p in random_rank_two(rng, case, 30)]
+    # the scan and the closed form that check a route build no FContext
+    monkeypatch.setattr(engine, "FContext", _Forbidden("FContext"))
     checked = 0
     for p in states:
         res = discord(p, verify=True)
