@@ -39,8 +39,14 @@ without: the rank-2 states of cases I to III and their swaps, the worked
 example, the first uniform states and their swaps, one-corner states
 (a uniform state's matrix with rho_14 or rho_23 set to 0) and Werner
 states.  Each runs at grid_n 1, 17 and 64 without refinement, and at
-grid_n 1 and 256 with it.  Needs numpy, and pytest for the states it
-reads from tests/conftest.py.
+grid_n 1 and 256 with it.
+
+The section printed last gives the public F API on every corpus state:
+classify_region() and analytic_max() (or the exception it raises),
+f_value(), f_derivative() and f_second_derivative() at z = 0, 0.5 and 1
+and on 9 evenly spaced points of [0, 1], and newton_critical_point()
+from z = 1.  Needs numpy, and pytest for the states it reads from
+tests/conftest.py.
 """
 
 from __future__ import annotations
@@ -51,9 +57,11 @@ import warnings
 
 import numpy as np
 
-from xdiscord import (BlochX, PhysicalityError, XDensityMatrix,
-                      bloch_to_matrix, corner_phases, discord, entropies,
-                      global_max, koashi_winter, matrix_to_bloch,
+from xdiscord import (BlochX, FContext, PhysicalityError, XDensityMatrix,
+                      analytic_max, bloch_to_matrix, classify_region,
+                      corner_phases, discord, entropies, f_derivative,
+                      f_second_derivative, f_value, global_max,
+                      koashi_winter, matrix_to_bloch, newton_critical_point,
                       oracle_classical_correlation, random_bell_diagonal,
                       random_case, random_rank_two, random_states,
                       rank_two_classify, region_conditions)
@@ -181,6 +189,25 @@ def outcome(call, m) -> str:
                        for w in caught] + [result])
 
 
+F_POINTS = [0.0, 0.5, 1.0]
+F_GRID = np.linspace(0.0, 1.0, 9)
+
+
+def f_lines(p: BlochX) -> list[str]:
+    """The region, closed form, F functions and Newton run of state p."""
+    ctx = FContext.from_state(p)
+    lines = ["  classify " + repr(classify_region(p)),
+             "  analytic_max " + outcome(analytic_max, p)]
+    for f in (f_value, f_derivative, f_second_derivative):
+        with np.errstate(all="ignore"):
+            grid = f(ctx, F_GRID).tolist()
+        lines.append(f"  {f.__name__} "
+                     + " ".join(repr(f(ctx, z)) for z in F_POINTS)
+                     + " grid " + repr(grid))
+    lines.append("  newton " + repr(newton_critical_point(ctx, 1.0)))
+    return lines
+
+
 def main() -> None:
     states = corpus()
     for i, (label, p) in enumerate(states):
@@ -219,6 +246,9 @@ def main() -> None:
         for call in (XDensityMatrix, matrix_to_bloch, corner_phases,
                      rank_two_classify):
             print(f"  {call.__name__}", " ".join(outcome(call, m).split()))
+    for i, (label, p) in enumerate(states):
+        print("f", i, label)
+        print("\n".join(f_lines(p)))
 
 
 if __name__ == "__main__":

@@ -400,7 +400,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("random", help="sample random states and summarize")
     r.add_argument("--count", type=_int_at_least(1), default=10)
-    r.add_argument("--seed", type=int, default=0)
+    r.add_argument("--seed", type=_int_at_least(0), default=0)
     r.add_argument("--verify-sample", type=_int_at_least(0), default=0,
                    metavar="K",
                    help="spot-check K evenly spaced states with the oracle")

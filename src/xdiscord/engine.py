@@ -56,26 +56,16 @@ class Region(Enum):
 _A, _B, _C, _D, _GENERAL = Region
 
 
-# Records are frozen dataclasses whose __init__ fills the instance __dict__
-# in one update; the generated one sets each field through
-# object.__setattr__, which costs more than a closed-form call's arithmetic.
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class FContext:
-    """A state and its c, taken only by the public F functions."""
+    """A state, as the public F functions take it; FContext(p) and
+    FContext.from_state(p) are the same record."""
 
     p: BlochX
-    c: float        # max(|c1|, |c2|)
-
-    def __init__(self, p, c):
-        self.__dict__.update(p=p, c=c)
 
     @classmethod
     def from_state(cls, p: BlochX) -> "FContext":
-        return cls(p, _cmax(p))
-
-
-def _cmax(p: BlochX) -> float:
-    return max(abs(p.c1), abs(p.c2))        # c, read by F with r, s, c3
+        return cls(p)
 
 
 # ---------------------------------------------------------------------------
@@ -107,16 +97,16 @@ _ARRAY = SimpleNamespace(
 
 
 def _unpack(ctx: FContext, z):
-    # p, c, and z as a float on the math backend or an array on numpy's
+    # the state, and z as a float on the math backend or an array on numpy's
     if np.ndim(z) == 0:
-        return ctx.p, ctx.c, float(z), _FLOAT
-    return ctx.p, ctx.c, np.asarray(z, dtype=float), _ARRAY
+        return ctx.p, float(z), _FLOAT
+    return ctx.p, np.asarray(z, dtype=float), _ARRAY
 
 
-def _radicals(p: BlochX, c: float, z, xp):
+def _radicals(p: BlochX, z, xp):
     # weights w+- = 1 +- s z and radicals H+- = sqrt(c^2 (1 - z^2)
     # + (r +- c3 z)^2), each radicand a sum of two floats >= 0 on [-1, 1]
-    rad = c * c * (1.0 - z * z)
+    rad = p.c * p.c * (1.0 - z * z)
     hp = xp.sqrt(rad + (p.r + p.c3 * z) ** 2)
     hm = xp.sqrt(rad + (p.r - p.c3 * z) ** 2)
     return 1.0 + p.s * z, 1.0 - p.s * z, hp, hm
@@ -138,8 +128,8 @@ def _f(rads, xp):
 
 def f_value(ctx: FContext, z):
     """F(z) for scalar or array z in [0, 1]."""
-    p, c, z, xp = _unpack(ctx, z)
-    return _f(_radicals(p, c, z, xp), xp)
+    p, z, xp = _unpack(ctx, z)
+    return _f(_radicals(p, z, xp), xp)
 
 
 # F' is evaluated with the coefficients regrouped per logarithm:
@@ -170,8 +160,8 @@ def _branch(w, h, n, se, xp):
     return xp.where(small, series, full)
 
 
-def _fp(p: BlochX, c: float, z, rads, xp):
-    r, s, c3 = p.r, p.s, p.c3
+def _fp(p: BlochX, z, rads, xp):
+    r, s, c, c3 = p.r, p.s, p.c, p.c3
     q = c3 * c3 - c * c
     wp, wm, hp, hm = rads
     tot = _branch(wp, hp, r * c3 + q * z, s, xp)
@@ -182,12 +172,12 @@ def _fp(p: BlochX, c: float, z, rads, xp):
 
 def f_derivative(ctx: FContext, z):
     """F'(z) for scalar or array z.  F'(0) is exactly 0 (F is even)."""
-    p, c, z, xp = _unpack(ctx, z)
-    return _fp(p, c, z, _radicals(p, c, z, xp), xp)
+    p, z, xp = _unpack(ctx, z)
+    return _fp(p, z, _radicals(p, z, xp), xp)
 
 
-def _fpp(p: BlochX, c: float, z, rads, xp):
-    r, s, c3 = p.r, p.s, p.c3
+def _fpp(p: BlochX, z, rads, xp):
+    r, s, c, c3 = p.r, p.s, p.c, p.c3
     wp, wm, hp, hm = rads
     # near-singular denominators: signal with nan, callers fall back; the
     # stand-ins w = 1, H = 1/2 keep the unselected arm finite
@@ -211,8 +201,8 @@ def _fpp(p: BlochX, c: float, z, rads, xp):
 
 def f_second_derivative(ctx: FContext, z):
     """F''(z); returns nan where a denominator degenerates."""
-    p, c, z, xp = _unpack(ctx, z)
-    return _fpp(p, c, z, _radicals(p, c, z, xp), xp)
+    p, z, xp = _unpack(ctx, z)
+    return _fpp(p, z, _radicals(p, z, xp), xp)
 
 
 # ---------------------------------------------------------------------------
@@ -220,11 +210,11 @@ def f_second_derivative(ctx: FContext, z):
 # its value is F there; the 50-digit reference in the tests checks F(0)
 # and F(1) against the defining sum.
 
-def _first_region(p: BlochX, c: float, start: int = 0) -> Region:
+def _first_region(p: BlochX, start: int = 0) -> Region:
     # the first of hypotheses a-d, from the start-th on, that the state
-    # satisfies (c = max(|c1|, |c2|)), or GENERAL; each is written once
+    # satisfies, or GENERAL; each is written once
     tol = CLASSIFY_TOL
-    r, s, c3 = p.r, p.s, p.c3
+    r, s, c, c3 = p.r, p.s, p.c, p.c3
     q = c3 * c3 - c * c
     rc3 = r * c3
     src3 = s * rc3
@@ -248,8 +238,7 @@ def region_conditions(p: BlochX) -> dict[str, bool]:
     precedence a, b, c, d (consistent, since the endpoint values agree on
     every overlap).  Both read the same predicates.
     """
-    c = _cmax(p)
-    return {region.value: _first_region(p, c, i) is region
+    return {region.value: _first_region(p, i) is region
             for i, region in enumerate((_A, _B, _C, _D))}
 
 
@@ -259,32 +248,32 @@ def classify_region(p: BlochX) -> Region:
     Comparisons use a small equality band; states matching no hypothesis
     get Region.GENERAL and take the numeric search.  Stops at the first.
     """
-    return _first_region(p, _cmax(p))
-
-
-def _analytic_max(p: BlochX, c: float, tag: Region) -> tuple[float, float]:
-    if tag is _A or tag is _B:
-        z_star = 1.0
-    elif tag is _C:
-        z_star = float(p.c3 * p.c3 >= c * c - CLASSIFY_TOL)
-    elif tag is _D:
-        z_star = 0.0
-    else:
-        raise ValueError("state is outside the closed-form regions")
-    return z_star, _f(_radicals(p, c, z_star, _FLOAT), _FLOAT)
+    return _first_region(p)
 
 
 def analytic_max(p: BlochX,
                  region: Region | None = None) -> tuple[float, float]:
     """(z*, max F) from the closed forms; requires a non-general region."""
-    c = _cmax(p)
-    return _analytic_max(
-        p, c, _first_region(p, c) if region is None else region)
+    if region is None:
+        region = _first_region(p)
+    if region is _A or region is _B:
+        z_star = 1.0
+    elif region is _C:
+        z_star = float(p.c3 * p.c3 >= p.c * p.c - CLASSIFY_TOL)
+    elif region is _D:
+        z_star = 0.0
+    else:
+        raise ValueError("state is outside the closed-form regions")
+    return z_star, _f(_radicals(p, z_star, _FLOAT), _FLOAT)
 
 
 # ---------------------------------------------------------------------------
 # Numeric search: safeguarded Newton plus a derivative sign scan.
 
+# Records built on the hot path are frozen dataclasses whose __init__
+# fills the instance __dict__ in one update; the generated one sets each
+# field through object.__setattr__, which costs more than a closed-form
+# call's arithmetic.
 @dataclass(frozen=True, init=False)
 class NewtonRun:
     """Trace of one safeguarded Newton run on F'."""
@@ -318,21 +307,21 @@ def newton_critical_point(ctx: FContext, z0: float,
     TINY and every denominator is guarded), so a bracketed run never
     fails for want of a derivative: every rejected step can bisect.
     """
-    p, c, z = ctx.p, ctx.c, float(z0)
+    p, z = ctx.p, float(z0)
     if bracket is None:
-        return _newton(p, c, z, *_slope(p, c, z))[0]
+        return _newton(p, z, *_slope(p, z))[0]
     lo, hi = float(bracket[0]), float(bracket[1])
-    return _newton(p, c, z, *_slope(p, c, z), lo, hi,
-                   _slope(p, c, lo)[0], _slope(p, c, hi)[0])[0]
+    return _newton(p, z, *_slope(p, z), lo, hi,
+                   _slope(p, lo)[0], _slope(p, hi)[0])[0]
 
 
-def _slope(p: BlochX, c: float, z: float):
+def _slope(p: BlochX, z: float):
     # F'(z) on the float backend, and the radicals it read
-    rads = _radicals(p, c, z, _FLOAT)
-    return _fp(p, c, z, rads, _FLOAT), rads
+    rads = _radicals(p, z, _FLOAT)
+    return _fp(p, z, rads, _FLOAT), rads
 
 
-def _newton(p: BlochX, c: float, z: float, g: float, rads, lo: float = 0.0,
+def _newton(p: BlochX, z: float, g: float, rads, lo: float = 0.0,
             hi: float = 1.0, glo: float = 0.0, ghi: float = 0.0):
     # newton_critical_point's loop, from a seed z whose F' (g) and
     # radicals the caller already has.  glo and ghi are F' at lo and hi;
@@ -347,10 +336,10 @@ def _newton(p: BlochX, c: float, z: float, g: float, rads, lo: float = 0.0,
         if g == 0.0:
             converged = True      # zn = z, so no step can shrink |F'|
             break
-        h2 = _fpp(p, c, z, rads, _FLOAT)
+        h2 = _fpp(p, z, rads, _FLOAT)
         zn = z - g / h2 if math.isfinite(h2) and h2 != 0.0 else math.nan
         ok = lo <= zn <= hi                                 # False on nan
-        gn, rn = _slope(p, c, zn) if ok else (math.nan, None)
+        gn, rn = _slope(p, zn) if ok else (math.nan, None)
         if abs(g) < NEWTON_GRAD_TOL and not (
                 abs(gn) < abs(g) and abs(zn - z) >= NEWTON_STEP_TOL):
             converged = True
@@ -360,7 +349,7 @@ def _newton(p: BlochX, c: float, z: float, g: float, rads, lo: float = 0.0,
                 note = "step rejected, no bracket to bisect"
                 break
             zn = 0.5 * (lo + hi)
-            gn, rn = _slope(p, c, zn)
+            gn, rn = _slope(p, zn)
             note = "bisection fallback used"
         its.append(zn)
         if have_bracket:
@@ -423,7 +412,7 @@ def _pick(cands, runs, route: str) -> MaxResult:
         if f >= low:
             at1 = at1 or z >= 1.0 - TIE_TOL
             at0 = at0 or z <= TIE_TOL
-    if f_max < 1e-12:
+    if f_max < TIE_TOL:
         z_star = 0.0              # flat F: state has no correlations
     elif at1 or at0:
         z_star = float(at1)
@@ -435,15 +424,17 @@ def _pick(cands, runs, route: str) -> MaxResult:
                      route)
 
 
-def _global_max(p: BlochX, c: float) -> MaxResult:
+def global_max(p: BlochX) -> MaxResult:
+    """Locate max F by endpoint candidates, Newton from z = 1, and Newton
+    inside every sign-change bracket of F' on SCAN_POINTS grid points."""
     zs = np.linspace(0.0, 1.0, SCAN_POINTS)
     with np.errstate(all="ignore"):
-        d = _fp(p, c, zs, _radicals(p, c, zs, _ARRAY), _ARRAY)
+        d = _fp(p, zs, _radicals(p, zs, _ARRAY), _ARRAY)
         gi, gj = d[1:-1], d[2:]
         hits = (np.isfinite(gi) & np.isfinite(gj)
                 & ((gi == 0.0) | (gi * gj < 0.0)))
-    cands = [(z, _f(_radicals(p, c, z, _FLOAT), _FLOAT)) for z in (0.0, 1.0)]
-    run0, rz = _newton(p, c, 1.0, *_slope(p, c, 1.0))
+    cands = [(z, _f(_radicals(p, z, _FLOAT), _FLOAT)) for z in (0.0, 1.0)]
+    run0, rz = _newton(p, 1.0, *_slope(p, 1.0))
     runs = [run0]
     if run0.converged:
         cands.append((run0.z, _f(rz, _FLOAT)))
@@ -455,21 +446,15 @@ def _global_max(p: BlochX, c: float) -> MaxResult:
     # level, and the grid point with the smaller |F'| is the root.
     for i in np.flatnonzero(hits) + 1:
         a, b = float(zs[i]), float(zs[i + 1])
-        ga, gb = _slope(p, c, a)[0], _slope(p, c, b)[0]
+        ga, gb = _slope(p, a)[0], _slope(p, b)[0]
         if ga * gb < 0.0:
             zm = 0.5 * (a + b)
-            runs.append(_newton(p, c, zm, *_slope(p, c, zm), a, b, ga, gb)[0])
+            runs.append(_newton(p, zm, *_slope(p, zm), a, b, ga, gb)[0])
             a = runs[-1].z
         elif abs(gb) < abs(ga):
             a = b
-        cands.append((a, _f(_radicals(p, c, a, _FLOAT), _FLOAT)))
+        cands.append((a, _f(_radicals(p, a, _FLOAT), _FLOAT)))
     return _pick(cands, runs, "scan")
-
-
-def global_max(p: BlochX) -> MaxResult:
-    """Locate max F by endpoint candidates, Newton from z = 1, and Newton
-    inside every sign-change bracket of F' on SCAN_POINTS grid points."""
-    return _global_max(p, _cmax(p))
 
 
 # the route for each sign pair (F''(0) > 0, F'(1) > 0), and the zero-step
@@ -482,7 +467,7 @@ _NOT_RUN = {
     for route in ("signs -,-", "signs +,+", "signs -,+")}
 
 
-def _routed_max(p: BlochX, c: float) -> MaxResult:
+def _routed_max(p: BlochX) -> MaxResult:
     # F'(0) = 0, and F' has at most one zero on (0, 1) (conjectured; see
     # the README), so the signs of F''(0) and F'(1) say where it lies:
     # (-,-) and (+,+) have none, (-,+) an interior minimum, (+,-) an
@@ -490,10 +475,10 @@ def _routed_max(p: BlochX, c: float) -> MaxResult:
     # above 0: halve lo from 0.5 until F'(lo) > 0, then run Newton from
     # z = 1 inside the sign-change bracket (lo, 1].  Untrusted signs, and
     # a (+,-) state with no F'(lo) > 0 for lo above 1e-12, take the scan.
-    r0, r1 = _radicals(p, c, 0.0, _FLOAT), _radicals(p, c, 1.0, _FLOAT)
-    a, b = _fpp(p, c, 0.0, r0, _FLOAT), _fp(p, c, 1.0, r1, _FLOAT)
+    r0, r1 = _radicals(p, 0.0, _FLOAT), _radicals(p, 1.0, _FLOAT)
+    a, b = _fpp(p, 0.0, r0, _FLOAT), _fp(p, 1.0, r1, _FLOAT)
     if not (abs(a) > SIGN_BAND and abs(b) > SIGN_BAND):    # nan too
-        return _global_max(p, c)
+        return global_max(p)
     route = _ROUTES[a > 0.0, b > 0.0]
     cands = [(0.0, _f(r0, _FLOAT)), (1.0, _f(r1, _FLOAT))]
     if a > 0.0 > b:
@@ -501,9 +486,9 @@ def _routed_max(p: BlochX, c: float) -> MaxResult:
         while not glo > 0.0:
             lo *= 0.5
             if lo < NEWTON_STEP_TOL:
-                return _global_max(p, c)
-            glo = _fp(p, c, lo, _radicals(p, c, lo, _FLOAT), _FLOAT)
-        run, rz = _newton(p, c, 1.0, b, r1, lo, 1.0, glo, b)
+                return global_max(p)
+            glo = _fp(p, lo, _radicals(p, lo, _FLOAT), _FLOAT)
+        run, rz = _newton(p, 1.0, b, r1, lo, 1.0, glo, b)
         cands.append((run.z, _f(rz, _FLOAT)))
     else:
         run = _NOT_RUN[route]
@@ -559,22 +544,21 @@ def discord(p: BlochX, method: str = "auto",
     """
     if method not in ("auto", "analytic", "numeric"):
         raise ValueError(f"unknown method {method!r}")
-    c = _cmax(p)
-    tag = _first_region(p, c)
+    tag = _first_region(p)
     search = verify_gap = None
     if method == "numeric" or (method == "auto" and tag is _GENERAL):
-        search = _routed_max(p, c)
+        search = _routed_max(p)
         z_star, f_max = search.z_star, search.f_max
         how = "numeric"
         if verify and tag is not _GENERAL:
-            verify_gap = abs(_analytic_max(p, c, tag)[1] - f_max)
+            verify_gap = abs(analytic_max(p, tag)[1] - f_max)
         elif verify:
-            verify_gap = abs(_global_max(p, c).f_max - f_max)
+            verify_gap = abs(global_max(p).f_max - f_max)
     else:
-        z_star, f_max = _analytic_max(p, c, tag)
+        z_star, f_max = analytic_max(p, tag)
         how = "analytic"
         if verify:
-            search = _global_max(p, c)
+            search = global_max(p)
             verify_gap = abs(search.f_max - f_max)
 
     if f_max < TIE_TOL:

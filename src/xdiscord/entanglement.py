@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import discord
-from .states import (_OFF_X, EIG_CLAMP, XDensityMatrix, _as_x,
-                     binary_entropy, entropies)
+from .states import (_OFF_X, XDensityMatrix, _as_x, _snap, binary_entropy,
+                     entropies)
 
 RANK_TOL = 1e-10        # eigenvalues below this count as zero
 NEAR_RANK_BAND = 1e-6   # third eigenvalue in (RANK_TOL, this) warns
@@ -168,10 +168,9 @@ def rank_two_classify(matrix) -> RankTwoDecomposition:
     """
     m = _as_x(matrix).gauged
     out, mid = _block(m, 0, 3), _block(m, 1, 2)
-    # a weight within EIG_CLAMP of 0 is 0, as in states.spectrum, so a
-    # rank-1 error prints no rounding noise
-    lams = sorted([w if abs(w) >= EIG_CLAMP else 0.0 for w, _ in mid + out],
-                  reverse=True)
+    # weights snap as in states.spectrum, so a rank-1 error prints no
+    # rounding noise
+    lams = sorted([_snap(w) for w, _ in mid + out], reverse=True)
     if lams[1] <= RANK_TOL:
         raise RankError(
             "state has rank 1 (second eigenvalue %.3e); decomposition "

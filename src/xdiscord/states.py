@@ -89,7 +89,9 @@ class BlochX:
     """Pauli coefficients (r, s, c1, c2, c3) of a two-qubit X-state.
 
     Validates the positivity region on construction; raises
-    PhysicalityError naming the violated inequality otherwise.
+    PhysicalityError naming the violated inequality otherwise.  Keeps
+    c = max(|c1|, |c2|), through which alone F reads c1 and c2; it is
+    derived, so repr, == and hash leave it out.
     """
 
     r: float
@@ -97,6 +99,7 @@ class BlochX:
     c1: float
     c2: float
     c3: float
+    c: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("r", "s", "c1", "c2", "c3"):
@@ -111,13 +114,15 @@ class BlochX:
         if m2 < -PHYS_TOL:
             raise PhysicalityError(
                 "1 + c3 >= sqrt((r+s)^2 + (c1-c2)^2) violated by %.3e" % -m2)
+        object.__setattr__(self, "c", max(abs(self.c1), abs(self.c2)))
 
     def as_tuple(self) -> tuple[float, float, float, float, float]:
         return (self.r, self.s, self.c1, self.c2, self.c3)
 
     def swapped(self) -> "BlochX":
         """The same state with the roles of the two qubits exchanged."""
-        # not validated again: (r - s)^2 and r + s are symmetric in floats
+        # not validated again: (r - s)^2 and r + s are symmetric in floats;
+        # c1 and c2, and so c, stay as they are
         q = object.__new__(BlochX)
         q.__dict__.update(vars(self), r=self.s, s=self.r)
         return q

@@ -371,6 +371,7 @@ def test_random_verify_sample(capsys):
     ["random", "--count", "0"],
     ["random", "--verify-sample", "1", "--grid", "0"],
     ["random", "--verify-sample", "-1"],
+    ["random", "--seed", "-1"],
 ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
 def test_out_of_range_integer_option_is_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -291,8 +291,8 @@ def test_interior_maximum_with_no_rising_f_prime_takes_the_scan(monkeypatch):
     # finds no F'(lo) > 0, so the router hands the state to the scan
     fp = engine._fp
 
-    def falling(p, c, z, rads, xp):
-        g = fp(p, c, z, rads, xp)
+    def falling(p, z, rads, xp):
+        g = fp(p, z, rads, xp)
         return -abs(g) if xp is engine._FLOAT and 0.0 < z < 1.0 else g
     monkeypatch.setattr(engine, "_fp", falling)
     assert discord(ex_state()).search.route == "scan"
@@ -446,11 +446,15 @@ def test_boundary_family_maximum_at_origin():
     lambda r, s, c1, c2, c3: (r, s, -c1, -c2, c3),
     lambda r, s, c1, c2, c3: (-r, -s, c1, c2, c3),
     lambda r, s, c1, c2, c3: (r, s, c2, c1, c3),
-], ids=["flip-c1-c2", "flip-r-s", "swap-c1-c2"])
+    lambda r, s, c1, c2, c3: (-r, s, c1, -c2, -c3),
+], ids=["flip-c1-c2", "flip-r-s", "swap-c1-c2", "sigma-x-on-a"])
 def test_local_unitary_symmetries(rng, move):
     # each move is a local unitary on the state, so the discord is unchanged;
-    # edge adds a vanishing radical, a Bell state, a flat F, the zero state
-    # and a rank-deficient state with its maximum at z = 0
+    # together the moves generate all 16 maps.  edge adds a vanishing
+    # radical, a Bell state, a flat F, the zero state and a rank-deficient
+    # state with its maximum at z = 0; the region states, whose mirrors
+    # can leave their region (flip-r-s maps a to b and d to general), check
+    # each closed form against the route of its image
     edge = [BlochX(*t) for t in BOUNDARY_BLOCH] + [
         BlochX(0.3, 0.0, 0.0, 0.0, -0.6), BlochX(0.0, 0.0, 1.0, -1.0, 1.0),
         BlochX(0.0, 0.0, 0.3, 0.1, 0.3), BlochX(0.0, 0.0, 0.0, 0.0, 0.0),
@@ -458,6 +462,7 @@ def test_local_unitary_symmetries(rng, move):
     states = random_states(rng, 300) + edge + [
         p.swapped() for case in ("I", "II", "III")
         for p in random_rank_two(rng, case, 30)]
+    states += [p for case in "abcd" for p in random_case(rng, case, 30)]
     for p in states:
         res = discord(p)
         moved = discord(BlochX(*move(*p.as_tuple())))
@@ -536,8 +541,8 @@ def test_default_path_runs_no_scan_and_no_numpy(rng, monkeypatch):
     # an FContext
     ex = ex_state()
     pool = [ex] + random_states(rng, 300)
-    monkeypatch.setattr(engine, "_global_max",
-                        lambda p, c: pytest.fail("scan"))
+    monkeypatch.setattr(engine, "global_max",
+                        lambda p: pytest.fail("scan"))
     monkeypatch.setattr("xdiscord.engine.np", _Forbidden("numpy"))
     monkeypatch.setattr("xdiscord.states.np", _Forbidden("numpy"))
     monkeypatch.setattr(engine, "FContext", _Forbidden("FContext"))
@@ -615,7 +620,7 @@ def _count_kernel_calls(monkeypatch):
         def call(*args, _name=name, _kernel=getattr(engine, name)):
             calls[_name] += 1
             if _name == "_radicals":
-                points.append(args[2])
+                points.append(args[1])
             return _kernel(*args)
         monkeypatch.setattr(engine, name, call)
     return calls, points
