@@ -18,10 +18,12 @@ of discord() with method "auto", "numeric" and verify=True, and one for
 global_max().
 
 The rank-2 bridge gets three more sections, all on real matrices: each
-rank-2 state and its swap prints its koashi_winter() report and its
-rank_two_classify() decomposition; each uniform state, and each of a
-set of rank-1 and rank-3 states, prints the exception
-rank_two_classify() raises on it; and a near-rank ladder
+rank-2 state and its swap prints its koashi_winter() report, its
+rank_two_classify() decomposition, and mu_spectrum() and concurrence()
+of the decomposition's rho_bc; each uniform state, and each of a set of
+rank-1 and rank-3 states, prints the exception rank_two_classify()
+raises on it, and each uniform state also mu_spectrum() of its matrix;
+and a near-rank ladder
 c3 = +/-(1 - eps) prints each warning and result of both calls.
 
 A last section prints what matrix validation makes of a fixed list of
@@ -59,9 +61,10 @@ import numpy as np
 
 from xdiscord import (BlochX, FContext, PhysicalityError, XDensityMatrix,
                       analytic_max, bloch_to_matrix, classify_region,
-                      corner_phases, discord, entropies, f_derivative,
-                      f_second_derivative, f_value, global_max,
-                      koashi_winter, matrix_to_bloch, newton_critical_point,
+                      concurrence, corner_phases, discord, entropies,
+                      f_derivative, f_second_derivative, f_value,
+                      global_max, koashi_winter, matrix_to_bloch,
+                      mu_spectrum, newton_critical_point,
                       oracle_classical_correlation, random_bell_diagonal,
                       random_case, random_rank_two, random_states,
                       rank_two_classify, region_conditions)
@@ -174,7 +177,9 @@ def decomposition_lines(m) -> list[str]:
             f"  case {d.case} weights {d.weights!r}",
             "  vectors " + repr(d.vectors.tolist()),
             "  purification " + repr(d.purification.tolist()),
-            "  rho_bc " + repr(d.rho_bc.tolist())]
+            "  rho_bc " + repr(d.rho_bc.tolist()),
+            "  mu_bc " + repr(mu_spectrum(d.rho_bc).tolist()),
+            "  concurrence_bc " + repr(concurrence(d.rho_bc))]
 
 
 def outcome(call, m) -> str:
@@ -223,8 +228,9 @@ def main() -> None:
             print("bridge", i, label)
             print("\n".join(decomposition_lines(bloch_to_matrix(p))))
         elif label.startswith("uniform"):
-            print("not rank 2", i, label,
-                  outcome(rank_two_classify, bloch_to_matrix(p)))
+            m = bloch_to_matrix(p)
+            print("not rank 2", i, label, outcome(rank_two_classify, m))
+            print("  mu", repr(mu_spectrum(m).tolist()))
     for i, p in enumerate(other_ranks()):
         print("other rank", i, repr(p),
               outcome(rank_two_classify, bloch_to_matrix(p)))

@@ -50,10 +50,10 @@ def spin_flip(matrix) -> np.ndarray:
     return _SYY @ m.conj() @ _SYY
 
 
-def _sqrtm_psd(m: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(m)
+def _sqrtm_psd(stack: np.ndarray) -> np.ndarray:
+    w, v = np.linalg.eigh(stack)
     w = np.sqrt(np.clip(w, 0.0, None))
-    return (v * w) @ v.conj().T
+    return (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def mu_spectrum(matrix) -> np.ndarray:
@@ -65,8 +65,8 @@ def mu_spectrum(matrix) -> np.ndarray:
     density matrix.
     """
     m = _as_array(matrix)
-    return np.linalg.svd(_sqrtm_psd(m) @ _sqrtm_psd(spin_flip(m)),
-                         compute_uv=False)
+    root, root_flip = _sqrtm_psd(np.stack((m, spin_flip(m))))
+    return np.linalg.svd(root @ root_flip, compute_uv=False)
 
 
 def mu_spectrum_closed(matrix) -> np.ndarray:

@@ -55,7 +55,8 @@ def xlog2_float(x: float) -> float:
 def binary_entropy(x):
     """Shannon entropy -x log2 x - (1-x) log2 (1-x) of a bit, in bits."""
     x = np.asarray(x, dtype=float)
-    out = -(xlog2(x) + xlog2(1.0 - x)) + 0.0   # "+ 0.0" normalizes -0.0
+    h = xlog2(np.stack((x, 1.0 - x)))          # one call for x and 1 - x
+    out = -(h[0] + h[1]) + 0.0                 # "+ 0.0" normalizes -0.0
     return float(out) if np.ndim(out) == 0 else out
 
 

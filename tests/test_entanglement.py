@@ -35,6 +35,32 @@ def test_mu_spectrum_routes_agree(rng):
         concurrence(m)  # the internal cross-check must not raise
 
 
+def per_matrix_mu_spectrum(m):
+    # Wootters' lambda_i with one eigh square root per matrix
+    def sqrtm(a):
+        w, v = np.linalg.eigh(a)
+        return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    m = np.asarray(m, dtype=complex)
+    return np.linalg.svd(sqrtm(m) @ sqrtm(spin_flip(m)), compute_uv=False)
+
+
+def test_mu_spectrum_matches_per_matrix_reference(rng):
+    # both square roots come from one stacked eigh; each matrix of the
+    # stack must give the bits of its own eigh
+    mats = [rank_two_classify(bloch_to_matrix(p)).rho_bc
+            for case in ("I", "II", "III")
+            for p in random_rank_two(rng, case, 20)]
+    mats += [bloch_to_matrix(p).matrix for p in random_states(rng, 60)]
+    for rank in (2, 4):
+        for _ in range(60):
+            g = (rng.normal(size=(4, rank))
+                 + 1j * rng.normal(size=(4, rank)))
+            rho = g @ g.conj().T
+            mats.append(rho / np.trace(rho).real)
+    for m in mats:
+        assert np.array_equal(mu_spectrum(m), per_matrix_mu_spectrum(m)), m
+
+
 def test_concurrence_of_known_states():
     bell = bloch_to_matrix(BlochX(0.0, 0.0, 1.0, -1.0, 1.0))
     assert concurrence(bell) == pytest.approx(1.0, abs=1e-12)

@@ -68,7 +68,7 @@ def test_oracle_direction_is_unit_vector_at_z3_phi(rng):
 def test_conditional_ensemble_against_projectors(rng):
     points = random_directions(rng, 60)
     for p, point in zip(random_states(rng, 60), points):
-        outcomes = _outcomes(p, point[2], theta(p, point))
+        outcomes = list(zip(*_outcomes(p, point[2], theta(p, point))))
         dense = measured_ensemble(bloch_to_matrix(p).matrix, tuple(point))
         assert sum(pk for pk, _ in outcomes) == pytest.approx(1.0, abs=1e-12)
         assert outcomes[0][0] == pytest.approx(
@@ -198,6 +198,25 @@ def textbook_entropy(p, z3, theta):
     return p_hi * binary_entropy(lam_hi) + p_lo * binary_entropy(lam_lo)
 
 
+def textbook_theta(p, z3, phis):
+    c1sq = p.c1 * p.c1
+    return ((1.0 - z3 * z3) * (c1sq + (p.c2 * p.c2 - c1sq)
+                               * np.sin(phis[None, :]) ** 2)
+            + (p.c3 * z3) ** 2)
+
+
+def kernel_states(rng):
+    # random, swapped rank-2, boundary, a pure Bell state, the maximally
+    # mixed state (every cell ties) and one just outside the region
+    return (random_states(rng, 10)
+            + [p.swapped() for case in ("I", "II", "III")
+               for p in random_rank_two(rng, case, 3)]
+            + [BlochX(*t) for t in BOUNDARY_BLOCH]
+            + [BlochX(0.0, 0.0, 1.0, -1.0, 1.0),
+               BlochX(0.0, 0.0, 0.0, 0.0, 0.0),
+               BlochX(0.0, 1.0, 0.0, 0.0, 5e-11)])
+
+
 def same_bits(a, b):
     return (np.array_equal(a, b)
             and np.array_equal(np.signbit(a), np.signbit(b)))
@@ -209,22 +228,12 @@ def test_fused_kernel_matches_textbook_formula(rng, n):
     # formula bit for bit.  |s| = 1 states leave a dead weight at z3 = 1;
     # in the last state, half of PHYS_TOL outside the region, H_- = c3
     # stays nonzero there.  The Bell state has lambda = 1 exactly.
-    states = (random_states(rng, 10)
-              + [p.swapped() for case in ("I", "II", "III")
-                 for p in random_rank_two(rng, case, 3)]
-              + [BlochX(*t) for t in BOUNDARY_BLOCH]
-              + [BlochX(0.0, 0.0, 1.0, -1.0, 1.0),
-                 BlochX(0.0, 0.0, 0.0, 0.0, 0.0),
-                 BlochX(0.0, 1.0, 0.0, 0.0, 5e-11)])
     z3s = np.linspace(0.0, 1.0, n)
     phis = np.linspace(0.0, math.pi / 2.0, n)
     z3 = z3s[:, None]
-    for p in states:
-        c1sq = p.c1 * p.c1
-        th = ((1.0 - z3 * z3) * (c1sq + (p.c2 * p.c2 - c1sq)
-                                 * np.sin(phis[None, :]) ** 2)
-              + (p.c3 * z3) ** 2)
-        for got, want in zip(_outcomes(p, z3, th),
+    for p in kernel_states(rng):
+        th = textbook_theta(p, z3, phis)
+        for got, want in zip(zip(*_outcomes(p, z3, th)),
                              textbook_outcomes(p, z3, th)):
             assert same_bits(got[0], want[0]), p
             assert same_bits(got[1], want[1]), p
@@ -243,6 +252,41 @@ def flat_states():
             BlochX(0.0, 0.0, -0.6, -0.6, -0.6),          # Werner
             matrix_to_bloch(XDensityMatrix(EX_MATRIX)),  # rho_14 = 0
             random_rank_two(np.random.default_rng(5), "I", 1)[0].swapped()]
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("block", ["one_row", "uneven", "default"])
+def test_sweep_blocks_keep_full_grid_argmin(rng, monkeypatch, n, block):
+    # a later block replaces the best cell only when strictly smaller, so
+    # any block size returns the full grid's first row-major argmin
+    if block != "default":
+        rows = 1 if block == "one_row" else 5       # 5 divides neither n
+        monkeypatch.setattr(oracle, "SWEEP_BLOCK", rows * n + 3)
+    z3s = np.linspace(0.0, 1.0, n)
+    phis = np.linspace(0.0, math.pi / 2.0, n)
+    for p in kernel_states(rng) + flat_states():
+        ce = textbook_entropy(p, z3s[:, None],
+                              textbook_theta(p, z3s[:, None], phis))
+        i, j = np.unravel_index(int(np.argmin(ce)), ce.shape)
+        assert _sweep(p, z3s, phis) == (float(ce[i, j]), i, j), p
+
+
+def test_grid_cache_accepts_what_linspace_accepts():
+    p = BlochX(0.31, -0.22, 0.47, -0.18, 0.29)
+    oracle._coarse_grid.cache_clear()
+    with pytest.raises(TypeError):
+        oracle_classical_correlation(p, grid_n=256.0, refine_rounds=0)
+    first = oracle_classical_correlation(p, grid_n=256, refine_rounds=0)
+    with pytest.raises(TypeError):
+        oracle_classical_correlation(p, grid_n=256.0, refine_rounds=0)
+    with pytest.raises(ValueError):
+        oracle_classical_correlation(p, grid_n=0)
+    assert oracle_classical_correlation(
+        p, grid_n=np.int64(256), refine_rounds=0) == first
+    z3s, phis = oracle._coarse_grid(256)
+    assert not (z3s.flags.writeable or phis.flags.writeable)
+    assert np.array_equal(z3s, np.linspace(0.0, 1.0, 256))
+    assert np.array_equal(phis, np.linspace(0.0, HALF_PI, 256))
 
 
 # |c2| one ulp above |c1|: theta depends on phi, if barely
