@@ -40,8 +40,9 @@ c1^2 = c2^2, where the sweep needs one phi column, and on states
 without: the rank-2 states of cases I to III and their swaps, the worked
 example, the first uniform states and their swaps, one-corner states
 (a uniform state's matrix with rho_14 or rho_23 set to 0) and Werner
-states.  Each runs at grid_n 1, 17 and 64 without refinement, and at
-grid_n 1 and 256 with it.
+states.  Each runs at grid_n 1, 17, 64 and 100 without refinement, and
+at grid_n 1, 100 and 256 with it.  A 100 x 100 grid ends in a partial
+sweep block (19 of 81 rows), which no other grid size here slices.
 
 The section printed last gives the public F API on every corpus state:
 classify_region() and analytic_max() (or the exception it raises),
@@ -149,7 +150,8 @@ def validation_corpus() -> list[tuple[str, object]]:
 
 
 # (grid_n, refine_rounds) of each oracle call
-ORACLE_RUNS = [(1, 0), (1, 30), (17, 0), (64, 0), (256, 30)]
+ORACLE_RUNS = [(1, 0), (1, 30), (17, 0), (64, 0), (100, 0), (100, 30),
+               (256, 30)]
 WERNER_W = [-0.3, 0.0, 0.2, 0.5, 0.9, 1.0]
 
 

@@ -25,13 +25,13 @@ RANK_TOL = 1e-10        # eigenvalues below this count as zero
 NEAR_RANK_BAND = 1e-6   # third eigenvalue in (RANK_TOL, this) warns
 ROUTE_TOL = 1e-10       # allowed gap between the two concurrence routes
 
-# sigma_y (x) sigma_y, real in the computational basis
+# sigma_y (x) sigma_y: real entries, stored complex so spin_flip casts none
 _SYY = np.array([
     [0.0, 0.0, 0.0, -1.0],
     [0.0, 0.0, 1.0, 0.0],
     [0.0, 1.0, 0.0, 0.0],
     [-1.0, 0.0, 0.0, 0.0],
-])
+], dtype=complex)
 
 
 class RankError(ValueError):
@@ -41,7 +41,10 @@ class RankError(ValueError):
 def _as_array(matrix) -> np.ndarray:
     if isinstance(matrix, XDensityMatrix):
         matrix = matrix.matrix
-    return np.asarray(matrix, dtype=complex)
+    m = np.asarray(matrix, dtype=complex)
+    if m.shape != (4, 4):
+        raise ValueError(f"expected one 4x4 matrix, got shape {m.shape}")
+    return m
 
 
 def spin_flip(matrix) -> np.ndarray:
@@ -52,7 +55,7 @@ def spin_flip(matrix) -> np.ndarray:
 
 def _sqrtm_psd(stack: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(stack)
-    w = np.sqrt(np.clip(w, 0.0, None))
+    w = np.sqrt(np.maximum(w, 0.0))
     return (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
@@ -65,7 +68,7 @@ def mu_spectrum(matrix) -> np.ndarray:
     density matrix.
     """
     m = _as_array(matrix)
-    root, root_flip = _sqrtm_psd(np.stack((m, spin_flip(m))))
+    root, root_flip = _sqrtm_psd(np.array((m, spin_flip(m))))
     return np.linalg.svd(root @ root_flip, compute_uv=False)
 
 
@@ -194,7 +197,7 @@ def rank_two_classify(matrix) -> RankTwoDecomposition:
     else:
         case, pairs = "III", [out[0], mid[0]]
     (w0, v0), (w1, v1) = pairs
-    gap = np.abs(w0 * np.outer(v0, v0) + w1 * np.outer(v1, v1) - m).max()
+    gap = np.abs(w0 * (v0[:, None] * v0) + w1 * (v1[:, None] * v1) - m).max()
     if gap > slack:
         raise RuntimeError(
             "decomposition residual %.3e; eigenvector formulas do not "

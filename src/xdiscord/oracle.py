@@ -19,15 +19,15 @@ refined by zooming grids, and the entropy is summed over the conditional
 eigenvalues themselves, so a defect in the reduction's kernels cannot
 cancel out of a comparison with this module.
 
-The per-grid kernel (_outcomes, _entropy) is one fused sequence of
-in-place array updates with no full-grid mask, each issued once for
+The per-grid kernel (_rows, _outcomes, _entropy) is one fused sequence
+of in-place array updates with no full-grid mask, each issued once for
 both outcomes, which sit on a leading axis of length 2.  Its grid values
 are bit-identical to the textbook sum_k p_k H(lambda_k) with masked
 logs: each cell rounds the same operations, and the only rearrangements
-(operand order of a product or sum, the minus sign moved onto p_k) are
-exact in IEEE arithmetic.  The sweep walks the grid in blocks of
-SWEEP_BLOCK cells, so each stacked working array stays at 128 KB (4,096
-and 16,384 were slower); coarse axes are built once per grid_n.
+(operand order of a product or sum, signs and factors of 2 moved) are
+exact in IEEE arithmetic.  Factors of z3 or phi alone are built once
+per grid, and so are three work arrays, which glibc would otherwise give
+back to the kernel and fault in again every block of SWEEP_BLOCK cells.
 """
 
 from __future__ import annotations
@@ -48,47 +48,52 @@ ZOOM_POINTS = 17          # per axis of each refinement grid
 ZOOM_SHRINK = 8.0         # step ratio between refinement rounds
 ZOOM_MIN_STEP = 1e-8      # z3 step at which refinement stops
 CORNER_GAIN = 1e-15       # a round gaining less ends refinement at a corner
-SWEEP_BLOCK = 8192        # grid cells per block of the sweep
+SWEEP_BLOCK = 8192        # grid cells per block: 128 KB per work array
 _SIGNS = np.array([1.0, -1.0])   # outcome axis: +, then -
+_ZOOM_STEPS = np.arange(ZOOM_POINTS, dtype=float)
 
 
-def _outcomes(p: BlochX, z3, theta):
-    """Probability and larger conditional eigenvalue of both outcomes.
-
-    Outcome k = +, - has weight w_k = 1 +/- s z3, probability w_k / 2 and
-    larger eigenvalue (1 + A_k) / 2, where A_k = min(H_k / w_k, 1) and
-    H_k = sqrt(r^2 +/- 2 r c3 z3 + theta).  An outcome with w_k at most
-    PROB_FLOOR has probability 0 and A_k = 0.  Returns (p_k, lambda_k),
-    each with a leading axis (+, -) before the broadcast of z3 and theta;
-    the weights and their guards take z3's shape alone, a grid's column.
-    """
+def _rows(p: BlochX, z3):
+    """(r^2 +/- 2 r c3 z3, divisor, live, p_k) of outcomes k = +, -, on a
+    leading axis before z3's shape (z3 needs theta's ndim).  With w_k =
+    1 +/- s z3 the divisor is w_k, or 1 where w_k <= PROB_FLOOR; live
+    marks the other cells (None if all); p_k is w_k / 2 there, else 0."""
     z3 = np.asarray(z3, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    sign = _SIGNS.reshape((2,) + (1,) * max(z3.ndim, theta.ndim))
+    sign = _SIGNS.reshape((2,) + (1,) * z3.ndim)
     w = 1.0 + sign * p.s * z3
     live = w > PROB_FLOOR
-    a = p.r * p.r + sign * 2.0 * p.r * p.c3 * z3 + theta
+    return (p.r * p.r + sign * (2.0 * p.r * p.c3) * z3, np.where(live, w, 1.0),
+            None if live.all() else live, np.where(live, 0.5 * w, 0.0))
+
+
+def _outcomes(rows, theta, out=None):
+    """(p_k, lambda_k) on the rows of _rows: lambda_k = (1 + A_k) / 2,
+    A_k = min(sqrt(r^2 +/- 2 r c3 z3 + theta) / w_k, 1), 0 if w_k dead."""
+    base, divisor, live, pk = rows
+    a = np.add(base, theta, out=out)
     np.maximum(a, 0.0, out=a)
     np.sqrt(a, out=a)
-    a /= np.where(live, w, 1.0)
+    a /= divisor
     np.minimum(a, 1.0, out=a)
-    if not live.all():
+    if live is not None:
         a *= live                   # a dead weight zeroes its row
     a += 1.0
     a *= 0.5
-    return np.where(live, 0.5 * w, 0.0), a
+    return pk, a
 
 
-def _entropy(p: BlochX, z3, theta):
+def _entropy(rows, theta, work=None):
     """Measured conditional entropy sum_k p_k H(lambda_k), in bits.
 
     H(x) = -(x log2 x + (1 - x) log2 (1 - x)).  Each lambda_k lies in
-    [1/2, 1], so 1 - lambda_k is the only argument that can reach 0; it
-    alone is floored before its log2, which keeps 0 log 0 = 0.
+    [1/2, 1] on multiples of 2^-53, so 1 - lambda_k is exact, 0 or at
+    least 2^-53; adding LOG_FLOOR before its log2 changes only a 0.
     """
-    pk, lam = _outcomes(p, z3, theta)
-    q = np.subtract(1.0, lam)
-    qlog = np.maximum(q, LOG_FLOOR)
+    if work is None:                # three arrays of lambda_k's shape
+        work = np.empty((3,) + np.broadcast(rows[0], theta).shape)
+    pk, lam = _outcomes(rows, theta, work[0])
+    q = np.subtract(1.0, lam, out=work[1])
+    qlog = np.add(q, LOG_FLOOR, out=work[2])
     np.log2(qlog, out=qlog)
     qlog *= q
     h = np.log2(lam, out=q)
@@ -99,17 +104,9 @@ def _entropy(p: BlochX, z3, theta):
 
 
 def _phi_weight(p: BlochX) -> float:
-    # coefficient of sin^2 phi in _polar_theta; at exactly 0.0 theta is
-    # (1 - z3^2) c1^2 + (c3 z3)^2 bit for bit at every phi
+    # coefficient of sin^2 phi in theta; at exactly 0.0 every phi column
+    # of a grid ties with phi = 0 bit for bit
     return p.c2 * p.c2 - p.c1 * p.c1
-
-
-def _polar_theta(p: BlochX, z3, phi):
-    # theta at (z3, phi) in the c1^2 + (c2^2 - c1^2) sin^2 form, so a
-    # zero _phi_weight makes every phi column of a grid tie with phi = 0
-    theta = (1.0 - z3 * z3) * (p.c1 * p.c1 + _phi_weight(p) * np.sin(phi) ** 2)
-    theta += (p.c3 * z3) ** 2
-    return theta
 
 
 @functools.lru_cache(maxsize=4)
@@ -120,15 +117,30 @@ def _coarse_grid(n: int):
     return z3s, phis
 
 
+def _zoom_axis(lo: float, hi: float) -> np.ndarray:
+    # np.linspace(lo, hi, ZOOM_POINTS) bit for bit, unless the step underflows
+    axis = _ZOOM_STEPS * ((hi - lo) / (ZOOM_POINTS - 1)) + lo
+    axis[-1] = hi
+    return axis
+
+
 def _sweep(p: BlochX, z3s: np.ndarray, phis: np.ndarray):
     # entropy on the grid z3s x phis, a block of rows at a time; ties
     # resolve to the first cell in row-major order
-    rows = max(1, SWEEP_BLOCK // len(phis))
+    z3c = z3s[:, None]
+    rows = _rows(p, z3c)
+    rho2, tail = 1.0 - z3c * z3c, (p.c3 * z3c) ** 2
+    circle = p.c1 * p.c1 + _phi_weight(p) * np.sin(phis) ** 2
+    step = max(1, SWEEP_BLOCK // len(phis))
+    work = np.empty((3, 2, min(step, len(z3s)), len(phis)))
     best = None
-    for start in range(0, len(z3s), rows):
-        z3g = z3s[start:start + rows, None]
-        ce = _entropy(p, z3g, _polar_theta(p, z3g, phis[None, :]))
-        k = int(np.argmin(ce))
+    for start in range(0, len(z3s), step):
+        cut = slice(start, start + step)
+        theta = rho2[cut] * circle
+        theta += tail[cut]
+        ce = _entropy([x if x is None else x[:, cut] for x in rows], theta,
+                      work[:, :, :len(theta)])
+        k = int(ce.argmin())
         if best is None or ce.flat[k] < best[0]:
             best = (float(ce.flat[k]), start + k // len(phis), k % len(phis))
     return best
@@ -165,8 +177,9 @@ def oracle_classical_correlation(p: BlochX, grid_n: int = 256,
     state with c1^2 = c2^2 every grid shrinks to its phi = 0 column, where
     the full grid's ties resolve; the result is the same bit for bit.
     """
-    if grid_n < 1:
-        raise ValueError(f"grid_n must be at least 1, got {grid_n}")
+    if grid_n < 1 or refine_rounds < 0:
+        raise ValueError("grid_n must be at least 1 and refine_rounds at "
+                         f"least 0, got {grid_n} and {refine_rounds}")
     cols = 1 if _phi_weight(p) == 0.0 else None    # phi columns swept
     z3s, phis = _coarse_grid(operator.index(grid_n))
     best, i, j = _sweep(p, z3s, phis[:cols])
@@ -175,9 +188,8 @@ def oracle_classical_correlation(p: BlochX, grid_n: int = 256,
     dz = 1.0 / max(grid_n - 1, 1)
     dphi = HALF_PI * dz
     for _ in range(refine_rounds):
-        zs = np.linspace(max(z3 - dz, 0.0), min(z3 + dz, 1.0), ZOOM_POINTS)
-        fs = np.linspace(max(phi - dphi, 0.0), min(phi + dphi, HALF_PI),
-                         ZOOM_POINTS)
+        zs = _zoom_axis(max(z3 - dz, 0.0), min(z3 + dz, 1.0))
+        fs = _zoom_axis(max(phi - dphi, 0.0), min(phi + dphi, HALF_PI))
         cand, a, b = _sweep(p, zs, fs[:cols])
         gain = best - cand
         if gain > 0.0:

@@ -42,8 +42,8 @@ class XPatternError(ValueError):
 def xlog2(x):
     """x * log2(x) with the 0 log 0 = 0 convention, elementwise."""
     x = np.asarray(x, dtype=float)
-    safe = np.where(x > 0.0, x, 1.0)
-    out = np.where(x > 0.0, x * np.log2(safe), 0.0)
+    pos = x > 0.0
+    out = np.where(pos, x * np.log2(np.where(pos, x, 1.0)), 0.0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -55,7 +55,7 @@ def xlog2_float(x: float) -> float:
 def binary_entropy(x):
     """Shannon entropy -x log2 x - (1-x) log2 (1-x) of a bit, in bits."""
     x = np.asarray(x, dtype=float)
-    h = xlog2(np.stack((x, 1.0 - x)))          # one call for x and 1 - x
+    h = xlog2(np.array((x, 1.0 - x)))          # one call for x and 1 - x
     out = -(h[0] + h[1]) + 0.0                 # "+ 0.0" normalizes -0.0
     return float(out) if np.ndim(out) == 0 else out
 
@@ -177,7 +177,7 @@ class XDensityMatrix:
         (e14, ph14), (e23, ph23) = _corner(m[0, 3]), _corner(m[1, 2])
         g[0, 3] = g[3, 0] = e14
         g[1, 2] = g[2, 1] = e23
-        d = np.diag(g)
+        d = np.diag(g).tolist()
         bloch = BlochX(d[0] + d[1] - d[2] - d[3], d[0] - d[1] + d[2] - d[3],
                        2.0 * (e23 + e14), 2.0 * (e23 - e14),
                        d[0] - d[1] - d[2] + d[3])

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,6 +26,52 @@ def test_spin_flip_is_an_involution(rng):
     for p in random_states(rng, 30):
         m = bloch_to_matrix(p).matrix
         np.testing.assert_allclose(spin_flip(spin_flip(m)), m, atol=1e-15)
+
+
+# sigma_y (x) sigma_y kept real, as in the textbook formula
+SYY_REAL = np.array([[0.0, 0.0, 0.0, -1.0],
+                     [0.0, 0.0, 1.0, 0.0],
+                     [0.0, 1.0, 0.0, 0.0],
+                     [-1.0, 0.0, 0.0, 0.0]])
+
+
+def same_complex_bits(a, b):
+    a, b = a.view(float), b.view(float)
+    return (np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def complex_from_parts(re_part, im_part):
+    m = np.empty(re_part.shape, dtype=complex)
+    m.real, m.imag = re_part, im_part
+    return m
+
+
+def test_spin_flip_matches_textbook_bits(rng):
+    # random complex matrices; matrices of +0.0 and -0.0 in both parts;
+    # and the random ones with a random half of the parts set to +/-0.0
+    mats = [complex_from_parts(*rng.normal(size=(2, 4, 4)))
+            for _ in range(50)]
+    for m in list(mats):
+        zeros = rng.choice([0.0, -0.0], size=(2, 4, 4))
+        keep = rng.integers(0, 2, size=(2, 4, 4)).astype(bool)
+        mats.append(complex_from_parts(*zeros))
+        mats.append(complex_from_parts(np.where(keep[0], m.real, zeros[0]),
+                                       np.where(keep[1], m.imag, zeros[1])))
+    for m in mats:
+        assert same_complex_bits(spin_flip(m),
+                                 SYY_REAL @ np.conj(m) @ SYY_REAL), m
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (2, 2), (2, 4, 4), (4,), (16,)],
+                         ids=lambda s: "x".join(map(str, s)))
+def test_matrix_helpers_reject_wrong_shapes(shape):
+    m = np.zeros(shape)
+    for helper in (concurrence, mu_spectrum, mu_spectrum_closed, spin_flip):
+        with pytest.raises(ValueError,
+                           match=r"4x4 matrix, got shape " + re.escape(
+                               str(shape))):
+            helper(m)
 
 
 def test_mu_spectrum_routes_agree(rng):

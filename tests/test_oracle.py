@@ -14,7 +14,7 @@ from xdiscord import (BlochX, FContext, XDensityMatrix, binary_entropy,
                       oracle_classical_correlation)
 from xdiscord import oracle
 from xdiscord.oracle import (HALF_PI, PROB_FLOOR, ZOOM_POINTS, _entropy,
-                             _outcomes, _phi_weight, _sweep)
+                             _outcomes, _phi_weight, _rows, _sweep)
 from xdiscord.sampling import random_rank_two, random_states
 
 ORACLE_SRC = (Path(__file__).resolve().parents[1]
@@ -34,7 +34,7 @@ def theta(p, direction):
 
 def objective(p, z3, th):
     # 1 - measured conditional entropy at (z3, theta)
-    return 1.0 - float(_entropy(p, z3, th))
+    return 1.0 - float(_entropy(_rows(p, z3), th))
 
 
 def best_theta(p, z3):
@@ -68,7 +68,7 @@ def test_oracle_direction_is_unit_vector_at_z3_phi(rng):
 def test_conditional_ensemble_against_projectors(rng):
     points = random_directions(rng, 60)
     for p, point in zip(random_states(rng, 60), points):
-        outcomes = list(zip(*_outcomes(p, point[2], theta(p, point))))
+        outcomes = list(zip(*_outcomes(_rows(p, point[2]), theta(p, point))))
         dense = measured_ensemble(bloch_to_matrix(p).matrix, tuple(point))
         assert sum(pk for pk, _ in outcomes) == pytest.approx(1.0, abs=1e-12)
         assert outcomes[0][0] == pytest.approx(
@@ -79,14 +79,15 @@ def test_conditional_ensemble_against_projectors(rng):
                 (lam, 1.0 - lam), np.linalg.eigvalsh(state)[::-1],
                 atol=1e-10)
         expect = sum(pk * dense_entropy(state) for pk, state in dense)
-        assert float(_entropy(p, point[2], theta(p, point))) == (
+        assert float(_entropy(_rows(p, point[2]), theta(p, point))) == (
             pytest.approx(expect, abs=1e-10))
 
 
 def test_conditional_entropy_of_pure_state_vanishes(rng):
     bell = BlochX(0.0, 0.0, 1.0, -1.0, 1.0)
     for point in random_directions(rng, 25):
-        assert float(_entropy(bell, point[2], theta(bell, point))) == (
+        assert float(_entropy(_rows(bell, point[2]),
+                              theta(bell, point))) == (
             pytest.approx(0.0, abs=1e-12))
 
 
@@ -170,6 +171,18 @@ def test_oracle_rejects_empty_grid():
                                      grid_n=0)
 
 
+def test_oracle_rejects_negative_refine_rounds():
+    p = BlochX(0.31, -0.22, 0.47, -0.18, 0.29)
+    with pytest.raises(ValueError, match="refine_rounds"):
+        oracle_classical_correlation(p, grid_n=17, refine_rounds=-1)
+    coarse = oracle_classical_correlation(p, grid_n=17, refine_rounds=0)
+    z3s = np.linspace(0.0, 1.0, 17)
+    assert coarse.z3 == z3s[coarse.grid_index[0]]
+    assert oracle_classical_correlation(
+        p, grid_n=17, refine_rounds=np.int64(3)) == (
+        oracle_classical_correlation(p, grid_n=17, refine_rounds=3))
+
+
 def test_oracle_refinement_improves_on_coarse_grid():
     p = matrix_to_bloch(XDensityMatrix(EX_MATRIX))
     coarse = oracle_classical_correlation(p, grid_n=64, refine_rounds=0)
@@ -233,12 +246,12 @@ def test_fused_kernel_matches_textbook_formula(rng, n):
     z3 = z3s[:, None]
     for p in kernel_states(rng):
         th = textbook_theta(p, z3, phis)
-        for got, want in zip(zip(*_outcomes(p, z3, th)),
+        for got, want in zip(zip(*_outcomes(_rows(p, z3), th)),
                              textbook_outcomes(p, z3, th)):
             assert same_bits(got[0], want[0]), p
             assert same_bits(got[1], want[1]), p
         ce = textbook_entropy(p, z3, th)
-        assert same_bits(_entropy(p, z3, th), ce), p
+        assert same_bits(_entropy(_rows(p, z3), th), ce), p
         i, j = np.unravel_index(int(np.argmin(ce)), ce.shape)
         assert _sweep(p, z3s, phis) == (float(ce[i, j]), i, j), p
 
@@ -269,6 +282,24 @@ def test_sweep_blocks_keep_full_grid_argmin(rng, monkeypatch, n, block):
                               textbook_theta(p, z3s[:, None], phis))
         i, j = np.unravel_index(int(np.argmin(ce)), ce.shape)
         assert _sweep(p, z3s, phis) == (float(ce[i, j]), i, j), p
+
+
+def test_zoom_axis_is_linspace_bit_for_bit(rng):
+    # bounds as the refinement rounds draw them on both axes, at every
+    # step size down to ZOOM_MIN_STEP, then arbitrary ordered pairs
+    pairs = []
+    for k in range(9):
+        for top in (1.0, HALF_PI):
+            step = top / 255.0 / 8.0 ** k
+            for mid in np.concatenate([rng.uniform(0.0, top, 200),
+                                       [0.0, step, top - step, top]]):
+                pairs.append((max(mid - step, 0.0), min(mid + step, top)))
+    for lo, hi in rng.normal(size=(500, 2)) * 10.0 ** rng.integers(
+            -30, 30, size=(500, 1)):
+        pairs.append((min(lo, hi), max(lo, hi)))
+    for lo, hi in pairs:
+        assert same_bits(oracle._zoom_axis(lo, hi),
+                         np.linspace(lo, hi, ZOOM_POINTS)), (lo, hi)
 
 
 def test_grid_cache_accepts_what_linspace_accepts():

@@ -288,6 +288,29 @@ def test_entropy_helpers():
                                [0.0, -0.5, 0.0], atol=1e-15)
 
 
+def stacked_binary_entropy(x):
+    # -(x log2 x + (1 - x) log2 (1 - x)) on one np.stack of x and 1 - x,
+    # with a masked x log2 x
+    x = np.asarray(x, dtype=float)
+    pair = np.stack((x, 1.0 - x))
+    h = np.where(pair > 0.0, pair * np.log2(np.where(pair > 0.0, pair, 1.0)),
+                 0.0)
+    out = -(h[0] + h[1]) + 0.0
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def test_binary_entropy_matches_stacked_form_bits(rng):
+    grid = np.concatenate([[0.0, 1e-300, 0.5, 1.0 - 1e-16, 1.0],
+                           rng.uniform(0.0, 1.0, 95)])
+    cases = [0.0, 1.0, 1e-300, 0.5, 0.3, grid, grid.reshape(10, 10),
+             grid[:7].tolist()]
+    for x in cases:
+        got, want = binary_entropy(x), stacked_binary_entropy(x)
+        assert type(got) is type(want)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_state_entropy_matches_dense(rng):
     for p in random_states(rng, 100):
         assert entropies(p)[2] == pytest.approx(
