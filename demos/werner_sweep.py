@@ -9,7 +9,7 @@ for every parameter value.
 
 import numpy as np
 
-from xdiscord import BlochX, FContext, discord, f_value, xlog2
+from xdiscord import BlochX, discord, f_value, xlog2
 
 
 def bell_diagonal_closed(c1: float, c2: float, c3: float) -> float:
@@ -39,8 +39,7 @@ def main() -> None:
         r = 1.0 / 3.0 - 2.0 * a / 3.0
         p = BlochX(r, r, 2.0 / 3.0, 2.0 / 3.0, -1.0 / 3.0)
         res = discord(p)
-        ctx = FContext.from_state(p)
-        interior = float(np.max(f_value(ctx, np.linspace(0.01, 1.0, 100))))
+        interior = float(np.max(f_value(p, np.linspace(0.01, 1.0, 100))))
         print(f"{a:>6.2f} {res.discord:>12.8f} {res.z_star:>5.2f} "
               f"{interior - res.f_max:>24.2e}")
         assert res.z_star == 0.0

@@ -8,9 +8,9 @@ measurement oracle.
 
 import numpy as np
 
-from xdiscord import (FContext, XDensityMatrix, discord, f_derivative,
-                      matrix_to_bloch, oracle_classical_correlation,
-                      region_conditions, spectrum)
+from xdiscord import (XDensityMatrix, discord, f_derivative, matrix_to_bloch,
+                      oracle_classical_correlation, region_conditions,
+                      spectrum)
 
 MATRIX = np.array([
     [0.0783, 0.0,   0.0,   0.0],
@@ -41,7 +41,7 @@ def main() -> None:
 
     print(f"\nz*      = {res.z_star:.10f}")
     print(f"F(z*)   = {res.f_max:.10f}")
-    print(f"F'(z*)  = {f_derivative(FContext.from_state(p), res.z_star):+.2e}")
+    print(f"F'(z*)  = {f_derivative(p, res.z_star):+.2e}")
     print(f"discord = {res.discord:.10f}")
     print(f"classical correlation = {res.classical_correlation:.10f}")
     print(f"mutual information    = {res.mutual_information:.10f}")

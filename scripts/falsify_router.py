@@ -33,7 +33,7 @@ import numpy as np
 from mpmath import mp
 from scipy.optimize import differential_evolution
 
-from xdiscord import BlochX, FContext, f_derivative, physicality_margins
+from xdiscord import BlochX, f_derivative, physicality_margins
 
 GRID = np.linspace(0.0, 1.0, 401)[1:]
 AMBIGUOUS = 1e-9
@@ -60,7 +60,7 @@ def objective(x: np.ndarray) -> float:
     if min(m1, m2) < 0.0:
         return 1.0 - min(m1, m2)      # outside: push back in
     with np.errstate(all="ignore"):
-        g = f_derivative(FContext.from_state(BlochX(*x)), GRID)
+        g = f_derivative(BlochX(*x), GRID)
     g = np.where(np.isfinite(g), g, 0.0)
     return -pattern_score(g)[0]
 
@@ -101,7 +101,7 @@ def main(argv=None) -> int:
             polish=False)
         p = BlochX(*res.x)
         with np.errstate(all="ignore"):
-            g = f_derivative(FContext.from_state(p), GRID)
+            g = f_derivative(p, GRID)
         score, wit = pattern_score(np.where(np.isfinite(g), g, 0.0))
         line = (f"run {k}: score {score:.3e}  state "
                 + " ".join(f"{v:.17g}" for v in p.as_tuple()))

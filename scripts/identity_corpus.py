@@ -44,12 +44,17 @@ states.  Each runs at grid_n 1, 17, 64 and 100 without refinement, and
 at grid_n 1, 100 and 256 with it.  A 100 x 100 grid ends in a partial
 sweep block (19 of 81 rows), which no other grid size here slices.
 
-The section printed last gives the public F API on every corpus state:
+The next section gives the public F API on every corpus state:
 classify_region() and analytic_max() (or the exception it raises),
 f_value(), f_derivative() and f_second_derivative() at z = 0, 0.5 and 1
 and on 9 evenly spaced points of [0, 1], and newton_critical_point()
-from z = 1.  Needs numpy, and pytest for the states it reads from
-tests/conftest.py.
+from z = 1.
+
+The section printed last gives the outcome, a value or the exception,
+of the three F functions and newton_critical_point() on two states at
+z = nan, -0.5 and 1.5 and on the array [0.5, nan], and of xlog2(),
+binary_entropy() and eof_from_concurrence() at nan.  Needs numpy, and
+pytest for the states it reads from tests/conftest.py.
 """
 
 from __future__ import annotations
@@ -60,15 +65,16 @@ import warnings
 
 import numpy as np
 
-from xdiscord import (BlochX, FContext, PhysicalityError, XDensityMatrix,
-                      analytic_max, bloch_to_matrix, classify_region,
-                      concurrence, corner_phases, discord, entropies,
-                      f_derivative, f_second_derivative, f_value,
+from xdiscord import (BlochX, PhysicalityError, XDensityMatrix,
+                      analytic_max, binary_entropy, bloch_to_matrix,
+                      classify_region, concurrence, corner_phases, discord,
+                      entropies, f_derivative, f_second_derivative, f_value,
                       global_max, koashi_winter, matrix_to_bloch,
                       mu_spectrum, newton_critical_point,
                       oracle_classical_correlation, random_bell_diagonal,
                       random_case, random_rank_two, random_states,
-                      rank_two_classify, region_conditions)
+                      rank_two_classify, region_conditions, xlog2)
+from xdiscord.entanglement import eof_from_concurrence
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
 from conftest import BOUNDARY_BLOCH, REGION_EDGE_BLOCH  # noqa: E402
@@ -198,20 +204,22 @@ def outcome(call, m) -> str:
 
 F_POINTS = [0.0, 0.5, 1.0]
 F_GRID = np.linspace(0.0, 1.0, 9)
+OFF_DOMAIN_STATES = [BlochX(0.3, 0.1, 0.05, 0.0, 0.4),
+                     BlochX(0.1, 0.2, 0.3, 0.1, 0.2)]
+OFF_DOMAIN_Z = [float("nan"), -0.5, 1.5, np.array([0.5, np.nan])]
 
 
 def f_lines(p: BlochX) -> list[str]:
     """The region, closed form, F functions and Newton run of state p."""
-    ctx = FContext.from_state(p)
     lines = ["  classify " + repr(classify_region(p)),
              "  analytic_max " + outcome(analytic_max, p)]
     for f in (f_value, f_derivative, f_second_derivative):
         with np.errstate(all="ignore"):
-            grid = f(ctx, F_GRID).tolist()
+            grid = f(p, F_GRID).tolist()
         lines.append(f"  {f.__name__} "
-                     + " ".join(repr(f(ctx, z)) for z in F_POINTS)
+                     + " ".join(repr(f(p, z)) for z in F_POINTS)
                      + " grid " + repr(grid))
-    lines.append("  newton " + repr(newton_critical_point(ctx, 1.0)))
+    lines.append("  newton " + repr(newton_critical_point(p, 1.0)))
     return lines
 
 
@@ -257,6 +265,15 @@ def main() -> None:
     for i, (label, p) in enumerate(states):
         print("f", i, label)
         print("\n".join(f_lines(p)))
+    for p in OFF_DOMAIN_STATES:
+        print("off domain", repr(p))
+        for f in (f_value, f_derivative, f_second_derivative,
+                  newton_critical_point):
+            for z in OFF_DOMAIN_Z:
+                print(f"  {f.__name__} {z!r}",
+                      outcome(lambda x, f=f: f(p, x), z))
+    for f in (xlog2, binary_entropy, eof_from_concurrence):
+        print(f"nan {f.__name__}", outcome(f, float("nan")))
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .engine import (FContext, classify_region, discord, f_derivative,
+from .engine import (classify_region, discord, f_derivative,
                      f_second_derivative, f_value, region_conditions)
 from .entanglement import RankError, koashi_winter
 from .oracle import oracle_classical_correlation
@@ -245,12 +245,11 @@ def cmd_discord(args) -> int:
 
 def cmd_scan(args) -> int:
     p, inp = _load_state(args)
-    ctx = FContext.from_state(p)
     zs = np.linspace(0.0, 1.0, args.points)
     with np.errstate(all="ignore"):
-        fs = f_value(ctx, zs)
-        d1 = f_derivative(ctx, zs)
-        d2 = f_second_derivative(ctx, zs)
+        fs = f_value(p, zs)
+        d1 = f_derivative(p, zs)
+        d2 = f_second_derivative(p, zs)
     payload = {
         "input": inp,
         "z": [float(x) for x in zs],

@@ -56,18 +56,6 @@ class Region(Enum):
 _A, _B, _C, _D, _GENERAL = Region
 
 
-@dataclass(frozen=True)
-class FContext:
-    """A state, as the public F functions take it; FContext(p) and
-    FContext.from_state(p) are the same record."""
-
-    p: BlochX
-
-    @classmethod
-    def from_state(cls, p: BlochX) -> "FContext":
-        return cls(p)
-
-
 # ---------------------------------------------------------------------------
 # F and derivatives.  Each formula is written once against a backend xp:
 # _FLOAT uses the math module (Newton runs many single-point evaluations),
@@ -96,11 +84,23 @@ _ARRAY = SimpleNamespace(
 )
 
 
-def _unpack(ctx: FContext, z):
-    # the state, and z as a float on the math backend or an array on numpy's
+FContext = SimpleNamespace(from_state=lambda p: p, __doc__=(
+    "The bench's old spelling of a state: from_state(p) returns p.  Goes "
+    "once xbench/traced.py stops calling it (ROADMAP item 1)."))
+
+
+def _unpack(z, what: str = "z"):
+    # z as a float on the math backend or an array on numpy's; a value
+    # outside F's domain [0, 1] raises (both comparisons are false on nan)
     if np.ndim(z) == 0:
-        return ctx.p, float(z), _FLOAT
-    return ctx.p, np.asarray(z, dtype=float), _ARRAY
+        z, xp = float(z), _FLOAT
+        outside = () if 0.0 <= z <= 1.0 else (z,)
+    else:
+        z, xp = np.asarray(z, dtype=float), _ARRAY
+        outside = z[~((z >= 0.0) & (z <= 1.0))]
+    if len(outside):
+        raise ValueError(f"{what} = {float(outside[0])} is outside [0, 1]")
+    return z, xp
 
 
 def _radicals(p: BlochX, z, xp):
@@ -126,9 +126,9 @@ def _f(rads, xp):
     return _pair(wp, hp, xp) + _pair(wm, hm, xp)
 
 
-def f_value(ctx: FContext, z):
-    """F(z) for scalar or array z in [0, 1]."""
-    p, z, xp = _unpack(ctx, z)
+def f_value(p: BlochX, z):
+    """F(z) for scalar or array z; z outside [0, 1] raises ValueError."""
+    z, xp = _unpack(z)
     return _f(_radicals(p, z, xp), xp)
 
 
@@ -170,9 +170,9 @@ def _fp(p: BlochX, z, rads, xp):
     return xp.where(xp.minimum(wp, wm) > PAIR_FLOOR, tot / (4.0 * LN2), 0.0)
 
 
-def f_derivative(ctx: FContext, z):
-    """F'(z) for scalar or array z.  F'(0) is exactly 0 (F is even)."""
-    p, z, xp = _unpack(ctx, z)
+def f_derivative(p: BlochX, z):
+    """F'(z) for scalar or array z in [0, 1].  F'(0) is exactly 0."""
+    z, xp = _unpack(z)
     return _fp(p, z, _radicals(p, z, xp), xp)
 
 
@@ -199,9 +199,9 @@ def _fpp(p: BlochX, z, rads, xp):
     return xp.where(bad, math.nan, t / (2.0 * LN2))
 
 
-def f_second_derivative(ctx: FContext, z):
+def f_second_derivative(p: BlochX, z):
     """F''(z); returns nan where a denominator degenerates."""
-    p, z, xp = _unpack(ctx, z)
+    z, xp = _unpack(z)
     return _fpp(p, z, _radicals(p, z, xp), xp)
 
 
@@ -289,10 +289,11 @@ class NewtonRun:
                              converged=converged, z=z, note=note)
 
 
-def newton_critical_point(ctx: FContext, z0: float,
+def newton_critical_point(p: BlochX, z0: float,
                           bracket: tuple[float, float] | None = None
                           ) -> NewtonRun:
-    """Newton iteration for F'(z) = 0 from z0, confined to [0, 1].
+    """Newton iteration for F'(z) = 0 from z0, confined to [0, 1]; a z0
+    or bracket end outside [0, 1] raises ValueError.
 
     Steps that leave the interval or increase |F'| are rejected; with a
     sign-change bracket the rejected step is replaced by bisection,
@@ -307,10 +308,10 @@ def newton_critical_point(ctx: FContext, z0: float,
     TINY and every denominator is guarded), so a bracketed run never
     fails for want of a derivative: every rejected step can bisect.
     """
-    p, z = ctx.p, float(z0)
+    z = _unpack(float(z0), "z0")[0]
     if bracket is None:
         return _newton(p, z, *_slope(p, z))[0]
-    lo, hi = float(bracket[0]), float(bracket[1])
+    lo, hi = (_unpack(float(b), "bracket end")[0] for b in bracket)
     return _newton(p, z, *_slope(p, z), lo, hi,
                    _slope(p, lo)[0], _slope(p, hi)[0])[0]
 

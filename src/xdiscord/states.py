@@ -40,16 +40,15 @@ class XPatternError(ValueError):
 
 
 def xlog2(x):
-    """x * log2(x) with the 0 log 0 = 0 convention, elementwise."""
+    """x * log2(x) with 0 log 0 = 0, elementwise; nan stays nan."""
     x = np.asarray(x, dtype=float)
-    pos = x > 0.0
-    out = np.where(pos, x * np.log2(np.where(pos, x, 1.0)), 0.0)
+    out = np.where(x <= 0.0, 0.0, x * np.log2(np.where(x > 0.0, x, 1.0)))
     return float(out) if out.ndim == 0 else out
 
 
 def xlog2_float(x: float) -> float:
     """xlog2 for one float, on the math module."""
-    return x * math.log2(x) if x > 0.0 else 0.0
+    return x * math.log2(x) if x > 0.0 else 0.0 if x <= 0.0 else x
 
 
 def binary_entropy(x):

@@ -17,7 +17,7 @@ from time import perf_counter
 import numpy as np
 
 from conftest import EX_MATRIX, closed_form_bell_diagonal
-from xdiscord import (BlochX, FContext, Region, XDensityMatrix, analytic_max,
+from xdiscord import (BlochX, Region, XDensityMatrix, analytic_max,
                       bloch_to_matrix, discord, f_derivative, f_value,
                       global_max, koashi_winter, matrix_to_bloch,
                       oracle_classical_correlation, spectrum)
@@ -105,9 +105,8 @@ def test_criterion_3_region_certification():
             _, f_closed = analytic_max(p, Region(case))
             worst_gap = max(worst_gap, abs(f_closed - global_max(p).f_max))
             if case in "abd":
-                ctx = FContext.from_state(p)
                 with np.errstate(all="ignore"):
-                    d = f_derivative(ctx, grid)
+                    d = f_derivative(p, grid)
                 if not np.all(np.isfinite(d)):
                     non_finite += 1
                     continue
@@ -161,15 +160,14 @@ def test_criterion_5_boundary_family_scan():
     for a in (0.0, 0.25, 0.5, 0.75, 1.0):
         r = 1.0 / 3.0 - 2.0 * a / 3.0
         p = BlochX(r, r, 2.0 / 3.0, 2.0 / 3.0, -1.0 / 3.0)
-        ctx = FContext.from_state(p)
         with np.errstate(all="ignore"):
-            d = f_derivative(ctx, zs)
+            d = f_derivative(p, zs)
         check(failures, bool(np.all(np.isfinite(d))),
               f"a = {a}: derivative grid is not finite")
         check(failures, float(np.max(d)) <= 1e-10,
               f"a = {a}: max F' on (0, 1] = {float(np.max(d)):.3e} > 1e-10")
-        check(failures, f_derivative(ctx, 0.0) == 0.0,
-              f"a = {a}: F'(0) = {f_derivative(ctx, 0.0)!r}, expected 0.0")
+        check(failures, f_derivative(p, 0.0) == 0.0,
+              f"a = {a}: F'(0) = {f_derivative(p, 0.0)!r}, expected 0.0")
         res = discord(p)
         check(failures, res.z_star == 0.0,
               f"a = {a}: maximizer z* = {res.z_star}, expected 0")
@@ -219,12 +217,11 @@ def test_criterion_7_property_suite():
     worst_fd = 0.0
     worst_even = 0.0
     for p in random_states(rng, 2000):
-        ctx = FContext.from_state(p)
         with np.errstate(all="ignore"):
-            fd = (f_value(ctx, zs + h) - f_value(ctx, zs - h)) / (2.0 * h)
+            fd = (f_value(p, zs + h) - f_value(p, zs - h)) / (2.0 * h)
             worst_fd = max(worst_fd,
-                           float(np.max(np.abs(fd - f_derivative(ctx, zs)))))
-        worst_even = max(worst_even, abs(f_derivative(ctx, 1e-7)))
+                           float(np.max(np.abs(fd - f_derivative(p, zs)))))
+        worst_even = max(worst_even, abs(f_derivative(p, 1e-7)))
     check(failures, worst_fd < 1e-5,
           f"worst |F' - finite difference| = {worst_fd:.3e} >= 1e-5")
     check(failures, worst_even < 1e-4,

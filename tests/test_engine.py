@@ -2,7 +2,9 @@
 
 import dataclasses
 import inspect
+import math
 import pickle
+import re
 from collections import Counter
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 
 from conftest import (BOUNDARY_BLOCH, EX_MATRIX, REGION_EDGE_BLOCH,
                       closed_form_bell_diagonal)
-from xdiscord import (BlochX, FContext, PhysicalityError, Region,
+from xdiscord import (BlochX, PhysicalityError, Region,
                       XDensityMatrix, analytic_max, classify_region, discord,
                       f_derivative, f_second_derivative, f_value, global_max,
                       matrix_to_bloch, newton_critical_point,
@@ -61,14 +63,13 @@ def test_f_scalar_and_array_agree(rng):
         p.swapped() for case in ("I", "II", "III")
         for p in random_rank_two(rng, case, 100)]
     for p in states:
-        ctx = FContext.from_state(p)
-        scalars = np.array([f_value(ctx, z) for z in zs])
-        np.testing.assert_allclose(f_value(ctx, zs), scalars, atol=1e-14)
+        scalars = np.array([f_value(p, z) for z in zs])
+        np.testing.assert_allclose(f_value(p, zs), scalars, atol=1e-14)
         with np.errstate(all="ignore"):
-            d_arr = f_derivative(ctx, zs)
-            d_sca = np.array([f_derivative(ctx, z) for z in zs])
-            dd_arr = f_second_derivative(ctx, zs)
-            dd_sca = np.array([f_second_derivative(ctx, z) for z in zs])
+            d_arr = f_derivative(p, zs)
+            d_sca = np.array([f_derivative(p, z) for z in zs])
+            dd_arr = f_second_derivative(p, zs)
+            dd_sca = np.array([f_second_derivative(p, z) for z in zs])
         np.testing.assert_allclose(d_arr, d_sca, atol=1e-14)
         np.testing.assert_array_equal(np.isnan(dd_arr), np.isnan(dd_sca))
         ok = ~np.isnan(dd_sca)
@@ -109,16 +110,14 @@ def test_f_and_derivatives_match_50_digit_reference(rng):
     ends += random_bell_diagonal(rng, 15)
     with mp.workdps(50):
         for p in ends:
-            ctx = FContext.from_state(p)
             for z in (0, 1):
                 ref = _reference_f(mp, p, mp.mpf(z))
-                assert abs(f_value(ctx, float(z)) - ref) <= 1e-13 * max(
+                assert abs(f_value(p, float(z)) - ref) <= 1e-13 * max(
                     1, abs(ref)), (p.as_tuple(), z)
         for p in states:
-            ctx = FContext.from_state(p)
             for z in (0.1, 0.35, 0.6, 0.85, 0.97):
                 for order, (fn, bound) in enumerate(checks):
-                    got = fn(ctx, z)
+                    got = fn(p, z)
                     if np.isnan(got):
                         continue    # the engine flags a degenerate F''
                     ref = mp.diff(lambda t: _reference_f(mp, p, t),
@@ -130,39 +129,36 @@ def test_f_and_derivatives_match_50_digit_reference(rng):
 def test_derivative_matches_finite_differences(rng):
     h = 1e-6
     for p in random_states(rng, 60, margin=0.05):
-        ctx = FContext.from_state(p)
         for z in np.linspace(0.1, 0.9, 9):
-            fd = (f_value(ctx, z + h) - f_value(ctx, z - h)) / (2.0 * h)
-            assert f_derivative(ctx, z) == pytest.approx(fd, abs=1e-5)
+            fd = (f_value(p, z + h) - f_value(p, z - h)) / (2.0 * h)
+            assert f_derivative(p, z) == pytest.approx(fd, abs=1e-5)
 
 
 def test_second_derivative_matches_finite_differences(rng):
     h = 1e-6
     for p in random_states(rng, 30, margin=0.05):
-        ctx = FContext.from_state(p)
         for z in np.linspace(0.15, 0.85, 5):
-            fd = (f_derivative(ctx, z + h)
-                  - f_derivative(ctx, z - h)) / (2.0 * h)
-            fpp = f_second_derivative(ctx, z)
+            fd = (f_derivative(p, z + h)
+                  - f_derivative(p, z - h)) / (2.0 * h)
+            fpp = f_second_derivative(p, z)
             assert fpp == pytest.approx(fd, abs=1e-4 * max(1.0, abs(fd)))
 
 
 def test_derivative_is_zero_at_origin(rng):
     # F is even in z, so F'(0) vanishes identically, not just approximately
     for p in random_states(rng, 50):
-        ctx = FContext.from_state(p)
-        assert f_derivative(ctx, 0.0) == 0.0
-        assert abs(f_derivative(ctx, 1e-7)) < 1e-4
+        assert f_derivative(p, 0.0) == 0.0
+        assert abs(f_derivative(p, 1e-7)) < 1e-4
 
 
 def test_derivative_vanishes_at_one_on_product_states_with_unit_s():
     # |s| = 1 forces a product state, so F is flat; w+- vanishes at z = 1
     for t in ((0.3, 1.0, 0.0, 0.0, 0.3), (0.2, 1.0, 0.0, 0.0, 0.2),
               (-0.5, -1.0, 0.0, 0.0, 0.5)):
-        ctx = FContext.from_state(BlochX(*t))
-        assert abs(f_derivative(ctx, 1.0)) <= 1e-12, t
+        p = BlochX(*t)
+        assert abs(f_derivative(p, 1.0)) <= 1e-12, t
         with np.errstate(all="ignore"):
-            d = f_derivative(ctx, np.array([0.5, 1.0]))
+            d = f_derivative(p, np.array([0.5, 1.0]))
         assert np.all(np.abs(d) <= 1e-12), t
 
 
@@ -179,8 +175,7 @@ def test_float_derivative_is_finite_on_the_closed_interval(rng):
         for p in random_rank_two(rng, case, 30)]
     zs = [0.0, 1e-300, 1e-12, 0.25, 0.5, 0.75, 1.0 - 1e-16, 1.0]
     for p in pool:
-        ctx = FContext.from_state(p)
-        assert all(np.isfinite(f_derivative(ctx, z)) for z in zs), \
+        assert all(np.isfinite(f_derivative(p, z)) for z in zs), \
             p.as_tuple()
 
 
@@ -188,9 +183,38 @@ def test_derivative_finite_where_radical_vanishes():
     # H+ hits zero at z = 0.5 for this state; the derivative must take
     # its series limit there while the second derivative signals nan
     p = BlochX(0.3, 0.0, 0.0, 0.0, -0.6)
-    ctx = FContext.from_state(p)
-    assert np.isfinite(f_derivative(ctx, 0.5))
-    assert np.isnan(f_second_derivative(ctx, 0.5))
+    assert np.isfinite(f_derivative(p, 0.5))
+    assert np.isnan(f_second_derivative(p, 0.5))
+
+
+# F's domain is [0, 1]; each entry lies outside it, nan and inf included
+OFF_DOMAIN = (math.nan, -0.5, 1.5, math.inf, -math.inf, -5e-324,
+              float(np.nextafter(1.0, 2.0)))
+
+
+@pytest.mark.parametrize("fn", [f_value, f_derivative, f_second_derivative])
+def test_f_functions_reject_z_outside_the_domain(fn):
+    p = BlochX(0.3, 0.1, 0.05, 0.0, 0.4)
+    for z in OFF_DOMAIN:
+        with pytest.raises(ValueError, match=re.escape(f"z = {z} is")):
+            fn(p, z)
+        with pytest.raises(ValueError, match=re.escape(f"z = {z} is")):
+            fn(p, np.array([0.0, 0.5, z, 1.0]))
+    with pytest.raises(ValueError, match="z = nan is"):
+        fn(p, [[0.5, 1.0], [math.nan, 0.2]])
+    # the closed interval itself, -0.0 included, is inside
+    assert np.all(np.isfinite(fn(p, np.array([-0.0, 0.0, 0.5, 1.0]))))
+
+
+def test_newton_rejects_a_seed_or_bracket_end_outside_the_domain():
+    p = BlochX(0.1, 0.2, 0.3, 0.1, 0.2)
+    for z in OFF_DOMAIN:
+        with pytest.raises(ValueError, match=re.escape(f"z0 = {z} is")):
+            newton_critical_point(p, z)
+        for bracket in ((z, 1.0), (0.0, z)):
+            with pytest.raises(ValueError,
+                               match=re.escape(f"bracket end = {z} is")):
+                newton_critical_point(p, 0.5, bracket=bracket)
 
 
 def test_classify_region_examples():
@@ -242,13 +266,11 @@ def test_analytic_value_sits_on_curve():
     pa = BlochX(0.4, 0.1, 0.1, -0.05, -0.2)
     z, fmax = analytic_max(pa)
     assert z == 1.0
-    assert fmax == pytest.approx(f_value(FContext.from_state(pa), 1.0),
-                                 abs=1e-14)
+    assert fmax == pytest.approx(f_value(pa, 1.0), abs=1e-14)
     pd = BlochX(0.4, -0.12, 0.3, 0.3, -0.3)
     z, fmax = analytic_max(pd)
     assert z == 0.0
-    assert fmax == pytest.approx(f_value(FContext.from_state(pd), 0.0),
-                                 abs=1e-14)
+    assert fmax == pytest.approx(f_value(pd, 0.0), abs=1e-14)
 
 
 def test_analytic_matches_global_search_per_case(rng):
@@ -268,20 +290,20 @@ def test_analytic_max_raises_outside_regions():
 
 
 def test_newton_trace_on_worked_example():
-    ctx = FContext.from_state(ex_state())
-    run = newton_critical_point(ctx, 1.0)
+    p = ex_state()
+    run = newton_critical_point(p, 1.0)
     assert run.seed == 1.0
     assert run.converged
     assert len(run.iterates) == len(EX_ITERATES)
     np.testing.assert_allclose(run.iterates, EX_ITERATES, atol=1e-9)
     # F'(0) is exactly 0, so a run seeded there stops without a step
-    at_zero = newton_critical_point(ctx, 0.0)
+    at_zero = newton_critical_point(p, 0.0)
     assert at_zero.converged and at_zero.iterates == () and at_zero.z == 0.0
 
 
 def test_newton_reports_the_iteration_cap(monkeypatch):
     monkeypatch.setattr(engine, "NEWTON_MAX_ITER", 2)
-    run = newton_critical_point(FContext.from_state(ex_state()), 1.0)
+    run = newton_critical_point(ex_state(), 1.0)
     np.testing.assert_allclose(run.iterates, EX_ITERATES[:2], atol=1e-9)
     assert not run.converged and run.note == "iteration cap reached"
 
@@ -301,10 +323,10 @@ def test_interior_maximum_with_no_rising_f_prime_takes_the_scan(monkeypatch):
 def test_bracket_turns_rejected_steps_into_bisection():
     # F'' > 0 at z = 0.05 sends the Newton step below 0: alone the run is
     # abandoned, inside a sign-change bracket the step bisects instead
-    ctx = FContext.from_state(ex_state())
-    alone = newton_critical_point(ctx, 0.05)
+    p = ex_state()
+    alone = newton_critical_point(p, 0.05)
     assert not alone.converged and alone.iterates == ()
-    run = newton_critical_point(ctx, 0.05, bracket=(0.05, 1.0))
+    run = newton_critical_point(p, 0.05, bracket=(0.05, 1.0))
     assert run.converged and run.note == "bisection fallback used"
     assert run.iterates[0] == 0.525
     assert run.z == pytest.approx(EX_Z_STAR, abs=1e-9)
@@ -312,12 +334,12 @@ def test_bracket_turns_rejected_steps_into_bisection():
 
 def test_pick_reports_a_bisected_run_as_fallback():
     # the bracketed run above bisects; a record holding it says so
-    ctx = FContext.from_state(ex_state())
-    bisected = newton_critical_point(ctx, 0.05, bracket=(0.05, 1.0))
-    plain = newton_critical_point(ctx, 1.0)
+    p = ex_state()
+    bisected = newton_critical_point(p, 0.05, bracket=(0.05, 1.0))
+    plain = newton_critical_point(p, 1.0)
     assert "bisection" not in plain.note
-    cands = [(0.0, f_value(ctx, 0.0)), (1.0, f_value(ctx, 1.0)),
-             (bisected.z, f_value(ctx, bisected.z))]
+    cands = [(0.0, f_value(p, 0.0)), (1.0, f_value(p, 1.0)),
+             (bisected.z, f_value(p, bisected.z))]
     res = engine._pick(cands, [plain, bisected], "signs +,-")
     assert res.fallback == "bisection"
     assert res.z_star == bisected.z
@@ -436,9 +458,8 @@ def test_boundary_family_maximum_at_origin():
         res = discord(p)
         assert res.z_star == 0.0
         assert res.discord == pytest.approx(q, abs=1e-12)
-        ctx = FContext.from_state(p)
         with np.errstate(all="ignore"):
-            d = f_derivative(ctx, np.linspace(0.0, 1.0, 101)[1:])
+            d = f_derivative(p, np.linspace(0.0, 1.0, 101)[1:])
         assert np.all(d <= 1e-10)
 
 
@@ -524,7 +545,7 @@ def test_route_counts(rng):
 
 
 class _Forbidden:
-    # stands in for a module or class that a call must not use
+    # stands in for a module or function that a call must not use
     def __init__(self, name):
         self._name = name
 
@@ -532,20 +553,20 @@ class _Forbidden:
         raise AssertionError(f"{self._name}.{attr} used")
 
     def __call__(self, *args, **kwargs):
-        raise AssertionError(f"{self._name} built")
+        raise AssertionError(f"{self._name} called")
 
 
 def test_default_path_runs_no_scan_and_no_numpy(rng, monkeypatch):
     # an interior maximum takes one bracketed Newton run instead of the
-    # scan, and no route of a default call goes through numpy or builds
-    # an FContext
+    # scan, and no route of a default call goes through numpy or through
+    # the domain check of the public F functions
     ex = ex_state()
     pool = [ex] + random_states(rng, 300)
     monkeypatch.setattr(engine, "global_max",
                         lambda p: pytest.fail("scan"))
     monkeypatch.setattr("xdiscord.engine.np", _Forbidden("numpy"))
     monkeypatch.setattr("xdiscord.states.np", _Forbidden("numpy"))
-    monkeypatch.setattr(engine, "FContext", _Forbidden("FContext"))
+    monkeypatch.setattr(engine, "_unpack", _Forbidden("_unpack"))
     routes = set()
     for p in pool:
         res = discord(p)
@@ -567,10 +588,9 @@ def interior_maxima():
     pool += random_states(rng, 20000)
     picked = []
     for p in pool:
-        ctx = FContext.from_state(p)
         if (classify_region(p) is Region.GENERAL
-                and f_second_derivative(ctx, 0.0) > engine.SIGN_BAND
-                and f_derivative(ctx, 1.0) < -engine.SIGN_BAND):
+                and f_second_derivative(p, 0.0) > engine.SIGN_BAND
+                and f_derivative(p, 1.0) < -engine.SIGN_BAND):
             picked.append(p)
     assert len(picked) >= 90, len(picked)
     return picked
@@ -604,12 +624,11 @@ def test_router_newton_run_is_the_public_run(interior_maxima):
     # the router hands its own F'(1) and F'(lo) to the loop; the run must
     # be the one the public function makes from scratch on the same bracket
     for p in interior_maxima:
-        ctx = FContext.from_state(p)
         lo = 0.5
-        while not f_derivative(ctx, lo) > 0.0:
+        while not f_derivative(p, lo) > 0.0:
             lo *= 0.5
         (run,) = discord(p).search.newton_runs
-        assert run == newton_critical_point(ctx, 1.0, bracket=(lo, 1.0)), \
+        assert run == newton_critical_point(p, 1.0, bracket=(lo, 1.0)), \
             p.as_tuple()
 
 
@@ -643,8 +662,9 @@ def test_verify_checks_router_against_scan(rng, monkeypatch):
     states = random_states(rng, 300) + [
         p.swapped() for case in ("I", "II", "III")
         for p in random_rank_two(rng, case, 30)]
-    # the scan and the closed form that check a route build no FContext
-    monkeypatch.setattr(engine, "FContext", _Forbidden("FContext"))
+    # the scan and the closed form that check a route skip the domain
+    # check of the public F functions
+    monkeypatch.setattr(engine, "_unpack", _Forbidden("_unpack"))
     checked = 0
     for p in states:
         res = discord(p, verify=True)
@@ -663,7 +683,6 @@ RECORDS = {
     "newton-run": lambda: discord(ex_state()).search.newton_runs[0],
     "newton-run-not-run": lambda: discord(
         BlochX(0.1, 0.3, -0.35, 0.35, 0.2)).search.newton_runs[0],
-    "fcontext": lambda: FContext.from_state(ex_state()),
 }
 
 

@@ -141,6 +141,8 @@ def test_eof_from_concurrence_shape():
     assert all(b >= a for a, b in zip(vals, vals[1:]))
     assert eof_from_concurrence(0.5) == pytest.approx(
         binary_entropy(0.5 * (1.0 + math.sqrt(0.75))), abs=1e-15)
+    # a nan concurrence is no evidence of zero entanglement
+    assert math.isnan(eof_from_concurrence(math.nan))
 
 
 def test_rank_two_case_i():

@@ -1,15 +1,20 @@
 """Every name the benchmark, the demos and the scripts take from xdiscord
 exists, so trimming the API cannot silently break one of them; and the
-library defines nothing that only the tests call."""
+library defines nothing that only the tests call.  FContext, the bench's
+alias of the state, is checked to hand the state through unchanged and
+to be named nowhere else."""
 
 import ast
 import importlib
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from conftest import EX_MATRIX
 import xdiscord
+from xdiscord import engine
 
 ROOT = Path(__file__).resolve().parent.parent
 USERS = sorted(p for d in ("xbench", "demos", "scripts")
@@ -104,3 +109,35 @@ def test_library_defines_nothing_only_tests_call():
             if refs[name] - loaded_names(node)[name] <= 0:
                 unused.append(f"{path.stem}.{name}")
     assert not unused, f"defined but used by no library code: {unused}"
+
+
+def test_fcontext_alias_gives_the_state_to_the_bench_calls(rng):
+    # xbench/traced.py spells the state FContext.from_state(p) and makes
+    # three calls through it; each gives what global_max reads off the
+    # state, so the traced pieces time the work the scan does
+    grid, xp = np.linspace(0.0, 1.0, engine.SCAN_POINTS), engine._ARRAY
+    ex = xdiscord.matrix_to_bloch(xdiscord.XDensityMatrix(EX_MATRIX))
+    for p in [ex] + xdiscord.random_states(rng, 20):
+        ctx = xdiscord.FContext.from_state(p)
+        assert ctx is p
+        ref = xdiscord.global_max(p)
+        with np.errstate(all="ignore"):
+            want = engine._fp(p, grid, engine._radicals(p, grid, xp), xp)
+            assert np.array_equal(xdiscord.f_derivative(ctx, grid), want)
+        assert xdiscord.newton_critical_point(ctx, 1.0) == ref.newton_runs[0]
+        assert (xdiscord.f_value(ctx, 0.0), xdiscord.f_value(ctx, 1.0)) == (
+            ref.candidates[0][1], ref.candidates[1][1])
+
+
+def test_fcontext_is_named_only_by_its_definition_and_the_bench():
+    # once xbench/traced.py stops calling the alias, deleting it is an
+    # edit to engine.py and __init__.py, and to this file
+    naming = {}
+    for d in ("src", "tests", "demos", "scripts", "xbench"):
+        for path in (ROOT / d).rglob("*.py"):
+            count = path.read_text().count("FContext")
+            if count:
+                naming[path.relative_to(ROOT).as_posix()] = count
+    assert naming.pop("tests/test_imports.py") > 0
+    assert naming.pop("src/xdiscord/engine.py") == 1, "one definition"
+    assert set(naming) == {"src/xdiscord/__init__.py", "xbench/traced.py"}

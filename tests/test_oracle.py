@@ -9,7 +9,7 @@ import pytest
 
 from conftest import (BOUNDARY_BLOCH, EX_MATRIX, dense_entropy,
                       measured_ensemble)
-from xdiscord import (BlochX, FContext, XDensityMatrix, binary_entropy,
+from xdiscord import (BlochX, XDensityMatrix, binary_entropy,
                       bloch_to_matrix, discord, f_value, matrix_to_bloch,
                       oracle_classical_correlation)
 from xdiscord import oracle
@@ -115,10 +115,9 @@ def test_objective_monotone_in_theta(rng):
 def test_reduction_identity(rng):
     # the engine's F(z) is the circle maximum of the measured correlation
     for p in random_states(rng, 40):
-        ctx = FContext.from_state(p)
         for z3 in np.linspace(0.0, 1.0, 9):
             best = objective(p, z3, best_theta(p, z3))
-            assert f_value(ctx, z3) == pytest.approx(best, abs=1e-10)
+            assert f_value(p, z3) == pytest.approx(best, abs=1e-10)
 
 
 @pytest.mark.parametrize("draw", [

@@ -17,7 +17,7 @@ from xdiscord import (BlochX, PhysicalityError, XDensityMatrix, XPatternError,
                       xlog2)
 from xdiscord.sampling import (random_bell_diagonal, random_rank_two,
                                random_states)
-from xdiscord.states import EIG_CLAMP, PHYS_TOL, blocks
+from xdiscord.states import EIG_CLAMP, PHYS_TOL, blocks, xlog2_float
 
 # rank-2 states with a zero eigenvalue in the (|01>, |10>) block: case I
 # (both inner eigenvalues 0) and case III (one in each block)
@@ -286,6 +286,25 @@ def test_entropy_helpers():
     assert xlog2(0.0) == 0.0
     np.testing.assert_allclose(xlog2(np.array([0.0, 0.5, 1.0])),
                                [0.0, -0.5, 0.0], atol=1e-15)
+    # nan is no probability, and its entropy is not 0
+    assert math.isnan(xlog2(math.nan)) and math.isnan(xlog2_float(math.nan))
+    assert math.isnan(binary_entropy(math.nan))
+    h = binary_entropy(np.array([0.5, math.nan, 0.0]))
+    assert h[0] == 1.0 and math.isnan(h[1]) and h[2] == 0.0
+
+
+def test_xlog2_keeps_the_masked_form_bits_off_nan(rng):
+    # off nan, both helpers give x log2 x where x > 0 and +0.0 elsewhere,
+    # bit for bit and sign of zero included
+    x = np.concatenate([[0.0, -0.0, -1.0, np.inf, 1e-300, 5e-324,
+                         0.5, 1.0], rng.uniform(-1.0, 2.0, 200)])
+    want = np.where(x > 0.0, x * np.log2(np.where(x > 0.0, x, 1.0)), 0.0)
+    got = xlog2(x)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    for v in x.tolist():
+        old = v * math.log2(v) if v > 0.0 else 0.0
+        assert repr(xlog2_float(v)) == repr(old), v
 
 
 def stacked_binary_entropy(x):
