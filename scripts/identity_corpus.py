@@ -42,7 +42,12 @@ example, the first uniform states and their swaps, one-corner states
 (a uniform state's matrix with rho_14 or rho_23 set to 0) and Werner
 states.  Each runs at grid_n 1, 17, 64 and 100 without refinement, and
 at grid_n 1, 100 and 256 with it.  A 100 x 100 grid ends in a partial
-sweep block (19 of 81 rows), which no other grid size here slices.
+sweep block (19 of 81 rows), which no other grid size here slices.  The
+first three case-III rank-2 states and the first three uniform states,
+each also swapped, run once more at grid_n 512.  Near-product states
+and |s| = 1 states (c2 set inside PHYS_TOL, so phi is swept) run at
+grid_n 256 with and without refinement: their grids are flat within
+the float32 screen's margin, so the screen keeps every row.
 
 The next section gives the public F API on every corpus state:
 classify_region() and analytic_max() (or the exception it raises),
@@ -178,6 +183,26 @@ def oracle_corpus(states) -> list[tuple[str, BlochX]]:
     return picked
 
 
+def big_grid_corpus(states) -> list[tuple[str, BlochX]]:
+    """(label, state) pairs the oracle section sweeps at grid_n 512."""
+    return [(label, p) for kind in ("rank2-III", "uniform")
+            for label, p in [(label, p) for label, p in states
+                             if label.startswith(kind)][:6]]
+
+
+def flat_grid_corpus() -> list[tuple[str, BlochX]]:
+    """Near-product states, then |s| = 1 states with a tiny c2."""
+    rng = np.random.default_rng(20165)
+    picked = []
+    for r, s, c1, c2, dc in zip(*rng.uniform(-0.8, 0.8, (2, 6)),
+                                *rng.uniform(-1e-3, 1e-3, (3, 6))):
+        picked.append(("near-product", BlochX(r, s, c1, c2, r * s + dc)))
+    for r, s, c2 in ((0.3, 1.0, 1e-11), (0.0, -1.0, 3e-11),
+                     (-0.5, 1.0, -2e-11)):
+        picked.append(("|s|=1", BlochX(r, s, 0.0, c2, r * s)))
+    return picked
+
+
 def decomposition_lines(m) -> list[str]:
     """The report and the decomposition of the bridge on matrix m."""
     d = rank_two_classify(m)
@@ -257,6 +282,14 @@ def main() -> None:
         for grid_n, rounds in ORACLE_RUNS:
             print(f"  grid {grid_n} rounds {rounds}", repr(
                 oracle_classical_correlation(p, grid_n, rounds)))
+    for label, p in big_grid_corpus(states):
+        print("oracle grid 512", label, repr(p))
+        print("  rounds 30", repr(oracle_classical_correlation(p, 512)))
+    for label, p in flat_grid_corpus():
+        print("oracle flat grid", label, repr(p))
+        for rounds in (0, 30):
+            print(f"  grid 256 rounds {rounds}", repr(
+                oracle_classical_correlation(p, 256, rounds)))
     for label, m in validation_corpus():
         print("validate", label)
         for call in (XDensityMatrix, matrix_to_bloch, corner_phases,

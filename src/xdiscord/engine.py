@@ -298,7 +298,8 @@ def newton_critical_point(p: BlochX, z0: float,
     Steps that leave the interval or increase |F'| are rejected; with a
     sign-change bracket the rejected step is replaced by bisection,
     otherwise the run is abandoned.  Converged once F' is exactly 0, once
-    a step moves z by less than 1e-12, or once |F'| < 1e-13 and the next
+    a Newton step moves z by less than 1e-12 or a bisection leaves a
+    bracket narrower than that, or once |F'| < 1e-13 and the next
     Newton step would not shrink |F'| strictly or would move z by less
     than 1e-12; that step is not taken.  The polishing below 1e-13 lets
     two runs at one root stop together even where F is flat.  Capped at
@@ -345,7 +346,8 @@ def _newton(p: BlochX, z: float, g: float, rads, lo: float = 0.0,
                 abs(gn) < abs(g) and abs(zn - z) >= NEWTON_STEP_TOL):
             converged = True
             break
-        if not (ok and abs(gn) <= abs(g)):
+        bisect = not (ok and abs(gn) <= abs(g))
+        if bisect:
             if not have_bracket:
                 note = "step rejected, no bracket to bisect"
                 break
@@ -358,7 +360,7 @@ def _newton(p: BlochX, z: float, g: float, rads, lo: float = 0.0,
                 lo, glo = zn, gn
             else:
                 hi = zn
-        dz = abs(zn - z)
+        dz = hi - lo if bisect else abs(zn - z)   # a midpoint may be z
         z, g, rads = zn, gn, rn
         if dz < NEWTON_STEP_TOL:
             converged = True

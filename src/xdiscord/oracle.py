@@ -28,6 +28,24 @@ logs: each cell rounds the same operations, and the only rearrangements
 exact in IEEE arithmetic.  Factors of z3 or phi alone are built once
 per grid, and so are three work arrays, which glibc would otherwise give
 back to the kernel and fault in again every block of SWEEP_BLOCK cells.
+
+A grid of more than SWEEP_BLOCK cells (91 x 91 and up; the screen starts
+to pay between 80 x 80 and 91 x 91) is screened: the same kernel runs in
+float32 on the radicand (r +/- c3 z3)^2 + (1 - z3^2)(c1^2 + (c2^2 -
+c1^2) sin^2 phi), whose terms cannot cancel, then the float64 sweep runs
+only on rows whose float32 minimum is within 2 SCREEN_DELTA of the
+grid's.  With
+u = 2^-24, IEEE sqrt and division and a log2 within 4 ulp, the relative
+error is 4u in the radicand, 3u in its root and 5u in A_k, so lambda_k
+is off by 3u; H is concave and decreasing on [1/2, 1], so it moves by
+hb(3u) at most, and logs, products and sums add 13u: |E32 - E| <=
+hb(3u) + 13u = 5.1e-6 (float64: under 2e-8; measured |E32 - E64| <=
+1.6e-6 on 4,306 states).  So the first float64 argmin's row, and each
+row holding a tie, is kept, in order, and the result is the same bit
+for bit.  LOG_FLOOR, float32's smallest normal, keeps log2 finite at
+1 - lambda_k = 0 in float32 and changes no float64 bit.  Near-product
+grids are flat within the margin: they keep every row and cost about
+1.5 times the float64 sweep alone.
 """
 
 from __future__ import annotations
@@ -42,13 +60,14 @@ import numpy as np
 from .states import BlochX, binary_entropy
 
 PROB_FLOOR = 1e-15        # outcomes at most this likely contribute nothing
-LOG_FLOOR = 1e-300        # below every nonzero 1 - lambda; keeps log2 finite
+LOG_FLOOR = 2.0 ** -126   # float32's smallest normal: keeps log2 finite
 HALF_PI = math.pi / 2.0
 ZOOM_POINTS = 17          # per axis of each refinement grid
 ZOOM_SHRINK = 8.0         # step ratio between refinement rounds
 ZOOM_MIN_STEP = 1e-8      # z3 step at which refinement stops
 CORNER_GAIN = 1e-15       # a round gaining less ends refinement at a corner
 SWEEP_BLOCK = 8192        # grid cells per block: 128 KB per work array
+SCREEN_DELTA = 2e-5       # bound on |float32 - float64| entropy, with margin
 _SIGNS = np.array([1.0, -1.0])   # outcome axis: +, then -
 _ZOOM_STEPS = np.arange(ZOOM_POINTS, dtype=float)
 
@@ -86,8 +105,8 @@ def _entropy(rows, theta, work=None):
     """Measured conditional entropy sum_k p_k H(lambda_k), in bits.
 
     H(x) = -(x log2 x + (1 - x) log2 (1 - x)).  Each lambda_k lies in
-    [1/2, 1] on multiples of 2^-53, so 1 - lambda_k is exact, 0 or at
-    least 2^-53; adding LOG_FLOOR before its log2 changes only a 0.
+    [1/2, 1] on multiples of u = 2^-53 (2^-24 in float32), so 1 - lambda_k
+    is exact, 0 or at least u; adding LOG_FLOOR changes only a 0.
     """
     if work is None:                # three arrays of lambda_k's shape
         work = np.empty((3,) + np.broadcast(rows[0], theta).shape)
@@ -124,25 +143,55 @@ def _zoom_axis(lo: float, hi: float) -> np.ndarray:
     return axis
 
 
-def _sweep(p: BlochX, z3s: np.ndarray, phis: np.ndarray):
-    # entropy on the grid z3s x phis, a block of rows at a time; ties
-    # resolve to the first cell in row-major order
+def _blocks(p: BlochX, z3s: np.ndarray, phis: np.ndarray, dtype=np.float64):
+    # (first row, entropy) of each block of rows of the grid z3s x phis,
+    # in dtype; a work array holds SWEEP_BLOCK float64s' bytes.  float32
+    # moves (c3 z3)^2 into the base, (r +/- c3 z3)^2, where nothing cancels
     z3c = z3s[:, None]
-    rows = _rows(p, z3c)
+    base, divisor, live, pk = _rows(p, z3c)
     rho2, tail = 1.0 - z3c * z3c, (p.c3 * z3c) ** 2
     circle = p.c1 * p.c1 + _phi_weight(p) * np.sin(phis) ** 2
-    step = max(1, SWEEP_BLOCK // len(phis))
-    work = np.empty((3, 2, min(step, len(z3s)), len(phis)))
-    best = None
+    if dtype != np.float64:
+        base, tail = (p.r + _SIGNS[:, None, None] * p.c3 * z3c) ** 2, None
+        base, divisor, pk, rho2, circle = (
+            x.astype(dtype) for x in (base, divisor, pk, rho2, circle))
+    step = max(1, SWEEP_BLOCK * 8 // circle.itemsize // len(phis))
+    work = np.empty((3, 2, min(step, len(z3s)), len(phis)), dtype)
     for start in range(0, len(z3s), step):
         cut = slice(start, start + step)
         theta = rho2[cut] * circle
-        theta += tail[cut]
-        ce = _entropy([x if x is None else x[:, cut] for x in rows], theta,
-                      work[:, :, :len(theta)])
+        if tail is not None:
+            theta += tail[cut]
+        rows = [x if x is None else x[:, cut]
+                for x in (base, divisor, live, pk)]
+        yield start, _entropy(rows, theta, work[:, :, :len(theta)])
+
+
+def _screen(p: BlochX, z3s: np.ndarray, phis: np.ndarray):
+    # rows of the grid whose float32 minimum lies within 2 SCREEN_DELTA
+    # of the grid's, in order; None if a float32 value is not finite
+    mins = np.empty(len(z3s))           # float64, so the limit stays exact
+    for start, ce in _blocks(p, z3s, phis, np.float32):
+        mins[start:start + len(ce)] = ce.min(axis=1)
+    if np.isfinite(mins).all():
+        return np.flatnonzero(mins <= mins.min() + 2.0 * SCREEN_DELTA)
+    return None
+
+
+def _sweep(p: BlochX, z3s: np.ndarray, phis: np.ndarray):
+    # entropy on the grid z3s x phis, a block of rows at a time; ties
+    # resolve to the first cell in row-major order.  A grid of more than
+    # one block is swept in float64 only on the rows its screen keeps
+    keep = None
+    if len(z3s) * len(phis) > SWEEP_BLOCK:
+        keep = _screen(p, z3s, phis)
+    best = None
+    for start, ce in _blocks(p, z3s if keep is None else z3s[keep], phis):
         k = int(ce.argmin())
         if best is None or ce.flat[k] < best[0]:
             best = (float(ce.flat[k]), start + k // len(phis), k % len(phis))
+    if keep is not None:
+        best = (best[0], int(keep[best[1]]), best[2])
     return best
 
 

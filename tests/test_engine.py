@@ -332,6 +332,17 @@ def test_bracket_turns_rejected_steps_into_bisection():
     assert run.z == pytest.approx(EX_Z_STAR, abs=1e-9)
 
 
+def test_bisection_onto_the_seed_does_not_end_the_run():
+    # F'(0.75) is small but not zero; the rejected step bisects (0.5, 1)
+    # onto z = 0.75 itself, which is no step toward the root
+    p = ex_state()
+    assert abs(f_derivative(p, 0.75)) > 1e-5
+    run = newton_critical_point(p, 0.75, bracket=(0.5, 1.0))
+    assert run.iterates[0] == 0.75 and len(run.iterates) > 1
+    assert run.converged and run.note == "bisection fallback used"
+    assert run.z == pytest.approx(EX_Z_STAR, abs=1e-9)
+
+
 def test_pick_reports_a_bisected_run_as_fallback():
     # the bracketed run above bisects; a record holding it says so
     p = ex_state()

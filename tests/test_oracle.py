@@ -270,10 +270,19 @@ def flat_states():
 @pytest.mark.parametrize("block", ["one_row", "uneven", "default"])
 def test_sweep_blocks_keep_full_grid_argmin(rng, monkeypatch, n, block):
     # a later block replaces the best cell only when strictly smaller, so
-    # any block size returns the full grid's first row-major argmin
+    # any block size returns the full grid's first row-major argmin.  A
+    # grid of more than one block is screened first: every case here but
+    # the default block at n = 64 takes the screen
     if block != "default":
         rows = 1 if block == "one_row" else 5       # 5 divides neither n
         monkeypatch.setattr(oracle, "SWEEP_BLOCK", rows * n + 3)
+    screened = []
+    screen = oracle._screen
+
+    def spy(*args):
+        screened.append(True)
+        return screen(*args)
+    monkeypatch.setattr(oracle, "_screen", spy)
     z3s = np.linspace(0.0, 1.0, n)
     phis = np.linspace(0.0, math.pi / 2.0, n)
     for p in kernel_states(rng) + flat_states():
@@ -281,6 +290,67 @@ def test_sweep_blocks_keep_full_grid_argmin(rng, monkeypatch, n, block):
                               textbook_theta(p, z3s[:, None], phis))
         i, j = np.unravel_index(int(np.argmin(ce)), ce.shape)
         assert _sweep(p, z3s, phis) == (float(ce[i, j]), i, j), p
+    assert bool(screened) == (n * n > oracle.SWEEP_BLOCK)
+
+
+def near_product_states():
+    # product states (c3 = r s) with correlations of at most 1e-3: the
+    # entropy is flat within 2 SCREEN_DELTA, so the screen keeps every row
+    rng = np.random.default_rng(27)
+    return [BlochX(r, s, c1, c2, r * s + dc) for r, s, c1, c2, dc in
+            zip(*rng.uniform(-0.8, 0.8, (2, 6)),
+                *rng.uniform(-1e-3, 1e-3, (3, 6)))]
+
+
+def screen_states():
+    # states whose grids the screen sees: uniform, rank-2 of cases I to
+    # III and their swaps, |s| = 1 (dead weights; the last with c2 inside
+    # PHYS_TOL, so the oracle sweeps its phi too) and near-product
+    rng = np.random.default_rng(2701)
+    return (random_states(rng, 8)
+            + [q for case in ("I", "II", "III")
+               for p in random_rank_two(rng, case, 2)
+               for q in (p, p.swapped())]
+            + [BlochX(*t) for t in BOUNDARY_BLOCH]
+            + [BlochX(0.3, 1.0, 0.0, 1e-11, 0.3)] + near_product_states())
+
+
+def screen_entropy(p, z3s, phis):
+    # the screen's float32 entropy over the full grid z3s x phis
+    return np.concatenate([ce for _, ce in oracle._blocks(p, z3s, phis,
+                                                         np.float32)])
+
+
+def test_float32_entropy_stays_finite_at_lambda_one():
+    # a Bell state reaches lambda_k = 1 on both outcomes, where the cell
+    # is exactly 0 and 1 - lambda_k = 0 needs a LOG_FLOOR float32 holds
+    bell = BlochX(0.0, 0.0, 1.0, -1.0, 1.0)
+    z3s = np.linspace(0.0, 1.0, 33)
+    ce = screen_entropy(bell, z3s, z3s * HALF_PI)
+    assert ce.dtype == np.float32 and np.isfinite(ce).all()
+    assert (ce == 0.0).any() and ce.max() < oracle.SCREEN_DELTA
+
+
+@pytest.mark.parametrize("n", [100, 256, 300, 512])
+def test_screened_sweep_is_the_full_grid_argmin(n):
+    # the float32 screen keeps every row that can hold the float64
+    # minimum: its error stays well inside SCREEN_DELTA, and _sweep
+    # returns the full grid's first row-major argmin bit for bit.  At
+    # n = 300 both dtypes' last blocks are partial
+    z3s, phis = np.linspace(0.0, 1.0, n), np.linspace(0.0, HALF_PI, n)
+    z3 = z3s[:, None]
+    for p in screen_states():
+        exact = textbook_entropy(p, z3, textbook_theta(p, z3, phis))
+        screen = screen_entropy(p, z3s, phis).reshape(exact.shape)
+        assert np.abs(screen - exact).max() < oracle.SCREEN_DELTA / 4.0, p
+        i, j = np.unravel_index(int(np.argmin(exact)), exact.shape)
+        assert _sweep(p, z3s, phis) == (float(exact[i, j]), i, j), p
+
+
+def test_near_product_grids_keep_every_row():
+    z3s, phis = oracle._coarse_grid(256)
+    for p in near_product_states():
+        assert np.array_equal(oracle._screen(p, z3s, phis), np.arange(256))
 
 
 def test_zoom_axis_is_linspace_bit_for_bit(rng):
