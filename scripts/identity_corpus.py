@@ -58,14 +58,28 @@ from z = 1.
 The section printed last gives the outcome, a value or the exception,
 of the three F functions and newton_critical_point() on two states at
 z = nan, -0.5 and 1.5 and on the array [0.5, nan], and of xlog2(),
-binary_entropy() and eof_from_concurrence() at nan.  Needs numpy, and
+binary_entropy() and eof_from_concurrence() at nan.
+
+The CLI section runs each subcommand through xdiscord.cli.main, in text
+and JSON, on a handful of corpus states, on states read from a
+plain-number matrix file, a JSON matrix file with complex corners, a
+JSON Bloch file, a JSON file with both keys and stdin, on --help, and
+once for each error exit: input errors (2), usage errors (argparse's
+SystemExit 2), an unphysical state (3) and a full-rank kw-check (4).
+Each invocation prints its exit code, its stdout and its stderr, with
+the temporary directory's path replaced by <tmp> and each warning as its
+category and message.  Needs numpy, and
 pytest for the states it reads from tests/conftest.py.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 import os
 import sys
+import tempfile
 import warnings
 
 import numpy as np
@@ -79,6 +93,7 @@ from xdiscord import (BlochX, PhysicalityError, XDensityMatrix,
                       oracle_classical_correlation, random_bell_diagonal,
                       random_case, random_rank_two, random_states,
                       rank_two_classify, region_conditions, xlog2)
+from xdiscord.cli import main as cli_main
 from xdiscord.entanglement import eof_from_concurrence
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
@@ -248,6 +263,90 @@ def f_lines(p: BlochX) -> list[str]:
     return lines
 
 
+def cli_run(argv: list[str]) -> str:
+    """Exit code, stdout, stderr and warnings of one CLI invocation; stdin
+    holds a Werner state for --input -."""
+    out, err = io.StringIO(), io.StringIO()
+    saved_stdin, sys.stdin = sys.stdin, io.StringIO("0 0 -0.5 -0.5 -0.5")
+    try:
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            try:
+                code = cli_main(argv)
+            except SystemExit as exc:     # argparse's usage errors
+                code = exc.code
+    finally:
+        sys.stdin = saved_stdin
+    return "\n".join([f"  exit {code}", out.getvalue() + err.getvalue()]
+                     + [f"  {w.category.__name__}: {w.message}"
+                        for w in caught])
+
+
+def cli_invocations(states, tmp: str) -> list[list[str]]:
+    """argv lists of the CLI section; files are written under tmp."""
+    picked = {}
+    for label, p in states:
+        picked.setdefault(label, p)
+    bloch = {label: ["--bloch", *(repr(x) for x in picked[label].as_tuple())]
+             for label in ("worked", "uniform", "a", "b", "c", "d", "bell",
+                           "rank2-I", "rank2-III-swap", "boundary")}
+    general = ["--bloch", "0.1", "0.3", "-0.35", "0.35", "0.2"]
+    m = bloch_to_matrix(BlochX(0.1, -0.2, 0.4, 0.2, 0.1)).matrix
+    u = np.kron(np.diag([1.0, np.exp(0.7j)]), np.diag([1.0, np.exp(-0.4j)]))
+    non_x = WORKED_EXAMPLE.copy()
+    non_x[0, 1] = non_x[1, 0] = 0.01
+    files = {
+        "plain.txt": " ".join(repr(float(x)) for x in WORKED_EXAMPLE.ravel()),
+        "non-x.txt": " ".join(repr(float(x)) for x in non_x.ravel()),
+        "corners.json": json.dumps({"matrix": [
+            [[e.real, e.imag] for e in row] for row in u @ m @ u.conj().T]}),
+        "bloch.json": json.dumps({"bloch": [0.4, 0.1, 0.1, -0.05, -0.2]}),
+        "both.json": json.dumps({"bloch": [0.4, 0.1, 0.1, -0.05, -0.2],
+                                 "matrix": WORKED_EXAMPLE.tolist()}),
+        "no-key.json": '{"state": [0.1, 0.2, 0.3, 0.4, 0.5]}',
+    }
+    for name, text in files.items():
+        with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+            fh.write(text)
+    runs = []
+    for label in bloch:
+        for cmd in (["discord"], ["discord", "--verify", "--grid", "17"],
+                    ["discord", "--method", "numeric"], ["classify"],
+                    ["scan", "--points", "5"], ["kw-check"]):
+            for fmt in ("text", "json"):
+                runs.append(cmd + bloch[label] + ["--format", fmt])
+    for name in ("plain.txt", "corners.json", "bloch.json", "both.json"):
+        for fmt in ("text", "json"):
+            runs.append(["discord", "--input", os.path.join(tmp, name),
+                         "--verify", "--grid", "9", "--format", fmt])
+    runs += [["classify", "--input", "-"],
+             ["discord", *bloch["worked"], "--precision", "12"],
+             ["discord", *bloch["worked"], "--precision", "0"],
+             ["scan", *bloch["bell"], "--points", "3", "--precision", "3"]]
+    for cmd in (["random", "--count", "5", "--seed", "3"],
+                ["random", "--count", "6", "--seed", "1", "--verify-sample",
+                 "3", "--grid", "17"],
+                ["random", "--count", "51", "--seed", "11"]):
+        for fmt in ("text", "json"):
+            runs.append(cmd + ["--format", fmt])
+    runs += [["discord"],
+             ["discord", "--input", os.path.join(tmp, "missing.txt")],
+             ["discord", "--input", os.path.join(tmp, "no-key.json")],
+             ["discord", "--input", os.path.join(tmp, "non-x.txt")],
+             ["discord", "--method", "analytic", *general],
+             ["discord", *general, "--input", os.path.join(tmp, "plain.txt")],
+             ["random", "--count", "0"],
+             ["scan", *general, "--points", "x"],
+             ["discord", "--bloch", "0", "0", "0.6", "0.6", "0"],
+             ["kw-check", *bloch["uniform"]],
+             ["--help"]]
+    runs += [[cmd, "--help"]
+             for cmd in ("discord", "scan", "random", "kw-check", "classify")]
+    return runs
+
+
 def main() -> None:
     states = corpus()
     for i, (label, p) in enumerate(states):
@@ -307,6 +406,11 @@ def main() -> None:
                       outcome(lambda x, f=f: f(p, x), z))
     for f in (xlog2, binary_entropy, eof_from_concurrence):
         print(f"nan {f.__name__}", outcome(f, float("nan")))
+    os.environ["COLUMNS"] = "80"      # argparse wraps help to the terminal
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv in cli_invocations(states, tmp):
+            print("cli", " ".join(argv).replace(tmp, "<tmp>"))
+            print(cli_run(argv).replace(tmp, "<tmp>"))
 
 
 if __name__ == "__main__":

@@ -4,6 +4,9 @@ Subcommands: discord (one state, optionally cross-checked), scan
 (tabulate F and derivatives), random (sample and summarize), kw-check
 (rank-2 purification identity), classify (region breakdown).  Exit
 codes: 0 success, 2 input problems, 3 unphysical state, 4 rank errors.
+Each cmd_* function takes the parsed arguments and g, which formats a
+number to --precision significant digits, and returns the JSON payload
+and the text lines; main prints one of them.
 """
 
 from __future__ import annotations
@@ -83,6 +86,9 @@ def _read_input(path: str) -> list[float] | np.ndarray:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise InputError(f"bad JSON: {exc}") from None
+        if "bloch" in obj and "matrix" in obj:
+            raise InputError("JSON has both a 'bloch' and a 'matrix' key; "
+                             "give one")
         if "bloch" in obj:
             vals = obj["bloch"]
             if not isinstance(vals, list) or len(vals) != 5:
@@ -125,37 +131,22 @@ def _int_at_least(low: int):
     return parse
 
 
-def _add_state_args(sp):
-    one = sp.add_mutually_exclusive_group()
-    one.add_argument("--bloch", nargs=5, type=float,
-                     metavar=("R", "S", "C1", "C2", "C3"),
-                     help="Pauli coefficients of the state")
-    one.add_argument("--input",
-                     help="file with the state (JSON with 'bloch' or "
-                          "'matrix', or plain numbers); '-' reads stdin")
-
-
-def _add_format_args(sp):
-    sp.add_argument("--format", choices=("text", "json"), default="text")
-    sp.add_argument("--precision", type=_int_at_least(0), default=6,
-                    help="significant digits in text output")
-
-
-def _emit(payload: dict, args, text_lines) -> None:
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        print("\n".join(text_lines))
-
-
-def _g(prec: int):
-    return lambda x: f"{x:.{prec}g}"
+def _state_line(g, bloch) -> str:
+    return "state: r=%s s=%s c1=%s c2=%s c3=%s" % tuple(g(v) for v in bloch)
 
 
 # ---------------------------------------------------------------------------
 
-def _result_payload(p: BlochX, res, inp: dict) -> dict:
-    out = {
+def cmd_discord(args, g) -> tuple[dict, list[str]]:
+    p, inp = _load_state(args)
+    try:
+        res = discord(p, method=args.method, verify=args.verify)
+    except ValueError as exc:
+        # p is already validated, so this is --method analytic on a state
+        # outside regions a-d
+        raise InputError(str(exc)) from None
+    spec = [float(x) for x in spectrum(p)]
+    payload = {
         "input": inp,
         "region": res.region,
         "method": res.method,
@@ -164,86 +155,61 @@ def _result_payload(p: BlochX, res, inp: dict) -> dict:
         "discord": res.discord,
         "classical_correlation": res.classical_correlation,
         "mutual_information": res.mutual_information,
-        "spectrum": [float(x) for x in spectrum(p)],
+        "spectrum": spec,
     }
-    if res.search is not None:
-        out["search"] = {
-            "route": res.search.route,
-            "candidates": [[z, f] for z, f in res.search.candidates],
+    lines = [_state_line(g, inp["bloch"])]
+    phases = inp.get("phases")
+    if phases and any(abs(x) > 0 for x in phases):
+        lines.append("stripped corner phases: " + " ".join(map(g, phases)))
+    lines += [f"region: {res.region} ({res.method})",
+              "spectrum: " + " ".join(g(x) for x in spec),
+              f"z* = {g(res.z_star)}   F(z*) = {g(res.f_max)}",
+              f"discord = {g(res.discord)}",
+              f"classical correlation = {g(res.classical_correlation)}",
+              f"mutual information = {g(res.mutual_information)}"]
+    search = res.search
+    if search is not None:
+        payload["search"] = {
+            "route": search.route,
+            "candidates": [[z, f] for z, f in search.candidates],
             "newton": [{"seed": run.seed,
                         "iterates": list(run.iterates),
                         "converged": run.converged,
                         "note": run.note}
-                       for run in res.search.newton_runs],
-            "tie": res.search.tie,
-            "fallback": res.search.fallback,
+                       for run in search.newton_runs],
+            "tie": search.tie,
+            "fallback": search.fallback,
         }
+        run = search.newton_runs[0]
+        its = run.note      # no step taken: say why
+        if run.iterates or not run.note:
+            its = " ".join(g(z) for z in run.iterates) + (
+                " [converged]" if run.converged else " [abandoned]")
+        lines += [f"route: {search.route}",
+                  f"newton from z0={g(run.seed)}: {its}"]
+        if search.tie:
+            lines.append("note: F(0) and F(1) tie at the maximum")
+        if search.fallback:
+            lines.append(f"note: {search.fallback} fallback was used")
     if res.verify_gap is not None:
-        out["verify_gap"] = res.verify_gap
-    return out
-
-
-def cmd_discord(args) -> int:
-    p, inp = _load_state(args)
-    try:
-        res = discord(p, method=args.method, verify=args.verify)
-    except ValueError as exc:
-        # p is already validated, so this is --method analytic on a state
-        # outside regions a-d
-        raise InputError(str(exc)) from None
-    payload = _result_payload(p, res, inp)
+        payload["verify_gap"] = res.verify_gap
+        lines.append(f"route gap = {g(res.verify_gap)}")
     if args.verify:
         orc = oracle_classical_correlation(p, grid_n=args.grid)
+        diff = abs(orc.classical_correlation - res.classical_correlation)
         payload["oracle"] = {
             "classical_correlation": orc.classical_correlation,
-            "difference": abs(orc.classical_correlation
-                              - res.classical_correlation),
+            "difference": diff,
             "grid_n": orc.grid_n,
             "z3": orc.z3,
             "phi": orc.phi,
         }
-    g = _g(args.precision)
-    lines = ["state: r=%s s=%s c1=%s c2=%s c3=%s"
-             % tuple(g(v) for v in payload["input"]["bloch"])]
-    phases = inp.get("phases")
-    if phases and any(abs(x) > 0 for x in phases):
-        lines.append("stripped corner phases: %s %s"
-                     % (g(phases[0]), g(phases[1])))
-    lines.append(f"region: {payload['region']} ({payload['method']})")
-    lines.append("spectrum: " + " ".join(g(x) for x in payload["spectrum"]))
-    lines.append(f"z* = {g(payload['z_star'])}   "
-                 f"F(z*) = {g(payload['f_max'])}")
-    lines.append(f"discord = {g(payload['discord'])}")
-    lines.append(f"classical correlation = "
-                 f"{g(payload['classical_correlation'])}")
-    lines.append(f"mutual information = {g(payload['mutual_information'])}")
-    if "search" in payload:
-        lines.append(f"route: {payload['search']['route']}")
-        run = payload["search"]["newton"][0]
-        its = " ".join(g(z) for z in run["iterates"])
-        state = "converged" if run["converged"] else "abandoned"
-        if run["iterates"] or not run["note"]:
-            its += f" [{state}]"
-        else:
-            its = run["note"]     # no step taken: say why
-        lines.append(f"newton from z0={g(run['seed'])}: {its}")
-        if payload["search"]["tie"]:
-            lines.append("note: F(0) and F(1) tie at the maximum")
-        if payload["search"]["fallback"]:
-            lines.append(f"note: {payload['search']['fallback']} "
-                         "fallback was used")
-    if "verify_gap" in payload:
-        lines.append(f"route gap = {g(payload['verify_gap'])}")
-    if "oracle" in payload:
-        o = payload["oracle"]
-        lines.append(f"oracle (grid {o['grid_n']}): classical correlation = "
-                     f"{g(o['classical_correlation'])}, "
-                     f"difference = {g(o['difference'])}")
-    _emit(payload, args, lines)
-    return 0
+        lines.append(f"oracle (grid {orc.grid_n}): classical correlation = "
+                     f"{g(orc.classical_correlation)}, difference = {g(diff)}")
+    return payload, lines
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args, g) -> tuple[dict, list[str]]:
     p, inp = _load_state(args)
     zs = np.linspace(0.0, 1.0, args.points)
     with np.errstate(all="ignore"):
@@ -257,17 +223,13 @@ def cmd_scan(args) -> int:
         "f_prime": [float(x) for x in d1],
         "f_second": [float(x) for x in d2],
     }
-    g = _g(args.precision)
     w = args.precision + 8
-    lines = ["%*s %*s %*s %*s" % (w, "z", w, "F", w, "F'", w, "F''")]
-    for z, f, a, b in zip(zs, fs, d1, d2):
-        lines.append("%*s %*s %*s %*s"
-                     % (w, g(z), w, g(f), w, g(a), w, g(b)))
-    _emit(payload, args, lines)
-    return 0
+    table = [("z", "F", "F'", "F''"),
+             *(map(g, row) for row in zip(zs, fs, d1, d2))]
+    return payload, [" ".join(c.rjust(w) for c in row) for row in table]
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args, g) -> tuple[dict, list[str]]:
     p, inp = _load_state(args)
     conds = region_conditions(p)
     tag = classify_region(p)
@@ -278,22 +240,18 @@ def cmd_classify(args) -> int:
         "conditions": conds,
         "margins": [m1, m2],
     }
-    g = _g(args.precision)
-    lines = ["state: r=%s s=%s c1=%s c2=%s c3=%s"
-             % tuple(g(v) for v in p.as_tuple()),
+    lines = [_state_line(g, inp["bloch"]),
              f"region: {tag.value}",
              "hypotheses: " + " ".join(f"{k}={'yes' if v else 'no'}"
                                        for k, v in conds.items()),
              f"positivity margins: {g(m1)} {g(m2)}"]
-    _emit(payload, args, lines)
-    return 0
+    return payload, lines
 
 
-def cmd_kw(args) -> int:
+def cmd_kw(args, g) -> tuple[dict, list[str]]:
     p, inp = _load_state(args)
     rep = koashi_winter(bloch_to_matrix(p))
     payload = {"input": inp, **dataclasses.asdict(rep)}
-    g = _g(args.precision)
     lines = [f"rank-2 case {rep.case}, weights %s %s"
              % (g(rep.weights[0]), g(rep.weights[1])),
              f"classical correlation (measured on a) = "
@@ -303,72 +261,61 @@ def cmd_kw(args) -> int:
              f"marginal entropy S(b) = {g(rep.marginal_entropy_b)}",
              f"identity residual = {g(rep.residual)}",
              f"z* of the swapped-state search = {g(rep.z_star_swapped)}"]
-    _emit(payload, args, lines)
-    return 0
+    return payload, lines
 
 
-def cmd_random(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    states = random_states(rng, args.count)
-    rows = []
+def cmd_random(args, g) -> tuple[dict, list[str]]:
+    states = random_states(np.random.default_rng(args.seed), args.count)
+    k = min(args.verify_sample, args.count)
+    spot = set(np.linspace(0, args.count - 1, k).round().astype(int).tolist())
+    rows, lines = [], []
     region_counts: dict[str, int] = {}
     interior = 0
-    for p in states:
+    worst = 0.0
+    for i, p in enumerate(states):
         res = discord(p)
+        bloch = list(p.as_tuple())
         region_counts[res.region] = region_counts.get(res.region, 0) + 1
         if 1e-9 < res.z_star < 1.0 - 1e-9:
             interior += 1
         rows.append({
-            "bloch": list(p.as_tuple()),
+            "bloch": bloch,
             "region": res.region,
             "method": res.method,
             "z_star": res.z_star,
             "discord": res.discord,
             "classical_correlation": res.classical_correlation,
         })
+        if args.count <= 50:
+            lines.append("r=%s s=%s c1=%s c2=%s c3=%s  region=%s z*=%s Q=%s"
+                         % (*(g(v) for v in bloch), res.region,
+                            g(res.z_star), g(res.discord)))
+        if i in spot:
+            orc = oracle_classical_correlation(p, grid_n=args.grid)
+            worst = max(worst, abs(orc.classical_correlation
+                                   - res.classical_correlation))
     qs = [row["discord"] for row in rows]
+    regions = dict(sorted(region_counts.items()))
+    mean, top = float(np.mean(qs)), float(np.max(qs))
     summary = {
         "count": args.count,
         "seed": args.seed,
-        "regions": dict(sorted(region_counts.items())),
+        "regions": regions,
         "interior_maximizers": interior,
-        "discord_mean": float(np.mean(qs)),
-        "discord_max": float(np.max(qs)),
+        "discord_mean": mean,
+        "discord_max": top,
     }
+    lines += [f"sampled {args.count} states (seed {args.seed})",
+              "regions: " + " ".join(f"{r}:{n}" for r, n in regions.items()),
+              f"interior maximizers: {interior}",
+              f"discord mean = {g(mean)}, max = {g(top)}"]
     if args.verify_sample:
-        k = min(args.verify_sample, args.count)
-        idx = sorted(set(np.linspace(0, args.count - 1, k).round()
-                         .astype(int).tolist()))
-        worst = 0.0
-        for i in idx:
-            orc = oracle_classical_correlation(states[i], grid_n=args.grid)
-            gap = abs(orc.classical_correlation
-                      - rows[i]["classical_correlation"])
-            worst = max(worst, gap)
-        summary["verified"] = {"indices": [int(i) for i in idx],
+        summary["verified"] = {"indices": sorted(spot),
                                "grid_n": args.grid,
                                "max_difference": worst}
-    payload = {"summary": summary, "states": rows}
-    g = _g(args.precision)
-    lines = []
-    if args.count <= 50:
-        for row in rows:
-            lines.append("r=%s s=%s c1=%s c2=%s c3=%s  region=%s z*=%s Q=%s"
-                         % (*(g(v) for v in row["bloch"]), row["region"],
-                            g(row["z_star"]), g(row["discord"])))
-    lines.append(f"sampled {args.count} states (seed {args.seed})")
-    lines.append("regions: " + " ".join(f"{k}:{v}" for k, v
-                                        in summary["regions"].items()))
-    lines.append(f"interior maximizers: {interior}")
-    lines.append(f"discord mean = {g(summary['discord_mean'])}, "
-                 f"max = {g(summary['discord_max'])}")
-    if "verified" in summary:
-        v = summary["verified"]
-        lines.append(f"oracle spot check on {len(v['indices'])} states "
-                     f"(grid {v['grid_n']}): max difference = "
-                     f"{g(v['max_difference'])}")
-    _emit(payload, args, lines)
-    return 0
+        lines.append(f"oracle spot check on {len(spot)} states "
+                     f"(grid {args.grid}): max difference = {g(worst)}")
+    return {"summary": summary, "states": rows}, lines
 
 
 # ---------------------------------------------------------------------------
@@ -378,52 +325,50 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="xdiscord",
         description="Quantum discord of two-qubit X-states.")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    d = sub.add_parser("discord", help="discord of one state")
-    _add_state_args(d)
-    d.add_argument("--method", choices=("auto", "analytic", "numeric"),
-                   default="auto")
-    d.add_argument("--verify", action="store_true",
-                   help="cross-check with the closed forms and the "
-                        "measurement-grid oracle")
-    d.add_argument("--grid", type=_int_at_least(1), default=256,
-                   help="oracle grid size for --verify")
-    _add_format_args(d)
-    d.set_defaults(func=cmd_discord)
-
-    s = sub.add_parser("scan", help="tabulate F, F', F'' on a z grid")
-    _add_state_args(s)
-    s.add_argument("--points", type=_int_at_least(1), default=101)
-    _add_format_args(s)
-    s.set_defaults(func=cmd_scan)
-
-    r = sub.add_parser("random", help="sample random states and summarize")
-    r.add_argument("--count", type=_int_at_least(1), default=10)
-    r.add_argument("--seed", type=_int_at_least(0), default=0)
-    r.add_argument("--verify-sample", type=_int_at_least(0), default=0,
-                   metavar="K",
-                   help="spot-check K evenly spaced states with the oracle")
-    r.add_argument("--grid", type=_int_at_least(1), default=256)
-    _add_format_args(r)
-    r.set_defaults(func=cmd_random)
-
-    k = sub.add_parser("kw-check",
-                       help="purification identity for a rank-2 state")
-    _add_state_args(k)
-    _add_format_args(k)
-    k.set_defaults(func=cmd_kw)
-
-    c = sub.add_parser("classify", help="region breakdown for one state")
-    _add_state_args(c)
-    _add_format_args(c)
-    c.set_defaults(func=cmd_classify)
+    for name, func, summary in (
+            ("discord", cmd_discord, "discord of one state"),
+            ("scan", cmd_scan, "tabulate F, F', F'' on a z grid"),
+            ("random", cmd_random, "sample random states and summarize"),
+            ("kw-check", cmd_kw, "purification identity for a rank-2 state"),
+            ("classify", cmd_classify, "region breakdown for one state")):
+        sp = sub.add_parser(name, help=summary)
+        sp.set_defaults(func=func)
+        if name != "random":
+            one = sp.add_mutually_exclusive_group()
+            one.add_argument("--bloch", nargs=5, type=float,
+                             metavar=("R", "S", "C1", "C2", "C3"),
+                             help="Pauli coefficients of the state")
+            one.add_argument("--input", help="file with the state (JSON with "
+                             "'bloch' or 'matrix', or plain numbers); '-' "
+                             "reads stdin")
+        if name == "discord":
+            sp.add_argument("--method", choices=("auto", "analytic",
+                                                 "numeric"), default="auto")
+            sp.add_argument("--verify", action="store_true",
+                            help="cross-check with the closed forms and the "
+                                 "measurement-grid oracle")
+            sp.add_argument("--grid", type=_int_at_least(1), default=256,
+                            help="oracle grid size for --verify")
+        elif name == "scan":
+            sp.add_argument("--points", type=_int_at_least(1), default=101)
+        elif name == "random":
+            sp.add_argument("--count", type=_int_at_least(1), default=10)
+            sp.add_argument("--seed", type=_int_at_least(0), default=0)
+            sp.add_argument("--verify-sample", type=_int_at_least(0),
+                            default=0, metavar="K", help="spot-check K "
+                            "evenly spaced states with the oracle")
+            sp.add_argument("--grid", type=_int_at_least(1), default=256)
+        sp.add_argument("--format", choices=("text", "json"), default="text")
+        sp.add_argument("--precision", type=_int_at_least(0), default=6,
+                        help="significant digits in text output")
     return ap
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    g = f"{{:.{args.precision}g}}".format     # --precision significant digits
     try:
-        return args.func(args)
+        payload, lines = args.func(args, g)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -436,6 +381,11 @@ def main(argv=None) -> int:
     except RankError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    if args.format == "json":
+        print(json.dumps(payload, indent=2))
+    else:
+        print("\n".join(lines))
+    return 0
 
 
 def main_entry() -> None:

@@ -293,7 +293,8 @@ def newton_critical_point(p: BlochX, z0: float,
                           bracket: tuple[float, float] | None = None
                           ) -> NewtonRun:
     """Newton iteration for F'(z) = 0 from z0, confined to [0, 1]; a z0
-    or bracket end outside [0, 1] raises ValueError.
+    or bracket end outside [0, 1], or a bracket whose low end exceeds its
+    high end, raises ValueError.
 
     Steps that leave the interval or increase |F'| are rejected; with a
     sign-change bracket the rejected step is replaced by bisection,
@@ -313,6 +314,9 @@ def newton_critical_point(p: BlochX, z0: float,
     if bracket is None:
         return _newton(p, z, *_slope(p, z))[0]
     lo, hi = (_unpack(float(b), "bracket end")[0] for b in bracket)
+    if lo > hi:
+        raise ValueError(f"bracket ({lo}, {hi}) has its low end above "
+                         "its high end")
     return _newton(p, z, *_slope(p, z), lo, hi,
                    _slope(p, lo)[0], _slope(p, hi)[0])[0]
 

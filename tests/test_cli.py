@@ -261,8 +261,12 @@ def test_non_finite_matrix_entry_exits_3(capsys, tmp_path, where, value):
     ('{"bloch": [1' + "0" * 399 + ', 0, 0, 0, 0]}',
      "'bloch' entry is out of range"),
     (None, "cannot read"),
+    ('{"bloch": [0.4, 0.1, 0.1, -0.05, -0.2], "matrix": [[0.25, 0, 0, 0], '
+     '[0, 0.25, 0, 0], [0, 0, 0.25, 0], [0, 0, 0, 0.25]]}',
+     "JSON has both a 'bloch' and a 'matrix' key"),
 ], ids=["short-bloch", "no-state-key", "truncated-json", "whitespace-only",
-        "one-row-matrix", "three-entry-row", "huge-integer", "missing-path"])
+        "one-row-matrix", "three-entry-row", "huge-integer", "missing-path",
+        "both-keys"])
 def test_bad_input_file_exits_2(capsys, tmp_path, text, message):
     path = tmp_path / "state.json"
     if text is not None:
@@ -435,3 +439,90 @@ def test_kw_check_warns_once_on_near_rank_two(capsys):
     assert json.loads(out)["case"] == "III"
     barely = [w for w in caught if "barely zero" in str(w.message)]
     assert len(barely) == 1
+
+
+FULL_TEXT = {
+    "discord --bloch 0.4 0.1 0.1 -0.05 -0.2": """\
+state: r=0.4 s=0.1 c1=0.1 c2=-0.05 c3=-0.2
+region: a (analytic)
+spectrum: 0.376035 0.330504 0.223965 0.0694962
+z* = 1   F(z*) = 0.170679
+discord = 0.0127767
+classical correlation = 0.0519695
+mutual information = 0.0647462
+""",
+    "discord --bloch -0.5934 -0.5934 0.2 0.2 0.5 --verify --grid 17": """\
+state: r=-0.5934 s=-0.5934 c1=0.2 c2=0.2 c3=0.5
+region: general (numeric)
+spectrum: 0.6717 0.225 0.0783 0.025
+z* = 0.883129   F(z*) = 0.305118
+discord = 0.132741
+classical correlation = 0.0335974
+mutual information = 0.166339
+route: signs +,-
+newton from z0=1: 0.920067 0.887603 0.883201 0.883129 0.883129 [converged]
+route gap = 0
+oracle (grid 17): classical correlation = 0.0335974, difference = 2.22045e-16
+""",
+    "discord --bloch 0.1 0.2 0.3 0.1 0.2": """\
+state: r=0.1 s=0.2 c1=0.3 c2=0.1 c3=0.2
+region: general (numeric)
+spectrum: 0.390139 0.303078 0.209861 0.0969224
+z* = 0   F(z*) = 0.0733878
+discord = 0.0467538
+classical correlation = 0.0661623
+mutual information = 0.112916
+route: signs -,-
+newton from z0=1: not run: signs -,- leave no interior maximum
+""",
+    "classify --bloch 0.4 -0.12 0.3 0.3 -0.3": """\
+state: r=0.4 s=-0.12 c1=0.3 c2=0.3 c3=-0.3
+region: d
+hypotheses: a=no b=no c=no d=yes
+positivity margins: 0.506023 0.42
+""",
+    "scan --bloch 0 0 -0.5 -0.5 -0.5 --points 3": """\
+             z              F             F'            F''
+             0       0.188722              0              0
+           0.5       0.188722              0              0
+             1       0.188722              0              0
+""",
+    "kw-check --bloch 0.3 0.3 0.2 -0.2 1": """\
+rank-2 case I, weights 0.680278 0.319722
+classical correlation (measured on a) = 0.934068
+concurrence of complementary pair = 0
+entanglement of formation = 0
+marginal entropy S(b) = 0.934068
+identity residual = 0
+z* of the swapped-state search = 1
+""",
+    "random --count 3": """\
+r=0.14306 s=-0.356261 c1=0.1886 c2=-0.324178 c3=-0.216762  \
+region=general z*=0 Q=0.0871955
+r=0.515458 s=-0.00515461 c1=0.0586243 c2=0.571571 c3=-0.170688  \
+region=general z*=0 Q=0.0362516
+r=0.172246 s=0.108181 c1=0.619422 c2=0.120952 c3=-0.423158  \
+region=general z*=0 Q=0.225866
+sampled 3 states (seed 0)
+regions: general:3
+interior maximizers: 0
+discord mean = 0.116438, max = 0.225866
+""",
+}
+
+
+@pytest.mark.parametrize("command", FULL_TEXT)
+def test_full_text_output(capsys, command):
+    # every line of the default-precision text output, not substrings
+    assert run_cli(capsys, *command.split()) == (0, FULL_TEXT[command], "")
+
+
+def test_discord_json_key_order(capsys):
+    code, out, _ = run_cli(capsys, "discord", "--bloch", "-0.5934", "-0.5934",
+                           "0.2", "0.2", "0.5", "--verify", "--grid", "17",
+                           "--format", "json")
+    assert code == 0
+    assert list(json.loads(out)) == [
+        "input", "region", "method", "z_star", "f_max", "discord",
+        "classical_correlation", "mutual_information", "spectrum", "search",
+        "verify_gap", "oracle"]

@@ -215,6 +215,9 @@ def test_newton_rejects_a_seed_or_bracket_end_outside_the_domain():
             with pytest.raises(ValueError,
                                match=re.escape(f"bracket end = {z} is")):
                 newton_critical_point(p, 0.5, bracket=bracket)
+    # a reversed bracket once bisected to a midpoint it called converged
+    with pytest.raises(ValueError, match=re.escape("bracket (1.0, 0.5)")):
+        newton_critical_point(ex_state(), 0.9, bracket=(1.0, 0.5))
 
 
 def test_classify_region_examples():
