@@ -68,8 +68,13 @@ once for each error exit: input errors (2), usage errors (argparse's
 SystemExit 2), an unphysical state (3) and a full-rank kw-check (4).
 Each invocation prints its exit code, its stdout and its stderr, with
 the temporary directory's path replaced by <tmp> and each warning as its
-category and message.  Needs numpy, and
-pytest for the states it reads from tests/conftest.py.
+category and message.
+
+The section printed after the CLI gives mu_spectrum() and concurrence()
+of the local-unitary images of tests/conftest.py (local_unitary_images:
+300 uniform and 300 rank-2 states, each under a Haar-random
+U_a (x) U_b), where concurrence takes its general route alone.  Needs
+numpy, and pytest for the states it reads from tests/conftest.py.
 """
 
 from __future__ import annotations
@@ -97,7 +102,8 @@ from xdiscord.cli import main as cli_main
 from xdiscord.entanglement import eof_from_concurrence
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
-from conftest import BOUNDARY_BLOCH, REGION_EDGE_BLOCH  # noqa: E402
+from conftest import (BOUNDARY_BLOCH, REGION_EDGE_BLOCH,  # noqa: E402
+                      local_unitary_images)
 
 WORKED_EXAMPLE = np.array([
     [0.0783, 0.0,   0.0,   0.0],
@@ -411,6 +417,10 @@ def main() -> None:
         for argv in cli_invocations(states, tmp):
             print("cli", " ".join(argv).replace(tmp, "<tmp>"))
             print(cli_run(argv).replace(tmp, "<tmp>"))
+    for i, (_, image) in enumerate(local_unitary_images()):
+        print("local unitary", i)
+        print("  mu", repr(mu_spectrum(image).tolist()))
+        print("  concurrence", repr(concurrence(image)))
 
 
 if __name__ == "__main__":

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import discord
-from .states import (_OFF_X, XDensityMatrix, _as_x, _snap, binary_entropy,
-                     entropies)
+from .states import (XDensityMatrix, _as_x, _entries, _snap, _stray,
+                     binary_entropy, entropies)
 
 RANK_TOL = 1e-10        # eigenvalues below this count as zero
 NEAR_RANK_BAND = 1e-6   # third eigenvalue in (RANK_TOL, this) warns
@@ -44,6 +44,7 @@ def _as_array(matrix) -> np.ndarray:
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (4, 4):
         raise ValueError(f"expected one 4x4 matrix, got shape {m.shape}")
+    _entries(m)                     # a non-finite entry raises
     return m
 
 
@@ -83,12 +84,13 @@ def mu_spectrum_closed(matrix) -> np.ndarray:
     g2 = math.sqrt(max(m[1, 1].real * m[2, 2].real, 0.0))
     a14 = abs(m[0, 3])
     a23 = abs(m[1, 2])
-    mu = np.array([g1 + a14, abs(g1 - a14), g2 + a23, abs(g2 - a23)])
-    return np.sort(mu)[::-1]
+    return np.array(sorted((g1 + a14, abs(g1 - a14), g2 + a23,
+                            abs(g2 - a23)), reverse=True))
 
 
 def _con_from_mu(mu: np.ndarray) -> float:
-    return max(0.0, float(mu[0] - mu[1] - mu[2] - mu[3]))
+    m0, m1, m2, m3 = mu.tolist()
+    return max(0.0, m0 - m1 - m2 - m3)
 
 
 def concurrence(matrix) -> float:
@@ -100,7 +102,7 @@ def concurrence(matrix) -> float:
     """
     m = _as_array(matrix)
     con = _con_from_mu(mu_spectrum(m))
-    if np.abs(m[_OFF_X]).max() < 1e-14:
+    if _stray(m) < 1e-14:
         con_x = _con_from_mu(mu_spectrum_closed(m))
         if abs(con - con_x) > ROUTE_TOL:
             raise RuntimeError(
@@ -143,19 +145,20 @@ class RankTwoDecomposition:
             arr.setflags(write=False)
 
 
-def _block(m: np.ndarray, i: int, j: int):
+def _block(m: list[list[float]], i: int, j: int):
     # (weight, vector) pairs of m on span(|i>, |j>), heavier first: with
     # (m_ii - m_jj, 2 m_ij) = tr k (cos 2a, sin 2a), tr the block's trace,
     # (cos a, sin a) has weight tr (1 + k)/2 and (-sin a, cos a) has
-    # tr (1 - k)/2.  An empty block gives two zero pairs.
-    tr = m[i, i] + m[j, j]
+    # tr (1 - k)/2.  An empty block gives two zero pairs.  m holds the
+    # rows of a real matrix; each vector is a list of its 4 entries
+    tr = m[i][i] + m[j][j]
     if tr == 0.0:
-        return [(0.0, np.zeros(4))] * 2
-    t, u = (m[i, i] - m[j, j]) / tr, 2.0 * m[i, j] / tr
+        return [(0.0, [0.0] * 4)] * 2
+    t, u = (m[i][i] - m[j][j]) / tr, 2.0 * m[i][j] / tr
     k = math.hypot(t, u)
     a = 0.5 * math.atan2(u, t)
     ca, sa = math.cos(a), math.sin(a)
-    v0, v1 = np.zeros(4), np.zeros(4)
+    v0, v1 = [0.0] * 4, [0.0] * 4
     v0[i], v0[j], v1[i], v1[j] = ca, sa, -sa, ca
     return [(tr * (0.5 * (1.0 + k)), v0), (tr * (0.5 * (1.0 - k)), v1)]
 
@@ -169,7 +172,7 @@ def rank_two_classify(matrix) -> RankTwoDecomposition:
     when the state is not rank 2 at tolerance 1e-10; a third eigenvalue
     inside (1e-10, 1e-6) warns and is treated as zero.
     """
-    m = _as_x(matrix).gauged
+    m = _as_x(matrix).gauged.tolist()
     out, mid = _block(m, 0, 3), _block(m, 1, 2)
     # weights snap as in states.spectrum, so a rank-1 error prints no
     # rounding noise
@@ -197,15 +200,16 @@ def rank_two_classify(matrix) -> RankTwoDecomposition:
     else:
         case, pairs = "III", [out[0], mid[0]]
     (w0, v0), (w1, v1) = pairs
-    gap = np.abs(w0 * (v0[:, None] * v0) + w1 * (v1[:, None] * v1) - m).max()
+    gap = max(abs(w0 * (v0[a] * v0[b]) + w1 * (v1[a] * v1[b]) - m[a][b])
+              for a in range(4) for b in range(4))
     if gap > slack:
         raise RuntimeError(
             "decomposition residual %.3e; eigenvector formulas do not "
             "match the input" % gap)
 
-    psi = np.zeros((2, 2, 2))
-    for k, (w, v) in enumerate(pairs):
-        psi[:, :, k] = math.sqrt(max(w, 0.0)) * v.reshape(2, 2)
+    r0, r1 = math.sqrt(max(w0, 0.0)), math.sqrt(max(w1, 0.0))
+    psi = np.array([[[r0 * v0[2 * a + b], r1 * v1[2 * a + b]]
+                     for b in range(2)] for a in range(2)])
     rho_bc = np.einsum("abc,ade->bcde", psi, psi).reshape(4, 4)
     return RankTwoDecomposition(case=case, weights=(float(w0), float(w1)),
                                 vectors=np.array([v0, v1]), purification=psi,

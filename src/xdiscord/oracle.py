@@ -25,9 +25,15 @@ both outcomes, which sit on a leading axis of length 2.  Its grid values
 are bit-identical to the textbook sum_k p_k H(lambda_k) with masked
 logs: each cell rounds the same operations, and the only rearrangements
 (operand order of a product or sum, signs and factors of 2 moved) are
-exact in IEEE arithmetic.  Factors of z3 or phi alone are built once
-per grid, and so are three work arrays, which glibc would otherwise give
-back to the kernel and fault in again every block of SWEEP_BLOCK cells.
+exact in IEEE arithmetic.  The kernel sees phi only through sin^2 phi,
+built once with the coarse grid and once per zoom grid.  Factors of z3
+or phi alone are built once per grid, and so are three work arrays,
+which glibc would otherwise give back to the kernel and fault in again
+every block of SWEEP_BLOCK cells.  A grid of one block (every zoom grid,
+the one-column coarse grids of states with c1^2 = c2^2, and the float64
+rows a screen keeps) runs the kernel once on whole arrays, with no
+slices and no work arrays; when every outcome weight is live, the rows
+skip their masks.
 
 A grid of more than SWEEP_BLOCK cells (91 x 91 and up; the screen starts
 to pay between 80 x 80 and 91 x 91) is screened: the same kernel runs in
@@ -42,7 +48,14 @@ hb(3u) at most, and logs, products and sums add 13u: |E32 - E| <=
 hb(3u) + 13u = 5.1e-6 (float64: under 2e-8; measured |E32 - E64| <=
 1.6e-6 on 4,306 states).  So the first float64 argmin's row, and each
 row holding a tie, is kept, in order, and the result is the same bit
-for bit.  LOG_FLOOR, float32's smallest normal, keeps log2 finite at
+for bit.  Only float64 clamps the radicand at 0, where
+r^2 +/- 2 r c3 z3 + theta can cancel below it.  In float32 no clamp is
+needed: the squares (r +/- c3 z3)^2 are >= 0, 1 - z3^2 >= 0 on [0, 1],
+and c1^2 + (c2^2 - c1^2) sin^2 phi >= 0 under monotone rounding
+(sin^2 phi lies in [0, 1], so the product lies between 0 and the
+rounded c2^2 - c1^2, which is at least -c1^2); so every term and the
+sum round to >= 0, and the float32 values are those a clamp would give.
+LOG_FLOOR, float32's smallest normal, keeps log2 finite at
 1 - lambda_k = 0 in float32 and changes no float64 bit.  Near-product
 grids are flat within the margin: they keep every row and cost about
 1.5 times the float64 sweep alone.
@@ -80,9 +93,11 @@ def _rows(p: BlochX, z3):
     z3 = np.asarray(z3, dtype=float)
     sign = _SIGNS.reshape((2,) + (1,) * z3.ndim)
     w = 1.0 + sign * p.s * z3
+    base = p.r * p.r + sign * (2.0 * p.r * p.c3) * z3
     live = w > PROB_FLOOR
-    return (p.r * p.r + sign * (2.0 * p.r * p.c3) * z3, np.where(live, w, 1.0),
-            None if live.all() else live, np.where(live, 0.5 * w, 0.0))
+    if live.all():
+        return base, w, None, 0.5 * w
+    return base, np.where(live, w, 1.0), live, np.where(live, 0.5 * w, 0.0)
 
 
 def _outcomes(rows, theta, out=None):
@@ -90,7 +105,8 @@ def _outcomes(rows, theta, out=None):
     A_k = min(sqrt(r^2 +/- 2 r c3 z3 + theta) / w_k, 1), 0 if w_k dead."""
     base, divisor, live, pk = rows
     a = np.add(base, theta, out=out)
-    np.maximum(a, 0.0, out=a)
+    if a.dtype == np.float64:       # a float32 radicand is never negative
+        np.maximum(a, 0.0, out=a)
     np.sqrt(a, out=a)
     a /= divisor
     np.minimum(a, 1.0, out=a)
@@ -101,15 +117,14 @@ def _outcomes(rows, theta, out=None):
     return pk, a
 
 
-def _entropy(rows, theta, work=None):
+def _entropy(rows, theta, work=(None, None, None)):
     """Measured conditional entropy sum_k p_k H(lambda_k), in bits.
 
     H(x) = -(x log2 x + (1 - x) log2 (1 - x)).  Each lambda_k lies in
     [1/2, 1] on multiples of u = 2^-53 (2^-24 in float32), so 1 - lambda_k
-    is exact, 0 or at least u; adding LOG_FLOOR changes only a 0.
+    is exact, 0 or at least u; adding LOG_FLOOR changes only a 0.  work
+    holds three arrays of lambda_k's shape, or None for each to allocate.
     """
-    if work is None:                # three arrays of lambda_k's shape
-        work = np.empty((3,) + np.broadcast(rows[0], theta).shape)
     pk, lam = _outcomes(rows, theta, work[0])
     q = np.subtract(1.0, lam, out=work[1])
     qlog = np.add(q, LOG_FLOOR, out=work[2])
@@ -136,6 +151,14 @@ def _coarse_grid(n: int):
     return z3s, phis
 
 
+@functools.lru_cache(maxsize=4)
+def _coarse_sin2(n: int):
+    # sin^2 phi on the phi axis of _coarse_grid(n), read-only, once per n
+    sin2 = np.sin(_coarse_grid(n)[1]) ** 2
+    sin2.flags.writeable = False
+    return sin2
+
+
 def _zoom_axis(lo: float, hi: float) -> np.ndarray:
     # np.linspace(lo, hi, ZOOM_POINTS) bit for bit, unless the step underflows
     axis = _ZOOM_STEPS * ((hi - lo) / (ZOOM_POINTS - 1)) + lo
@@ -143,20 +166,27 @@ def _zoom_axis(lo: float, hi: float) -> np.ndarray:
     return axis
 
 
-def _blocks(p: BlochX, z3s: np.ndarray, phis: np.ndarray, dtype=np.float64):
+def _blocks(p: BlochX, z3s: np.ndarray, sin2: np.ndarray, dtype=np.float64):
     # (first row, entropy) of each block of rows of the grid z3s x phis,
-    # in dtype; a work array holds SWEEP_BLOCK float64s' bytes.  float32
-    # moves (c3 z3)^2 into the base, (r +/- c3 z3)^2, where nothing cancels
+    # given as sin2 = sin^2 phi, in dtype; a work array holds SWEEP_BLOCK
+    # float64s' bytes.  float32 moves (c3 z3)^2 into the base,
+    # (r +/- c3 z3)^2, where nothing cancels
     z3c = z3s[:, None]
     base, divisor, live, pk = _rows(p, z3c)
     rho2, tail = 1.0 - z3c * z3c, (p.c3 * z3c) ** 2
-    circle = p.c1 * p.c1 + _phi_weight(p) * np.sin(phis) ** 2
+    circle = p.c1 * p.c1 + _phi_weight(p) * sin2
     if dtype != np.float64:
         base, tail = (p.r + _SIGNS[:, None, None] * p.c3 * z3c) ** 2, None
         base, divisor, pk, rho2, circle = (
             x.astype(dtype) for x in (base, divisor, pk, rho2, circle))
-    step = max(1, SWEEP_BLOCK * 8 // circle.itemsize // len(phis))
-    work = np.empty((3, 2, min(step, len(z3s)), len(phis)), dtype)
+    step = max(1, SWEEP_BLOCK * 8 // circle.itemsize // len(sin2))
+    if step >= len(z3s):            # one block: no slices, no work arrays
+        theta = rho2 * circle
+        if tail is not None:
+            theta += tail
+        yield 0, _entropy((base, divisor, live, pk), theta)
+        return
+    work = np.empty((3, 2, step, len(sin2)), dtype)
     for start in range(0, len(z3s), step):
         cut = slice(start, start + step)
         theta = rho2[cut] * circle
@@ -167,29 +197,31 @@ def _blocks(p: BlochX, z3s: np.ndarray, phis: np.ndarray, dtype=np.float64):
         yield start, _entropy(rows, theta, work[:, :, :len(theta)])
 
 
-def _screen(p: BlochX, z3s: np.ndarray, phis: np.ndarray):
+def _screen(p: BlochX, z3s: np.ndarray, sin2: np.ndarray):
     # rows of the grid whose float32 minimum lies within 2 SCREEN_DELTA
     # of the grid's, in order; None if a float32 value is not finite
     mins = np.empty(len(z3s))           # float64, so the limit stays exact
-    for start, ce in _blocks(p, z3s, phis, np.float32):
+    for start, ce in _blocks(p, z3s, sin2, np.float32):
         mins[start:start + len(ce)] = ce.min(axis=1)
     if np.isfinite(mins).all():
         return np.flatnonzero(mins <= mins.min() + 2.0 * SCREEN_DELTA)
     return None
 
 
-def _sweep(p: BlochX, z3s: np.ndarray, phis: np.ndarray):
-    # entropy on the grid z3s x phis, a block of rows at a time; ties
-    # resolve to the first cell in row-major order.  A grid of more than
-    # one block is swept in float64 only on the rows its screen keeps
+def _sweep(p: BlochX, z3s: np.ndarray, sin2: np.ndarray):
+    # (entropy, row, column) of the minimum on the grid z3s x phis, given
+    # as sin2 = sin^2 phi, a block of rows at a time; ties resolve to the
+    # first cell in row-major order.  A grid of more than one block is
+    # swept in float64 only on the rows its screen keeps
+    n = len(sin2)
     keep = None
-    if len(z3s) * len(phis) > SWEEP_BLOCK:
-        keep = _screen(p, z3s, phis)
+    if len(z3s) * n > SWEEP_BLOCK:
+        keep = _screen(p, z3s, sin2)
     best = None
-    for start, ce in _blocks(p, z3s if keep is None else z3s[keep], phis):
+    for start, ce in _blocks(p, z3s if keep is None else z3s[keep], sin2):
         k = int(ce.argmin())
         if best is None or ce.flat[k] < best[0]:
-            best = (float(ce.flat[k]), start + k // len(phis), k % len(phis))
+            best = (float(ce.flat[k]), start + k // n, k % n)
     if keep is not None:
         best = (best[0], int(keep[best[1]]), best[2])
     return best
@@ -230,8 +262,9 @@ def oracle_classical_correlation(p: BlochX, grid_n: int = 256,
         raise ValueError("grid_n must be at least 1 and refine_rounds at "
                          f"least 0, got {grid_n} and {refine_rounds}")
     cols = 1 if _phi_weight(p) == 0.0 else None    # phi columns swept
-    z3s, phis = _coarse_grid(operator.index(grid_n))
-    best, i, j = _sweep(p, z3s, phis[:cols])
+    n = operator.index(grid_n)
+    z3s, phis = _coarse_grid(n)
+    best, i, j = _sweep(p, z3s, _coarse_sin2(n)[:cols])
     z3, phi = float(z3s[i]), float(phis[j])
 
     dz = 1.0 / max(grid_n - 1, 1)
@@ -239,7 +272,7 @@ def oracle_classical_correlation(p: BlochX, grid_n: int = 256,
     for _ in range(refine_rounds):
         zs = _zoom_axis(max(z3 - dz, 0.0), min(z3 + dz, 1.0))
         fs = _zoom_axis(max(phi - dphi, 0.0), min(phi + dphi, HALF_PI))
-        cand, a, b = _sweep(p, zs, fs[:cols])
+        cand, a, b = _sweep(p, zs, np.sin(fs[:cols]) ** 2)
         gain = best - cand
         if gain > 0.0:
             best, z3, phi = cand, float(zs[a]), float(fs[b])

@@ -20,8 +20,14 @@ def _physical(rows: np.ndarray, margin: float = 0.0) -> np.ndarray:
     return rows[(m1 >= margin) & (m2 >= margin)]
 
 
+def _check_count(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"n must be at least 0, got {n}")
+
+
 def _fill(n: int, draw) -> list[BlochX]:
     # the first n rows of successive draw(todo) batches, as states
+    _check_count(n)
     out: list[BlochX] = []
     while len(out) < n:
         rows = draw(n - len(out))
@@ -105,6 +111,7 @@ def random_rank_two(rng: np.random.Generator, case: str,
     """
     if case not in ("I", "II", "III"):
         raise ValueError(f"unknown case {case!r}")
+    _check_count(n)
     out: list[BlochX] = []
     while len(out) < n:
         if case in ("I", "II"):

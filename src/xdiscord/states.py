@@ -11,6 +11,7 @@ with r, s the local z-polarizations and ci the diagonal correlators.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -22,13 +23,9 @@ TRACE_TOL = 1e-12
 HERM_TOL = 1e-12
 PHASE_TOL = 1e-13   # |Im| above this (relative) marks a corner as complex
 
-# entries that must vanish for the X pattern
-_OFF_X = np.array([
-    [False, True, True, False],
-    [True, False, False, True],
-    [True, False, False, True],
-    [False, True, True, False],
-])
+# row-major indices 4 i + j of the entries that must vanish for the X
+# pattern
+_OFF_X = (1, 2, 4, 7, 8, 11, 13, 14)
 
 
 class PhysicalityError(ValueError):
@@ -53,6 +50,11 @@ def xlog2_float(x: float) -> float:
 
 def binary_entropy(x):
     """Shannon entropy -x log2 x - (1-x) log2 (1-x) of a bit, in bits."""
+    if isinstance(x, float):    # one number: xlog2's steps on two floats
+        pair = (x, 1.0 - x)
+        logs = np.log2([t if t > 0.0 else 1.0 for t in pair]).tolist()
+        h = [0.0 if t <= 0.0 else t * lg for t, lg in zip(pair, logs)]
+        return float(-(h[0] + h[1]) + 0.0)
     x = np.asarray(x, dtype=float)
     h = xlog2(np.array((x, 1.0 - x)))          # one call for x and 1 - x
     out = -(h[0] + h[1]) + 0.0                 # "+ 0.0" normalizes -0.0
@@ -132,6 +134,23 @@ class BlochX:
         return physicality_margins(*self.as_tuple())
 
 
+def _entries(m: np.ndarray) -> list[complex]:
+    # the 16 entries of a complex 4x4 array, row-major, as Python numbers;
+    # nan would pass every ">" of a tolerance check, so non-finite raise
+    e = m.ravel().tolist()
+    if not all(map(cmath.isfinite, e)):
+        raise PhysicalityError("matrix has a non-finite entry")
+    return e
+
+
+def _stray(m: np.ndarray) -> float:
+    # the largest modulus off the X pattern of a complex 4x4 array, from
+    # numpy: abs() of a Python complex (libm's hypot) differs from numpy's
+    # by 1 to 2 ulp on about a third of complex numbers
+    mod = np.abs(m).ravel().tolist()
+    return max(mod[k] for k in _OFF_X)
+
+
 def _corner(corner: complex) -> tuple[float, float]:
     # (value kept, phase removed): real corners of either sign stay exact,
     # complex ones rotate onto their modulus
@@ -160,23 +179,23 @@ class XDensityMatrix:
         m = np.array(self.matrix, dtype=complex)
         if m.shape != (4, 4):
             raise XPatternError(f"expected a 4x4 matrix, got {m.shape}")
-        if not np.isfinite(m).all():    # nan would pass every ">" below
-            raise PhysicalityError("matrix has a non-finite entry")
-        stray = np.abs(m[_OFF_X])
-        if stray.max() > HERM_TOL:
+        e = _entries(m)
+        stray = _stray(m)
+        if stray > HERM_TOL:
             raise XPatternError(
                 "entries off the diagonal and anti-diagonal "
-                "(largest %.3e)" % stray.max())
+                "(largest %.3e)" % stray)
         if np.abs(m - m.conj().T).max() > HERM_TOL:
             raise PhysicalityError("matrix is not hermitian")
-        tr = m.trace().real
+        d = [e[0].real, e[5].real, e[10].real, e[15].real]
+        tr = (d[0] + d[1]) + (d[2] + d[3]) + 0.0    # numpy's trace: pairwise
         if abs(tr - 1.0) > TRACE_TOL:
-            raise PhysicalityError(f"trace {tr!r} differs from 1")
+            raise PhysicalityError(        # repr as numpy's trace gives it
+                f"trace {np.float64(tr)!r} differs from 1")
         g = m.real.copy()
         (e14, ph14), (e23, ph23) = _corner(m[0, 3]), _corner(m[1, 2])
         g[0, 3] = g[3, 0] = e14
         g[1, 2] = g[2, 1] = e23
-        d = np.diag(g).tolist()
         bloch = BlochX(d[0] + d[1] - d[2] - d[3], d[0] - d[1] + d[2] - d[3],
                        2.0 * (e23 + e14), 2.0 * (e23 - e14),
                        d[0] - d[1] - d[2] + d[3])
@@ -196,14 +215,11 @@ def bloch_to_matrix(p: BlochX) -> XDensityMatrix:
     corner (c1 - c2)/4, inner corner (c1 + c2)/4, corners real.
     """
     r, s, c1, c2, c3 = p.as_tuple()
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = (1.0 + r + s + c3) / 4.0
-    m[1, 1] = (1.0 + r - s - c3) / 4.0
-    m[2, 2] = (1.0 - r + s - c3) / 4.0
-    m[3, 3] = (1.0 - r - s + c3) / 4.0
-    m[0, 3] = m[3, 0] = (c1 - c2) / 4.0
-    m[1, 2] = m[2, 1] = (c1 + c2) / 4.0
-    return XDensityMatrix(m)
+    outer, inner = (c1 - c2) / 4.0, (c1 + c2) / 4.0
+    return XDensityMatrix([[(1.0 + r + s + c3) / 4.0, 0.0, 0.0, outer],
+                           [0.0, (1.0 + r - s - c3) / 4.0, inner, 0.0],
+                           [0.0, inner, (1.0 - r + s - c3) / 4.0, 0.0],
+                           [outer, 0.0, 0.0, (1.0 - r - s + c3) / 4.0]])
 
 
 def _as_x(m) -> XDensityMatrix:

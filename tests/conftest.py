@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from xdiscord import BlochX
+from xdiscord import BlochX, bloch_to_matrix
 from xdiscord.sampling import (random_bell_diagonal, random_case,
                                random_rank_two, random_states)
 
@@ -109,6 +109,31 @@ def measured_ensemble(matrix, direction):
         pk = float(np.trace(sub).real)
         out.append((pk, ptrace_b(sub) / pk if pk > 1e-15 else None))
     return out
+
+
+def haar_unitary(rng: np.random.Generator) -> np.ndarray:
+    """A Haar-random 2x2 unitary: the Q of a complex Gaussian matrix's QR,
+    each column times the phase of R's diagonal entry (Mezzadri 2007)."""
+    q, r = np.linalg.qr(rng.normal(size=(2, 2))
+                        + 1j * rng.normal(size=(2, 2)))
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+def local_unitary_images() -> list[tuple[np.ndarray, np.ndarray]]:
+    """(X-shaped matrix, its image under U_a (x) U_b) pairs, U_a and U_b
+    Haar-random: 300 uniform states, then 100 rank-2 states of each of
+    cases I to III, seeded."""
+    rng = np.random.default_rng(19980)
+    states = random_states(rng, 300) + [
+        p for case in ("I", "II", "III") for p in random_rank_two(rng, case,
+                                                                  100)]
+    pairs = []
+    for p in states:
+        m = bloch_to_matrix(p).matrix
+        u = np.kron(haar_unitary(rng), haar_unitary(rng))
+        pairs.append((m, u @ m @ u.conj().T))
+    return pairs
 
 
 def closed_form_bell_diagonal(c1, c2, c3) -> float:

@@ -7,11 +7,12 @@ import re
 import numpy as np
 import pytest
 
-from conftest import dense_entropy, ptrace_a
-from xdiscord import (BlochX, RankError, XDensityMatrix, binary_entropy,
-                      bloch_to_matrix, concurrence, corner_phases, discord,
-                      koashi_winter, matrix_to_bloch, mu_spectrum,
-                      purification_marginal_ab, rank_two_classify)
+from conftest import dense_entropy, local_unitary_images, ptrace_a
+from xdiscord import (BlochX, PhysicalityError, RankError, XDensityMatrix,
+                      binary_entropy, bloch_to_matrix, concurrence,
+                      corner_phases, discord, koashi_winter, matrix_to_bloch,
+                      mu_spectrum, purification_marginal_ab,
+                      rank_two_classify)
 from xdiscord import entanglement, states
 from xdiscord.entanglement import (eof_from_concurrence, mu_spectrum_closed,
                                    spin_flip)
@@ -35,10 +36,13 @@ SYY_REAL = np.array([[0.0, 0.0, 0.0, -1.0],
                      [-1.0, 0.0, 0.0, 0.0]])
 
 
-def same_complex_bits(a, b):
-    a, b = a.view(float), b.view(float)
+def same_bits(a, b):
     return (np.array_equal(a, b)
             and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def same_complex_bits(a, b):
+    return same_bits(a.view(float), b.view(float))
 
 
 def complex_from_parts(re_part, im_part):
@@ -72,6 +76,32 @@ def test_matrix_helpers_reject_wrong_shapes(shape):
                            match=r"4x4 matrix, got shape " + re.escape(
                                str(shape))):
             helper(m)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(np.nan, 0.0),
+                                   complex(0.1, np.nan)],
+                         ids=["nan", "inf", "complex-nan", "nan-imaginary"])
+def test_matrix_helpers_reject_non_finite_entries(value):
+    # eigh failed on these with a RuntimeWarning and LinAlgError
+    for where in ((0, 0), (0, 1), (1, 2)):
+        m = bloch_to_matrix(CASE_III).matrix.copy()
+        m[where] = value
+        for helper in (concurrence, mu_spectrum, mu_spectrum_closed,
+                       spin_flip):
+            with pytest.raises(PhysicalityError,
+                               match="^matrix has a non-finite entry$"):
+                helper(m)
+
+
+def test_concurrence_general_route_is_local_unitary_invariant():
+    # U_a (x) U_b moves entries off the X, so concurrence takes its
+    # general route alone; the X-shaped original is cross-checked by the
+    # closed form
+    off_x = np.ones((4, 4), dtype=bool)
+    off_x[[0, 1, 2, 3, 0, 1, 2, 3], [0, 1, 2, 3, 3, 2, 1, 0]] = False
+    for m, image in local_unitary_images():
+        assert np.abs(image[off_x]).max() > 1e-14
+        assert abs(concurrence(image) - concurrence(m)) <= 1e-12, m
 
 
 def test_mu_spectrum_routes_agree(rng):
@@ -227,6 +257,40 @@ def test_rank_errors():
         rank_two_classify(bloch_to_matrix(BlochX(0.0, 0.0, -0.5, -0.5, -0.5)))
     with pytest.raises(RankError):
         rank_two_classify(bloch_to_matrix(BlochX(0.0, 0.0, 1.0, -1.0, 1.0)))
+
+
+def array_block(m, i, j):
+    # _block on the gauged numpy array, in numpy scalars and vectors
+    tr = m[i, i] + m[j, j]
+    if tr == 0.0:
+        return [(0.0, np.zeros(4))] * 2
+    t, u = (m[i, i] - m[j, j]) / tr, 2.0 * m[i, j] / tr
+    k = math.hypot(t, u)
+    a = 0.5 * math.atan2(u, t)
+    v0, v1 = np.zeros(4), np.zeros(4)
+    v0[i], v0[j] = math.cos(a), math.sin(a)
+    v1[i], v1[j] = -math.sin(a), math.cos(a)
+    return [(tr * (0.5 * (1.0 + k)), v0), (tr * (0.5 * (1.0 - k)), v1)]
+
+
+def test_rank_two_classify_matches_array_form_bits(rng):
+    # the decomposition runs on Python floats; each pair it keeps, its
+    # purification and rho_bc have the bits of the numpy array form
+    states = [q for case in ("I", "II", "III")
+              for p in random_rank_two(rng, case, 30)
+              for q in (p, p.swapped())]
+    for p in states:
+        xm = bloch_to_matrix(p)
+        d = rank_two_classify(xm)
+        pairs = array_block(xm.gauged, 0, 3) + array_block(xm.gauged, 1, 2)
+        psi = np.zeros((2, 2, 2))
+        for k, (w, v) in enumerate(zip(d.weights, d.vectors)):
+            assert any(w == float(w_ref) and same_bits(v, v_ref)
+                       for w_ref, v_ref in pairs), p
+            psi[:, :, k] = math.sqrt(max(w, 0.0)) * v.reshape(2, 2)
+        assert same_bits(d.purification, psi), p
+        assert same_bits(d.rho_bc, np.einsum("abc,ade->bcde", psi,
+                                             psi).reshape(4, 4)), p
 
 
 def test_rank_two_classify_checks_its_residual(monkeypatch):

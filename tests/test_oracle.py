@@ -252,7 +252,7 @@ def test_fused_kernel_matches_textbook_formula(rng, n):
         ce = textbook_entropy(p, z3, th)
         assert same_bits(_entropy(_rows(p, z3), th), ce), p
         i, j = np.unravel_index(int(np.argmin(ce)), ce.shape)
-        assert _sweep(p, z3s, phis) == (float(ce[i, j]), i, j), p
+        assert _sweep(p, z3s, np.sin(phis) ** 2) == (float(ce[i, j]), i, j), p
 
 
 def flat_states():
@@ -289,7 +289,7 @@ def test_sweep_blocks_keep_full_grid_argmin(rng, monkeypatch, n, block):
         ce = textbook_entropy(p, z3s[:, None],
                               textbook_theta(p, z3s[:, None], phis))
         i, j = np.unravel_index(int(np.argmin(ce)), ce.shape)
-        assert _sweep(p, z3s, phis) == (float(ce[i, j]), i, j), p
+        assert _sweep(p, z3s, np.sin(phis) ** 2) == (float(ce[i, j]), i, j), p
     assert bool(screened) == (n * n > oracle.SWEEP_BLOCK)
 
 
@@ -317,8 +317,8 @@ def screen_states():
 
 def screen_entropy(p, z3s, phis):
     # the screen's float32 entropy over the full grid z3s x phis
-    return np.concatenate([ce for _, ce in oracle._blocks(p, z3s, phis,
-                                                         np.float32)])
+    return np.concatenate([ce for _, ce in oracle._blocks(
+        p, z3s, np.sin(phis) ** 2, np.float32)])
 
 
 def test_float32_entropy_stays_finite_at_lambda_one():
@@ -329,6 +329,57 @@ def test_float32_entropy_stays_finite_at_lambda_one():
     ce = screen_entropy(bell, z3s, z3s * HALF_PI)
     assert ce.dtype == np.float32 and np.isfinite(ce).all()
     assert (ce == 0.0).any() and ce.max() < oracle.SCREEN_DELTA
+
+
+def outcomes_with_clamp(clamp):
+    # _outcomes, with the radicand clamped at 0 in every dtype or in none
+    def outcomes(rows, theta, out=None):
+        base, divisor, live, pk = rows
+        a = np.add(base, theta, out=out)
+        if clamp:
+            np.maximum(a, 0.0, out=a)
+        np.sqrt(a, out=a)
+        a /= divisor
+        np.minimum(a, 1.0, out=a)
+        if live is not None:
+            a *= live
+        a += 1.0
+        a *= 0.5
+        return pk, a
+    return outcomes
+
+
+def grid_entropy(p, z3s, phis, dtype):
+    # the kernel's entropy in dtype over the full grid z3s x phis
+    with np.errstate(invalid="ignore"):
+        return np.concatenate([ce for _, ce in oracle._blocks(
+            p, z3s, np.sin(phis) ** 2, dtype)])
+
+
+def test_float32_radicand_needs_no_clamp(monkeypatch):
+    # in float32 the radicand (r +/- c3 z3)^2 + (1 - z3^2) circle is a sum
+    # of terms that round to >= 0, so clamping it changes no bit, on
+    # boundary, near-product and |s| = 1 states (the first three with a
+    # tiny c2, so theta depends on phi), on the coarse grid and on a zoom
+    # grid at z3 = 1.  In float64, r^2 - 2 r c3 z3 + theta cancels below
+    # 0 on the zoom grid of the last state, where the clamp is needed
+    states = ([BlochX(*t) for t in BOUNDARY_BLOCH] + near_product_states()
+              + [BlochX(r, s, 0.0, c2, r * s) for r, s, c2 in
+                 ((0.3, 1.0, 1e-11), (0.0, -1.0, 3e-11), (-0.5, 1.0, -2e-11),
+                  (0.6, 1.0, 0.0))])
+    states += [p.swapped() for p in states]
+    zoom = (oracle._zoom_axis(1.0 - 1e-7, 1.0), oracle._zoom_axis(0.0, 0.01))
+    grids = [oracle._coarse_grid(256), zoom]
+    cases = [(p, z3s, phis) for p in states for z3s, phis in grids]
+    kernel = {dtype: [grid_entropy(*case, dtype) for case in cases]
+              for dtype in (np.float32, np.float64)}
+    monkeypatch.setattr(oracle, "_outcomes", outcomes_with_clamp(True))
+    for case, ce in zip(cases, kernel[np.float32]):
+        assert ce.dtype == np.float32, case[0]
+        assert same_bits(ce, grid_entropy(*case, np.float32)), case[0]
+    monkeypatch.setattr(oracle, "_outcomes", outcomes_with_clamp(False))
+    assert any(not same_bits(ce, grid_entropy(*case, np.float64))
+               for case, ce in zip(cases, kernel[np.float64]))
 
 
 @pytest.mark.parametrize("n", [100, 256, 300, 512])
@@ -344,13 +395,15 @@ def test_screened_sweep_is_the_full_grid_argmin(n):
         screen = screen_entropy(p, z3s, phis).reshape(exact.shape)
         assert np.abs(screen - exact).max() < oracle.SCREEN_DELTA / 4.0, p
         i, j = np.unravel_index(int(np.argmin(exact)), exact.shape)
-        assert _sweep(p, z3s, phis) == (float(exact[i, j]), i, j), p
+        assert _sweep(p, z3s, np.sin(phis) ** 2) == (
+            float(exact[i, j]), i, j), p
 
 
 def test_near_product_grids_keep_every_row():
     z3s, phis = oracle._coarse_grid(256)
     for p in near_product_states():
-        assert np.array_equal(oracle._screen(p, z3s, phis), np.arange(256))
+        assert np.array_equal(oracle._screen(p, z3s, np.sin(phis) ** 2),
+                              np.arange(256))
 
 
 def test_zoom_axis_is_linspace_bit_for_bit(rng):
@@ -413,7 +466,8 @@ def test_flat_states_tie_across_phi(grid_n):
     phis = np.linspace(0.0, HALF_PI, grid_n)
     for p in flat_states():
         assert _phi_weight(p) == 0.0, p
-        assert _sweep(p, z3s, phis) == _sweep(p, z3s, phis[:1]), p
+        assert (_sweep(p, z3s, np.sin(phis) ** 2)
+                == _sweep(p, z3s, np.sin(phis[:1]) ** 2)), p
 
 
 @pytest.mark.parametrize("grid_n", [1, 2, 17, 256])

@@ -62,3 +62,18 @@ def test_samplers_are_deterministic():
     c = random_rank_two(np.random.default_rng(7), "III", 5)
     d = random_rank_two(np.random.default_rng(7), "III", 5)
     assert [p.as_tuple() for p in c] == [p.as_tuple() for p in d]
+
+
+@pytest.mark.parametrize("sampler", [
+    random_states, random_bell_diagonal,
+    lambda rng, n: random_case(rng, "a", n),
+    lambda rng, n: random_rank_two(rng, "III", n),
+], ids=["states", "bell-diagonal", "case", "rank-two"])
+def test_samplers_reject_a_negative_count(sampler):
+    # a negative n raised nothing and returned []; n = 0 draws nothing
+    rng = np.random.default_rng(3)
+    with pytest.raises(ValueError, match=r"^n must be at least 0, got -1$"):
+        sampler(rng, -1)
+    assert sampler(rng, 0) == []
+    fresh = np.random.default_rng(3)
+    assert rng.bit_generator.state == fresh.bit_generator.state

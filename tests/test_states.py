@@ -17,7 +17,8 @@ from xdiscord import (BlochX, PhysicalityError, XDensityMatrix, XPatternError,
                       xlog2)
 from xdiscord.sampling import (random_bell_diagonal, random_rank_two,
                                random_states)
-from xdiscord.states import EIG_CLAMP, PHYS_TOL, blocks, xlog2_float
+from xdiscord.states import (EIG_CLAMP, HERM_TOL, PHYS_TOL, TRACE_TOL,
+                             blocks, xlog2_float)
 
 # rank-2 states with a zero eigenvalue in the (|01>, |10>) block: case I
 # (both inner eigenvalues 0) and case III (one in each block)
@@ -239,6 +240,83 @@ def test_rejects_non_finite_entry(where, value):
         XDensityMatrix(m)
 
 
+# the entries the X pattern leaves zero
+OFF_X = np.ones((4, 4), dtype=bool)
+OFF_X[[0, 1, 2, 3, 0, 1, 2, 3], [0, 1, 2, 3, 3, 2, 1, 0]] = False
+
+
+def whole_array_checks(m):
+    # XDensityMatrix's entry checks, each as one numpy call on the whole
+    # array: (type, message) of the first that fails, or None
+    m = np.array(m, dtype=complex)
+    if not np.isfinite(m).all():
+        return PhysicalityError, "matrix has a non-finite entry"
+    stray = np.abs(m[OFF_X])
+    if stray.max() > HERM_TOL:
+        return XPatternError, ("entries off the diagonal and anti-diagonal "
+                               "(largest %.3e)" % stray.max())
+    if np.abs(m - m.conj().T).max() > HERM_TOL:
+        return PhysicalityError, "matrix is not hermitian"
+    tr = m.trace().real
+    if abs(tr - 1.0) > TRACE_TOL:
+        return PhysicalityError, f"trace {tr!r} differs from 1"
+    return None
+
+
+def checks_corpus(rng):
+    # states with a 1e-3 positivity margin, real and with complex corners,
+    # moved at and around each tolerance: a corner or a diagonal entry at
+    # +/- HERM_TOL (real or imaginary, one of the pair), a diagonal entry
+    # at +/- TRACE_TOL, and entries off the X just under and over 1e-12,
+    # with or without their hermitian partner; then non-finite entries
+    bases = []
+    for p in random_states(rng, 12, margin=1e-3):
+        m = bloch_to_matrix(p).matrix
+        u = np.kron(np.diag([1.0, np.exp(1j * rng.uniform(0.0, 6.3))]),
+                    np.diag([1.0, np.exp(1j * rng.uniform(0.0, 6.3))]))
+        bases += [m, u @ m @ u.conj().T]
+    factors = [0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.5, 2.0]
+    mats = []
+    for m in bases:
+        for f in factors:
+            for sign in (1.0, -1.0):
+                for unit in (1.0, 1j):
+                    for where in ((0, 3), (2, 1), (1, 1)):
+                        moved = m.copy()
+                        moved[where] += sign * unit * f * HERM_TOL
+                        mats.append(moved)
+                moved = m.copy()
+                moved[2, 2] += sign * f * TRACE_TOL
+                mats.append(moved)
+                for where in ((0, 1), (3, 1), (2, 0)):
+                    value = f * 1e-12 * np.exp(1j * rng.uniform(0.0, 6.3))
+                    for partner in (0.0, np.conj(value), -np.conj(value)):
+                        moved = m.copy()
+                        moved[where], moved[where[::-1]] = value, partner
+                        mats.append(moved)
+        for value in (np.nan, -np.inf, complex(0.1, np.nan)):
+            moved = m.copy()
+            moved[1, 3] = value
+            mats.append(moved)
+    return mats
+
+
+def test_entry_checks_match_whole_array_checks(rng):
+    # the checks read the 16 entries once, as Python numbers; decisions
+    # and messages must be those of the numpy form, near every tolerance
+    decided = set()
+    for m in checks_corpus(rng):
+        want = whole_array_checks(m)
+        try:
+            XDensityMatrix(m)
+            got = None
+        except (PhysicalityError, XPatternError) as exc:
+            got = type(exc), str(exc)
+        assert got == want, m
+        decided.add(None if want is None else want[1][:12])
+    assert len(decided) == 5, decided     # every check fails, some pass
+
+
 def test_parameter_range_validation():
     with pytest.raises(PhysicalityError):
         BlochX(1.2, 0.0, 0.0, 0.0, 0.0)
@@ -321,8 +399,8 @@ def stacked_binary_entropy(x):
 def test_binary_entropy_matches_stacked_form_bits(rng):
     grid = np.concatenate([[0.0, 1e-300, 0.5, 1.0 - 1e-16, 1.0],
                            rng.uniform(0.0, 1.0, 95)])
-    cases = [0.0, 1.0, 1e-300, 0.5, 0.3, grid, grid.reshape(10, 10),
-             grid[:7].tolist()]
+    cases = [0.0, -0.0, 1.0, 1e-300, 0.5, 0.3, np.float64(0.7), grid,
+             grid.reshape(10, 10), grid[:7].tolist()] + grid.tolist()
     for x in cases:
         got, want = binary_entropy(x), stacked_binary_entropy(x)
         assert type(got) is type(want)
