@@ -1,11 +1,21 @@
 """Print the repr of every engine result on a fixed corpus of states.
 
-A change meant to leave every result bit-identical is checked by running
-this script at the parent commit and at the change, and comparing the two
-outputs byte for byte:
+tests/identity_reference.json holds a digest of each 16 lines of the
+output, section by section, and tests/test_identity_corpus.py checks
+most sections against it in the test suite.  --check compares every
+section with it, and --write-reference rewrites it after a change meant
+to move results:
+
+    PYTHONPATH=src python3 scripts/identity_corpus.py --check
+    PYTHONPATH=src python3 scripts/identity_corpus.py --write-reference
+
+The reference holds the results of the numpy and libm it was written
+with; another platform may differ in the last bits.  To see which lines
+a change moves, run the script at the parent commit and at the change
+and compare the two outputs:
 
     PYTHONPATH=src python3 scripts/identity_corpus.py > new.txt
-    cmp old.txt new.txt
+    diff old.txt new.txt
 
 The corpus draws, with fixed seeds, uniform states, states of endpoint
 regions a to d, Bell-diagonal states and rank-2 states of cases I to III,
@@ -73,13 +83,21 @@ category and message.
 The section printed after the CLI gives mu_spectrum() and concurrence()
 of the local-unitary images of tests/conftest.py (local_unitary_images:
 300 uniform and 300 rank-2 states, each under a Haar-random
-U_a (x) U_b), where concurrence takes its general route alone.  Needs
-numpy, and pytest for the states it reads from tests/conftest.py.
+U_a (x) U_b), where concurrence takes its general route alone.
+
+The last section prints the pools the samplers draw: random_states,
+random_bell_diagonal, random_case for cases a to d and random_rank_two
+for cases I to III, each from default_rng(seed) with n = 1 + seed % 8,
+for seeds 0 to 39, one as_tuple() a line, and the state the generator
+ends in.  Needs numpy, and pytest for the states it reads from
+tests/conftest.py.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -353,75 +371,203 @@ def cli_invocations(states, tmp: str) -> list[list[str]]:
     return runs
 
 
-def main() -> None:
-    states = corpus()
+def engine_section(states):
     for i, (label, p) in enumerate(states):
-        print(i, label, repr(p))
-        print("  regions", repr(region_conditions(p)))
-        print("  entropies", repr(entropies(p)))
-        print("  auto", repr(discord(p)))
-        print("  numeric", repr(discord(p, method="numeric")))
-        print("  verify", repr(discord(p, verify=True)))
-        print("  global_max", repr(global_max(p)))
+        yield f"{i} {label} {p!r}"
+        yield f"  regions {region_conditions(p)!r}"
+        yield f"  entropies {entropies(p)!r}"
+        yield f"  auto {discord(p)!r}"
+        yield f"  numeric {discord(p, method='numeric')!r}"
+        yield f"  verify {discord(p, verify=True)!r}"
+        yield f"  global_max {global_max(p)!r}"
+
+
+def bridge_section(states):
     for i, (label, p) in enumerate(states):
         if label.startswith("rank2"):
-            print("bridge", i, label)
-            print("\n".join(decomposition_lines(bloch_to_matrix(p))))
+            yield f"bridge {i} {label}"
+            yield from decomposition_lines(bloch_to_matrix(p))
         elif label.startswith("uniform"):
             m = bloch_to_matrix(p)
-            print("not rank 2", i, label, outcome(rank_two_classify, m))
-            print("  mu", repr(mu_spectrum(m).tolist()))
+            yield f"not rank 2 {i} {label} {outcome(rank_two_classify, m)}"
+            yield f"  mu {mu_spectrum(m).tolist()!r}"
     for i, p in enumerate(other_ranks()):
-        print("other rank", i, repr(p),
-              outcome(rank_two_classify, bloch_to_matrix(p)))
+        yield (f"other rank {i} {p!r} "
+               + outcome(rank_two_classify, bloch_to_matrix(p)))
     for base in LADDER_BASES:
         for eps in LADDER_EPS:
             c3 = base[4] - eps if base[4] > 0 else base[4] + eps
             m = bloch_to_matrix(BlochX(*base[:4], c3))
-            print("ladder", base, eps)
-            print("  classify", outcome(
-                lambda x: rank_two_classify(x).weights, m))
-            print("  kw", outcome(koashi_winter, m))
+            yield f"ladder {base} {eps}"
+            yield "  classify " + outcome(
+                lambda x: rank_two_classify(x).weights, m)
+            yield f"  kw {outcome(koashi_winter, m)}"
+
+
+def oracle_section(states):
     for i, (label, p) in enumerate(oracle_corpus(states)):
-        print("oracle", i, label, repr(p))
+        yield f"oracle {i} {label} {p!r}"
         for grid_n, rounds in ORACLE_RUNS:
-            print(f"  grid {grid_n} rounds {rounds}", repr(
-                oracle_classical_correlation(p, grid_n, rounds)))
+            yield (f"  grid {grid_n} rounds {rounds} "
+                   + repr(oracle_classical_correlation(p, grid_n, rounds)))
     for label, p in big_grid_corpus(states):
-        print("oracle grid 512", label, repr(p))
-        print("  rounds 30", repr(oracle_classical_correlation(p, 512)))
+        yield f"oracle grid 512 {label} {p!r}"
+        yield f"  rounds 30 {oracle_classical_correlation(p, 512)!r}"
     for label, p in flat_grid_corpus():
-        print("oracle flat grid", label, repr(p))
+        yield f"oracle flat grid {label} {p!r}"
         for rounds in (0, 30):
-            print(f"  grid 256 rounds {rounds}", repr(
-                oracle_classical_correlation(p, 256, rounds)))
+            yield (f"  grid 256 rounds {rounds} "
+                   + repr(oracle_classical_correlation(p, 256, rounds)))
+
+
+def validation_section(states):
     for label, m in validation_corpus():
-        print("validate", label)
+        yield f"validate {label}"
         for call in (XDensityMatrix, matrix_to_bloch, corner_phases,
                      rank_two_classify):
-            print(f"  {call.__name__}", " ".join(outcome(call, m).split()))
+            yield f"  {call.__name__} " + " ".join(outcome(call, m).split())
+
+
+def f_section(states):
     for i, (label, p) in enumerate(states):
-        print("f", i, label)
-        print("\n".join(f_lines(p)))
+        yield f"f {i} {label}"
+        yield from f_lines(p)
     for p in OFF_DOMAIN_STATES:
-        print("off domain", repr(p))
+        yield f"off domain {p!r}"
         for f in (f_value, f_derivative, f_second_derivative,
                   newton_critical_point):
             for z in OFF_DOMAIN_Z:
-                print(f"  {f.__name__} {z!r}",
-                      outcome(lambda x, f=f: f(p, x), z))
+                yield (f"  {f.__name__} {z!r} "
+                       + outcome(lambda x, f=f: f(p, x), z))
     for f in (xlog2, binary_entropy, eof_from_concurrence):
-        print(f"nan {f.__name__}", outcome(f, float("nan")))
+        yield f"nan {f.__name__} {outcome(f, float('nan'))}"
+
+
+def cli_section(states):
     os.environ["COLUMNS"] = "80"      # argparse wraps help to the terminal
     with tempfile.TemporaryDirectory() as tmp:
         for argv in cli_invocations(states, tmp):
-            print("cli", " ".join(argv).replace(tmp, "<tmp>"))
-            print(cli_run(argv).replace(tmp, "<tmp>"))
+            yield "cli " + " ".join(argv).replace(tmp, "<tmp>")
+            yield cli_run(argv).replace(tmp, "<tmp>")
+
+
+def local_unitary_section(states):
     for i, (_, image) in enumerate(local_unitary_images()):
-        print("local unitary", i)
-        print("  mu", repr(mu_spectrum(image).tolist()))
-        print("  concurrence", repr(concurrence(image)))
+        yield f"local unitary {i}"
+        yield f"  mu {mu_spectrum(image).tolist()!r}"
+        yield f"  concurrence {concurrence(image)!r}"
+
+
+POOL_SAMPLERS = ([("states", random_states),
+                  ("bell", random_bell_diagonal)]
+                 + [(case, lambda rng, n, case=case: random_case(rng, case, n))
+                    for case in "abcd"]
+                 + [(f"rank2-{case}",
+                     lambda rng, n, case=case: random_rank_two(rng, case, n))
+                    for case in ("I", "II", "III")])
+
+
+def pools_section(states):
+    for name, sampler in POOL_SAMPLERS:
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            for i, p in enumerate(sampler(rng, 1 + seed % 8)):
+                yield f"pool {name} seed {seed} {i} {p.as_tuple()!r}"
+            # how far the generator moved, drawn rows kept or not
+            yield (f"pool {name} seed {seed} generator at "
+                   f"{rng.bit_generator.state['state']['state']}")
+
+
+# (name, generator of the lines it prints) of each section, in order
+SECTIONS = [("engine", engine_section), ("bridge", bridge_section),
+            ("oracle", oracle_section), ("validation", validation_section),
+            ("f", f_section), ("cli", cli_section),
+            ("local unitary", local_unitary_section),
+            ("pools", pools_section)]
+
+
+REFERENCE = os.path.join(os.path.dirname(__file__), "..", "tests",
+                         "identity_reference.json")
+CHUNK = 16          # lines per digest of the reference
+
+
+def section_lines(section, states) -> list[str]:
+    """The lines a section prints, without their newlines."""
+    return "".join(text + "\n" for text in section(states)).split("\n")[:-1]
+
+
+def digests(lines: list[str]) -> list[str]:
+    """A 64-bit SHA-256 prefix of each run of CHUNK lines."""
+    return [hashlib.sha256("".join(line + "\n" for line in
+                                   lines[k:k + CHUNK]).encode()).hexdigest()
+            [:16] for k in range(0, len(lines), CHUNK)]
+
+
+def read_reference() -> dict:
+    with open(REFERENCE, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def mismatch(name: str, lines: list[str], reference: dict) -> str | None:
+    """None if section name's lines match the reference, else a report
+    naming the first chunk that differs and showing its lines now."""
+    want = reference["sections"][name]
+    got = digests(lines)
+    if got == want["digests"] and len(lines) == want["lines"]:
+        return None
+    k = next((k for k, (a, b) in enumerate(zip(got, want["digests"]))
+              if a != b), min(len(got), len(want["digests"])))
+    first = want["first_line"] + k * CHUNK
+    now = lines[k * CHUNK:(k + 1) * CHUNK]
+    return "\n".join(
+        [f"section {name!r} differs from the reference at lines {first} to "
+         f"{first + CHUNK - 1} of the output ({len(lines)} lines now, "
+         f"{want['lines']} in the reference); those lines now read:"]
+        + [f"  {first + i}: {line}" for i, line in enumerate(now)]
+        + [f"The reference was written with numpy {reference['numpy']} "
+           f"(numpy {np.__version__} here) and its platform's libm, whose "
+           "last bits another machine may not share.  Compare with the "
+           "parent commit's output to see which lines changed.  A change "
+           "meant to move results regenerates the reference with",
+           "    PYTHONPATH=src python3 scripts/identity_corpus.py "
+           "--write-reference",
+           "and lists the changed lines in CHANGES.md."])
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    act = parser.add_mutually_exclusive_group()
+    act.add_argument("--write-reference", action="store_true",
+                     help="write each section's digests to "
+                     "tests/identity_reference.json instead of printing")
+    act.add_argument("--check", action="store_true",
+                     help="compare every section with the reference "
+                     "instead of printing; exit 1 on a mismatch")
+    args = parser.parse_args()
+    states = corpus()
+    if args.write_reference:
+        sections, first = {}, 1
+        for name, section in SECTIONS:
+            lines = section_lines(section, states)
+            sections[name] = {"first_line": first, "lines": len(lines),
+                              "digests": digests(lines)}
+            first += len(lines)
+        with open(REFERENCE, "w", encoding="utf-8") as fh:
+            json.dump({"numpy": np.__version__, "sections": sections}, fh,
+                      indent=1)
+            fh.write("\n")
+        return 0
+    if args.check:
+        reference = read_reference()
+        reports = [mismatch(name, section_lines(section, states), reference)
+                   for name, section in SECTIONS]
+        print("\n".join(r for r in reports if r) or "every section matches")
+        return 1 if any(reports) else 0
+    for _, section in SECTIONS:
+        for text in section(states):
+            print(text)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

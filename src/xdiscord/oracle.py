@@ -26,7 +26,7 @@ are bit-identical to the textbook sum_k p_k H(lambda_k) with masked
 logs: each cell rounds the same operations, and the only rearrangements
 (operand order of a product or sum, signs and factors of 2 moved) are
 exact in IEEE arithmetic.  The kernel sees phi only through sin^2 phi,
-built once with the coarse grid and once per zoom grid.  Factors of z3
+cached with the coarse axes and built once per zoom grid.  Factors of z3
 or phi alone are built once per grid, and so are three work arrays,
 which glibc would otherwise give back to the kernel and fault in again
 every block of SWEEP_BLOCK cells.  A grid of one block (every zoom grid,
@@ -145,18 +145,11 @@ def _phi_weight(p: BlochX) -> float:
 
 @functools.lru_cache(maxsize=4)
 def _coarse_grid(n: int):
-    # the read-only (z3s, phis) axes of an n x n sweep, built once per n
+    # the read-only axes (z3s, phis, sin^2 phi) of an n x n sweep, once per n
     z3s, phis = np.linspace(0.0, 1.0, n), np.linspace(0.0, HALF_PI, n)
-    z3s.flags.writeable = phis.flags.writeable = False
-    return z3s, phis
-
-
-@functools.lru_cache(maxsize=4)
-def _coarse_sin2(n: int):
-    # sin^2 phi on the phi axis of _coarse_grid(n), read-only, once per n
-    sin2 = np.sin(_coarse_grid(n)[1]) ** 2
-    sin2.flags.writeable = False
-    return sin2
+    sin2 = np.sin(phis) ** 2
+    z3s.flags.writeable = phis.flags.writeable = sin2.flags.writeable = False
+    return z3s, phis, sin2
 
 
 def _zoom_axis(lo: float, hi: float) -> np.ndarray:
@@ -263,8 +256,8 @@ def oracle_classical_correlation(p: BlochX, grid_n: int = 256,
                          f"least 0, got {grid_n} and {refine_rounds}")
     cols = 1 if _phi_weight(p) == 0.0 else None    # phi columns swept
     n = operator.index(grid_n)
-    z3s, phis = _coarse_grid(n)
-    best, i, j = _sweep(p, z3s, _coarse_sin2(n)[:cols])
+    z3s, phis, sin2 = _coarse_grid(n)
+    best, i, j = _sweep(p, z3s, sin2[:cols])
     z3, phi = float(z3s[i]), float(phis[j])
 
     dz = 1.0 / max(grid_n - 1, 1)

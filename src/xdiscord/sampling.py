@@ -8,6 +8,7 @@ seed.  Rejection sampling from the Pauli box [-1, 1]^5 accepts roughly
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -20,14 +21,10 @@ def _physical(rows: np.ndarray, margin: float = 0.0) -> np.ndarray:
     return rows[(m1 >= margin) & (m2 >= margin)]
 
 
-def _check_count(n: int) -> None:
-    if n < 0:
-        raise ValueError(f"n must be at least 0, got {n}")
-
-
 def _fill(n: int, draw) -> list[BlochX]:
     # the first n rows of successive draw(todo) batches, as states
-    _check_count(n)
+    if operator.index(n) < 0:
+        raise ValueError(f"n must be at least 0, got {n}")
     out: list[BlochX] = []
     while len(out) < n:
         rows = draw(n - len(out))
@@ -70,10 +67,8 @@ def random_case(rng: np.random.Generator, case: str, n: int) -> list[BlochX]:
             r, s, c1, c2, c3 = batch.T
             q = c3 * c3 - np.maximum(np.abs(c1), np.abs(c2)) ** 2
             rc3 = r * c3
-            if case == "a":
-                ok = (s >= 0.0) & (rc3 <= 0.0) & (q >= s * rc3)
-            else:
-                ok = (s <= 0.0) & (rc3 >= 0.0) & (q >= s * rc3)
+            sg = 1.0 if case == "a" else -1.0   # sigma_x on b: a <-> b
+            ok = (sg * s >= 0.0) & (sg * rc3 <= 0.0) & (q >= s * rc3)
             return _physical(batch[ok])
         if case == "c":
             batch = rng.uniform(-1.0, 1.0, size=(max(8 * todo, 64), 4))
@@ -111,18 +106,15 @@ def random_rank_two(rng: np.random.Generator, case: str,
     """
     if case not in ("I", "II", "III"):
         raise ValueError(f"unknown case {case!r}")
-    _check_count(n)
-    out: list[BlochX] = []
-    while len(out) < n:
+
+    def draw(todo):
         if case in ("I", "II"):
             r = rng.uniform(-0.95, 0.95)
             amp = math.sqrt(max(0.999 ** 2 - r * r, 0.0))
             c1 = rng.uniform(-amp, amp)
             if case == "I":
-                out.append(BlochX(r, r, c1, -c1, 1.0))
-            else:
-                out.append(BlochX(r, -r, c1, c1, -1.0))
-            continue
+                return [(r, r, c1, -c1, 1.0)]
+            return [(r, -r, c1, c1, -1.0)]
         c3 = rng.uniform(-0.9, 0.9)
         th1, th2 = rng.uniform(0.0, 2.0 * math.pi, size=2)
         rm = (1.0 - c3) * math.cos(th1)
@@ -135,5 +127,6 @@ def random_rank_two(rng: np.random.Generator, case: str,
         c2 = (cp - cm) / 2.0
         if abs(c1) < abs(c2):
             c1, c2 = c2, c1
-        out.append(BlochX(r, s, c1, c2, c3))
-    return out
+        return [(r, s, c1, c2, c3)]
+
+    return _fill(n, draw)

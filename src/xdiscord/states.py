@@ -190,8 +190,7 @@ class XDensityMatrix:
         d = [e[0].real, e[5].real, e[10].real, e[15].real]
         tr = (d[0] + d[1]) + (d[2] + d[3]) + 0.0    # numpy's trace: pairwise
         if abs(tr - 1.0) > TRACE_TOL:
-            raise PhysicalityError(        # repr as numpy's trace gives it
-                f"trace {np.float64(tr)!r} differs from 1")
+            raise PhysicalityError(f"trace {tr!r} differs from 1")
         g = m.real.copy()
         (e14, ph14), (e23, ph23) = _corner(m[0, 3]), _corner(m[1, 2])
         g[0, 3] = g[3, 0] = e14

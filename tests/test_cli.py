@@ -227,6 +227,15 @@ def test_unphysical_state_exits_3(capsys):
     assert "violated by 2.000e-01" in err
 
 
+def test_bad_trace_exits_3_with_a_plain_float(capsys, tmp_path):
+    # the message printed numpy's repr, "trace np.float64(0.8) differs"
+    path = tmp_path / "state.txt"
+    path.write_text(" ".join(str(x) for x in np.diag([0.2] * 4).ravel()))
+    code, out, err = run_cli(capsys, "discord", "--input", str(path))
+    assert (code, out) == (3, "")
+    assert err == "error: unphysical state: trace 0.8 differs from 1\n"
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_analytic_method_outside_regions_exits_2(capsys, fmt):
     # a GENERAL state has no closed form: an input error, not a traceback

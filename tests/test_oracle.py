@@ -369,7 +369,7 @@ def test_float32_radicand_needs_no_clamp(monkeypatch):
                   (0.6, 1.0, 0.0))])
     states += [p.swapped() for p in states]
     zoom = (oracle._zoom_axis(1.0 - 1e-7, 1.0), oracle._zoom_axis(0.0, 0.01))
-    grids = [oracle._coarse_grid(256), zoom]
+    grids = [oracle._coarse_grid(256)[:2], zoom]
     cases = [(p, z3s, phis) for p in states for z3s, phis in grids]
     kernel = {dtype: [grid_entropy(*case, dtype) for case in cases]
               for dtype in (np.float32, np.float64)}
@@ -400,7 +400,7 @@ def test_screened_sweep_is_the_full_grid_argmin(n):
 
 
 def test_near_product_grids_keep_every_row():
-    z3s, phis = oracle._coarse_grid(256)
+    z3s, phis, _ = oracle._coarse_grid(256)
     for p in near_product_states():
         assert np.array_equal(oracle._screen(p, z3s, np.sin(phis) ** 2),
                               np.arange(256))
@@ -436,7 +436,7 @@ def test_grid_cache_accepts_what_linspace_accepts():
         oracle_classical_correlation(p, grid_n=0)
     assert oracle_classical_correlation(
         p, grid_n=np.int64(256), refine_rounds=0) == first
-    z3s, phis = oracle._coarse_grid(256)
+    z3s, phis, _ = oracle._coarse_grid(256)
     assert not (z3s.flags.writeable or phis.flags.writeable)
     assert np.array_equal(z3s, np.linspace(0.0, 1.0, 256))
     assert np.array_equal(phis, np.linspace(0.0, HALF_PI, 256))

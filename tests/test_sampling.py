@@ -70,10 +70,42 @@ def test_samplers_are_deterministic():
     lambda rng, n: random_rank_two(rng, "III", n),
 ], ids=["states", "bell-diagonal", "case", "rank-two"])
 def test_samplers_reject_a_negative_count(sampler):
-    # a negative n raised nothing and returned []; n = 0 draws nothing
+    # a negative n raised nothing and returned []; a float n returned
+    # states or failed after a draw; neither, nor n = 0, draws anything
     rng = np.random.default_rng(3)
     with pytest.raises(ValueError, match=r"^n must be at least 0, got -1$"):
         sampler(rng, -1)
+    for n in (2.5, 2.0):
+        with pytest.raises(TypeError):
+            sampler(rng, n)
     assert sampler(rng, 0) == []
     fresh = np.random.default_rng(3)
     assert rng.bit_generator.state == fresh.bit_generator.state
+
+
+class BatchStub:
+    # a generator whose uniform() batches start with the given rows, then
+    # repeat a row that hypotheses a and b both reject (s > 0, r c3 > 0)
+    def __init__(self, rows):
+        self.rows = rows
+
+    def uniform(self, low, high, size):
+        batch = np.tile([0.2, 0.2, 0.0, 0.0, 0.5], (size[0], 1))
+        batch[:len(self.rows)] = self.rows
+        return batch
+
+
+def test_random_case_a_and_b_at_signed_zeros():
+    # s and r c3 at -0.0 or +0.0 pass both cases' sign tests, which are
+    # non-strict; a nonzero s or r c3 of the wrong sign fails one case
+    zeros = [(r, s, 0.1, -0.1, c3) for r in (0.0, -0.0)
+             for s in (0.0, -0.0) for c3 in (0.5, -0.5)]
+    zeros += [(0.3, s, 0.0, 0.0, c3) for s in (0.0, -0.0)
+              for c3 in (0.0, -0.0)]      # q = 0 = s r c3
+    b_only = [(0.2, 0.0, 0.1, 0.1, 0.5), (0.0, -0.1, 0.1, 0.1, 0.5)]
+    a_only = [(-0.2, -0.0, 0.1, 0.1, 0.5), (-0.0, 0.1, 0.1, 0.1, 0.5)]
+    rows = zeros + [b_only[0], a_only[0], a_only[1], b_only[1]]
+    for case, want in (("a", zeros + a_only), ("b", zeros + b_only)):
+        got = random_case(BatchStub(rows), case, len(want))
+        assert repr([tuple(map(float, p.as_tuple())) for p in got]) == (
+            repr(want)), case

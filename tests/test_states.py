@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -259,7 +260,7 @@ def whole_array_checks(m):
         return PhysicalityError, "matrix is not hermitian"
     tr = m.trace().real
     if abs(tr - 1.0) > TRACE_TOL:
-        return PhysicalityError, f"trace {tr!r} differs from 1"
+        return PhysicalityError, f"trace {float(tr)!r} differs from 1"
     return None
 
 
@@ -313,7 +314,8 @@ def test_entry_checks_match_whole_array_checks(rng):
         except (PhysicalityError, XPatternError) as exc:
             got = type(exc), str(exc)
         assert got == want, m
-        decided.add(None if want is None else want[1][:12])
+        # the check that decided: its message's start, without digits
+        decided.add(None if want is None else re.sub(r"\d", "", want[1])[:12])
     assert len(decided) == 5, decided     # every check fails, some pass
 
 
