@@ -2,7 +2,7 @@
 
 tests/identity_reference.json holds a digest of each 16 lines of the
 output, section by section, and tests/test_identity_corpus.py checks
-most sections against it in the test suite.  --check compares every
+every section against it in the test suite.  --check compares every
 section with it, and --write-reference rewrites it after a change meant
 to move results:
 
@@ -104,6 +104,7 @@ import os
 import sys
 import tempfile
 import warnings
+from unittest import mock
 
 import numpy as np
 
@@ -444,8 +445,9 @@ def f_section(states):
 
 
 def cli_section(states):
-    os.environ["COLUMNS"] = "80"      # argparse wraps help to the terminal
-    with tempfile.TemporaryDirectory() as tmp:
+    # argparse wraps help to the terminal; COLUMNS is restored afterwards
+    with mock.patch.dict(os.environ, COLUMNS="80"), \
+            tempfile.TemporaryDirectory() as tmp:
         for argv in cli_invocations(states, tmp):
             yield "cli " + " ".join(argv).replace(tmp, "<tmp>")
             yield cli_run(argv).replace(tmp, "<tmp>")

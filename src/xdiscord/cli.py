@@ -367,20 +367,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     g = f"{{:.{args.precision}g}}".format     # --precision significant digits
+    # (exit code, message prefix) of each error exit
+    exits = {InputError: (2, ""), RankError: (4, ""),
+             XPatternError: (2, "not an X-shaped matrix: "),
+             PhysicalityError: (3, "unphysical state: ")}
     try:
         payload, lines = args.func(args, g)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except XPatternError as exc:
-        print(f"error: not an X-shaped matrix: {exc}", file=sys.stderr)
-        return 2
-    except PhysicalityError as exc:
-        print(f"error: unphysical state: {exc}", file=sys.stderr)
-        return 3
-    except RankError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+    except tuple(exits) as exc:
+        code, prefix = next(v for t, v in exits.items() if isinstance(exc, t))
+        print(f"error: {prefix}{exc}", file=sys.stderr)
+        return code
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     else:

@@ -212,7 +212,11 @@ def f_second_derivative(p: BlochX, z):
 
 def _first_region(p: BlochX, start: int = 0) -> Region:
     # the first of hypotheses a-d, from the start-th on, that the state
-    # satisfies, or GENERAL; each is written once
+    # satisfies, or GENERAL; each is written once.  The local symmetries
+    # leave F unchanged, and each maps every region onto itself except
+    # sigma_x on b, (r, s, c1, c2, c3) -> (r, -s, c1, -c2, -c3), which
+    # swaps a and b.  a and b stay two tests: their labels are public, and
+    # a's |s| <= tol, q >= -tol disjunct is its own image
     tol = CLASSIFY_TOL
     r, s, c, c3 = p.r, p.s, p.c, p.c3
     q = c3 * c3 - c * c
@@ -225,7 +229,7 @@ def _first_region(p: BlochX, start: int = 0) -> Region:
         return _B
     if start <= 2 and abs(r) <= tol and (q >= -tol or abs(s) <= tol):
         return _C
-    if (start <= 3 and abs(s - rc3) <= tol and s <= tol and abs(q) <= tol
+    if (start <= 3 and abs(s - rc3) <= tol and abs(q) <= tol
             and c * c + r * r <= 2.0 / 3.0 + tol):
         return _D
     return _GENERAL

@@ -59,7 +59,7 @@ def _region_edges(d: float) -> list[tuple[float, ...]]:
         (d, 0.0, 0.5, 0.1, -0.2),            # c: r = 0
         (0.0, d, 0.5, 0.1, -0.2),            # c: s = 0
         (0.4, -0.12 + d, 0.3, 0.3, -0.3),    # d: s = r c3
-        (0.4, d, 2.5 * d, 2.5 * d, 2.5 * d),  # d: s <= 0
+        (0.4, d, 2.5 * d, 2.5 * d, 2.5 * d),  # d: s = r c3, either sign
         (0.4, -0.12, c_d, c_d, -0.3),        # d: q = 0
         (r_d, -0.3 * r_d, 0.3, 0.3, -0.3),   # d: c^2 + r^2 <= 2/3
     ]

@@ -97,6 +97,11 @@ def _reference_f(mp, p, z):
     return tot
 
 
+# r = c3 or r = -c3, with c and s nonzero
+SERIES_ARM_AT_ONE = [(0.3, 0.1, 0.2, 0.2, -0.3), (0.3, -0.2, 0.1, -0.2, 0.3),
+                     (-0.4, 0.2, 0.2, 0.1, -0.4), (0.2, -0.1, 0.3, 0.2, -0.2)]
+
+
 def test_f_and_derivatives_match_50_digit_reference(rng):
     mp = pytest.importorskip("mpmath").mp
     states = random_states(rng, 60) + [
@@ -124,6 +129,15 @@ def test_f_and_derivatives_match_50_digit_reference(rng):
                                   mp.mpf(z), order)
                     assert abs(got - ref) <= bound * max(1, abs(ref)), \
                         (p.as_tuple(), z, order)
+        # r = +-c3 makes one radical vanish at z = 1, where F' takes the
+        # series arm of _branch; F is real only up to z = 1 there, so the
+        # reference derivative is one-sided
+        for t in SERIES_ARM_AT_ONE:
+            p = BlochX(*t)
+            ref = mp.diff(lambda x: _reference_f(mp, p, x), mp.mpf(1), 1,
+                          direction=-1)
+            assert abs(f_derivative(p, 1.0) - ref) <= 1e-11 * max(
+                1, abs(ref)), t
 
 
 def test_derivative_matches_finite_differences(rng):
@@ -185,6 +199,12 @@ def test_derivative_finite_where_radical_vanishes():
     p = BlochX(0.3, 0.0, 0.0, 0.0, -0.6)
     assert np.isfinite(f_derivative(p, 0.5))
     assert np.isnan(f_second_derivative(p, 0.5))
+    # at z = 1, w+ = H+ = 1.2 on the first state and w- = H- = 1.2 on its
+    # sigma_x-on-b image; F'' divides by w^2 - H^2 there, so it signals nan
+    for t in ((0.7, 0.2, 0.3, -0.3, 0.5), (0.7, -0.2, 0.3, 0.3, -0.5)):
+        p = BlochX(*t)
+        assert np.isfinite(f_derivative(p, 1.0)), t
+        assert np.isnan(f_second_derivative(p, 1.0)), t
 
 
 # F's domain is [0, 1]; each entry lies outside it, nan and inf included
@@ -346,6 +366,18 @@ def test_bisection_onto_the_seed_does_not_end_the_run():
     assert run.z == pytest.approx(EX_Z_STAR, abs=1e-9)
 
 
+def test_bisection_alone_converges_on_the_bracket_width(monkeypatch):
+    # with F'' nan every Newton step is rejected and bisects; on the
+    # straight F' = 10 (0.3 - z), |F'| stays above 1e-13 until the
+    # bracket is far below 1e-12, so the run stops on the bracket's width
+    monkeypatch.setattr(engine, "_fpp", lambda p, z, rads, xp: math.nan)
+    monkeypatch.setattr(engine, "_fp", lambda p, z, rads, xp: 10 * (0.3 - z))
+    run = newton_critical_point(ex_state(), 1.0, bracket=(0.0, 1.0))
+    assert run.converged and run.note == "bisection fallback used"
+    assert len(run.iterates) == 40          # 2**-40 < 1e-12 < 2**-39
+    assert run.z == pytest.approx(0.3, abs=1e-12)
+
+
 def test_pick_reports_a_bisected_run_as_fallback():
     # the bracketed run above bisects; a record holding it says so
     p = ex_state()
@@ -486,11 +518,12 @@ def test_boundary_family_maximum_at_origin():
 def test_local_unitary_symmetries(rng, move):
     # each move is a local unitary on the state, so the discord is unchanged;
     # together the moves generate all 16 maps.  edge adds a vanishing
-    # radical, a Bell state, a flat F, the zero state and a rank-deficient
-    # state with its maximum at z = 0; the region states, whose mirrors
-    # can leave their region (flip-r-s maps a to b and d to general), check
-    # each closed form against the route of its image
-    edge = [BlochX(*t) for t in BOUNDARY_BLOCH] + [
+    # radical, a Bell state, a flat F, the zero state, a rank-deficient
+    # state with its maximum at z = 0 and the states on each region
+    # inequality.  Every region is closed under the moves up to a <-> b
+    # (flip-r-s maps a to b and d to d), so the image keeps its label, and
+    # each closed form is checked against the route of its image
+    edge = [BlochX(*t) for t in BOUNDARY_BLOCH + REGION_EDGE_BLOCH] + [
         BlochX(0.3, 0.0, 0.0, 0.0, -0.6), BlochX(0.0, 0.0, 1.0, -1.0, 1.0),
         BlochX(0.0, 0.0, 0.3, 0.1, 0.3), BlochX(0.0, 0.0, 0.0, 0.0, 0.0),
         BlochX(1.0 / 6.0, 1.0 / 6.0, 2.0 / 3.0, 2.0 / 3.0, -1.0 / 3.0)]
@@ -498,9 +531,13 @@ def test_local_unitary_symmetries(rng, move):
         p.swapped() for case in ("I", "II", "III")
         for p in random_rank_two(rng, case, 30)]
     states += [p for case in "abcd" for p in random_case(rng, case, 30)]
+    states += random_bell_diagonal(rng, 30)
+    up_to_a_b = {"b": "a"}
     for p in states:
         res = discord(p)
         moved = discord(BlochX(*move(*p.as_tuple())))
+        assert (up_to_a_b.get(moved.region, moved.region)
+                == up_to_a_b.get(res.region, res.region)), p.as_tuple()
         assert moved.discord == pytest.approx(res.discord, abs=1e-12)
         assert moved.classical_correlation == pytest.approx(
             res.classical_correlation, abs=1e-12)
