@@ -25,7 +25,7 @@ RANK_TOL = 1e-10        # eigenvalues below this count as zero
 NEAR_RANK_BAND = 1e-6   # third eigenvalue in (RANK_TOL, this) warns
 ROUTE_TOL = 1e-10       # allowed gap between the two concurrence routes
 
-# sigma_y (x) sigma_y: real entries, stored complex so spin_flip casts none
+# sigma_y (x) sigma_y: real entries, stored complex so _spin_flip casts none
 _SYY = np.array([
     [0.0, 0.0, 0.0, -1.0],
     [0.0, 0.0, 1.0, 0.0],
@@ -39,6 +39,7 @@ class RankError(ValueError):
 
 
 def _as_array(matrix) -> np.ndarray:
+    # the one read of a public call's input; private steps take its array
     if isinstance(matrix, XDensityMatrix):
         matrix = matrix.matrix
     m = np.asarray(matrix, dtype=complex)
@@ -48,9 +49,8 @@ def _as_array(matrix) -> np.ndarray:
     return m
 
 
-def spin_flip(matrix) -> np.ndarray:
-    """The spin-flipped matrix (sy x sy) conj(rho) (sy x sy)."""
-    m = _as_array(matrix)
+def _spin_flip(m: np.ndarray) -> np.ndarray:
+    # the spin-flipped matrix (sy x sy) conj(rho) (sy x sy)
     return _SYY @ m.conj() @ _SYY
 
 
@@ -68,18 +68,18 @@ def mu_spectrum(matrix) -> np.ndarray:
     absolute accuracy instead of sqrt(eps).  Works for any two-qubit
     density matrix.
     """
-    m = _as_array(matrix)
-    root, root_flip = _sqrtm_psd(np.array((m, spin_flip(m))))
+    return _mu(_as_array(matrix))
+
+
+def _mu(m: np.ndarray) -> np.ndarray:
+    root, root_flip = _sqrtm_psd(np.array((m, _spin_flip(m))))
     return np.linalg.svd(root @ root_flip, compute_uv=False)
 
 
-def mu_spectrum_closed(matrix) -> np.ndarray:
-    """The mu spectrum of an X-shaped matrix in closed form.
-
-    {sqrt(rho11 rho44) +/- |rho14|, sqrt(rho22 rho33) +/- |rho23|},
-    descending.
-    """
-    m = _as_array(matrix)
+def _mu_closed(m: np.ndarray) -> np.ndarray:
+    # the mu spectrum of an X-shaped matrix in closed form,
+    # {sqrt(rho11 rho44) +/- |rho14|, sqrt(rho22 rho33) +/- |rho23|},
+    # descending
     g1 = math.sqrt(max(m[0, 0].real * m[3, 3].real, 0.0))
     g2 = math.sqrt(max(m[1, 1].real * m[2, 2].real, 0.0))
     a14 = abs(m[0, 3])
@@ -101,9 +101,9 @@ def concurrence(matrix) -> float:
     so the two derivations keep checking each other.
     """
     m = _as_array(matrix)
-    con = _con_from_mu(mu_spectrum(m))
+    con = _con_from_mu(_mu(m))
     if _stray(m) < 1e-14:
-        con_x = _con_from_mu(mu_spectrum_closed(m))
+        con_x = _con_from_mu(_mu_closed(m))
         if abs(con - con_x) > ROUTE_TOL:
             raise RuntimeError(
                 "concurrence routes disagree: eigen %.12g vs closed %.12g"
@@ -208,11 +208,11 @@ def rank_two_classify(matrix) -> RankTwoDecomposition:
             "match the input" % gap)
 
     r0, r1 = math.sqrt(max(w0, 0.0)), math.sqrt(max(w1, 0.0))
-    psi = np.array([[[r0 * v0[2 * a + b], r1 * v1[2 * a + b]]
-                     for b in range(2)] for a in range(2)])
+    vectors = np.array([v0, v1])
+    psi = (vectors.T * (r0, r1)).reshape(2, 2, 2)    # psi[a, b, k]
     rho_bc = np.einsum("abc,ade->bcde", psi, psi).reshape(4, 4)
     return RankTwoDecomposition(case=case, weights=(float(w0), float(w1)),
-                                vectors=np.array([v0, v1]), purification=psi,
+                                vectors=vectors, purification=psi,
                                 rho_bc=rho_bc)
 
 

@@ -21,7 +21,9 @@ cancel out of a comparison with this module.
 
 The per-grid kernel (_rows, _outcomes, _entropy) is one fused sequence
 of in-place array updates with no full-grid mask, each issued once for
-both outcomes, which sit on a leading axis of length 2.  Its grid values
+both outcomes, which sit on a leading axis of length 2.  The dead-weight
+rule lives in the row factors alone: a dead outcome's divisor is inf, so
+its A_k = sqrt(.) / inf is +0.0, and its p_k is 0.  Its grid values
 are bit-identical to the textbook sum_k p_k H(lambda_k) with masked
 logs: each cell rounds the same operations, and the only rearrangements
 (operand order of a product or sum, signs and factors of 2 moved) are
@@ -32,8 +34,7 @@ which glibc would otherwise give back to the kernel and fault in again
 every block of SWEEP_BLOCK cells.  A grid of one block (every zoom grid,
 the one-column coarse grids of states with c1^2 = c2^2, and the float64
 rows a screen keeps) runs the kernel once on whole arrays, with no
-slices and no work arrays; when every outcome weight is live, the rows
-skip their masks.
+slices and no work arrays.
 
 A grid of more than SWEEP_BLOCK cells (91 x 91 and up; the screen starts
 to pay between 80 x 80 and 91 x 91) is screened: the same kernel runs in
@@ -86,32 +87,28 @@ _ZOOM_STEPS = np.arange(ZOOM_POINTS, dtype=float)
 
 
 def _rows(p: BlochX, z3):
-    """(r^2 +/- 2 r c3 z3, divisor, live, p_k) of outcomes k = +, -, on a
+    """(r^2 +/- 2 r c3 z3, divisor, p_k) of outcomes k = +, -, on a
     leading axis before z3's shape (z3 needs theta's ndim).  With w_k =
-    1 +/- s z3 the divisor is w_k, or 1 where w_k <= PROB_FLOOR; live
-    marks the other cells (None if all); p_k is w_k / 2 there, else 0."""
+    1 +/- s z3 the divisor is w_k, or inf where w_k <= PROB_FLOOR, so a
+    dead outcome's A_k is +0.0; p_k is w_k / 2 where w_k is live, else 0."""
     z3 = np.asarray(z3, dtype=float)
     sign = _SIGNS.reshape((2,) + (1,) * z3.ndim)
     w = 1.0 + sign * p.s * z3
     base = p.r * p.r + sign * (2.0 * p.r * p.c3) * z3
     live = w > PROB_FLOOR
-    if live.all():
-        return base, w, None, 0.5 * w
-    return base, np.where(live, w, 1.0), live, np.where(live, 0.5 * w, 0.0)
+    return base, np.where(live, w, np.inf), np.where(live, 0.5 * w, 0.0)
 
 
 def _outcomes(rows, theta, out=None):
     """(p_k, lambda_k) on the rows of _rows: lambda_k = (1 + A_k) / 2,
     A_k = min(sqrt(r^2 +/- 2 r c3 z3 + theta) / w_k, 1), 0 if w_k dead."""
-    base, divisor, live, pk = rows
+    base, divisor, pk = rows
     a = np.add(base, theta, out=out)
     if a.dtype == np.float64:       # a float32 radicand is never negative
         np.maximum(a, 0.0, out=a)
     np.sqrt(a, out=a)
     a /= divisor
     np.minimum(a, 1.0, out=a)
-    if live is not None:
-        a *= live                   # a dead weight zeroes its row
     a += 1.0
     a *= 0.5
     return pk, a
@@ -165,7 +162,7 @@ def _blocks(p: BlochX, z3s: np.ndarray, sin2: np.ndarray, dtype=np.float64):
     # float64s' bytes.  float32 moves (c3 z3)^2 into the base,
     # (r +/- c3 z3)^2, where nothing cancels
     z3c = z3s[:, None]
-    base, divisor, live, pk = _rows(p, z3c)
+    base, divisor, pk = _rows(p, z3c)
     rho2, tail = 1.0 - z3c * z3c, (p.c3 * z3c) ** 2
     circle = p.c1 * p.c1 + _phi_weight(p) * sin2
     if dtype != np.float64:
@@ -177,7 +174,7 @@ def _blocks(p: BlochX, z3s: np.ndarray, sin2: np.ndarray, dtype=np.float64):
         theta = rho2 * circle
         if tail is not None:
             theta += tail
-        yield 0, _entropy((base, divisor, live, pk), theta)
+        yield 0, _entropy((base, divisor, pk), theta)
         return
     work = np.empty((3, 2, step, len(sin2)), dtype)
     for start in range(0, len(z3s), step):
@@ -185,8 +182,7 @@ def _blocks(p: BlochX, z3s: np.ndarray, sin2: np.ndarray, dtype=np.float64):
         theta = rho2[cut] * circle
         if tail is not None:
             theta += tail[cut]
-        rows = [x if x is None else x[:, cut]
-                for x in (base, divisor, live, pk)]
+        rows = [x[:, cut] for x in (base, divisor, pk)]
         yield start, _entropy(rows, theta, work[:, :, :len(theta)])
 
 

@@ -14,8 +14,7 @@ from xdiscord import (BlochX, PhysicalityError, RankError, XDensityMatrix,
                       mu_spectrum, purification_marginal_ab,
                       rank_two_classify)
 from xdiscord import entanglement, states
-from xdiscord.entanglement import (eof_from_concurrence, mu_spectrum_closed,
-                                   spin_flip)
+from xdiscord.entanglement import _mu_closed, _spin_flip, eof_from_concurrence
 from xdiscord.sampling import random_rank_two, random_states
 
 # deterministic case-III example: rank-2 by construction, |c1| >= |c2|
@@ -26,7 +25,7 @@ CASE_III = BlochX(0.675026234717949, 0.24278439002343719,
 def test_spin_flip_is_an_involution(rng):
     for p in random_states(rng, 30):
         m = bloch_to_matrix(p).matrix
-        np.testing.assert_allclose(spin_flip(spin_flip(m)), m, atol=1e-15)
+        np.testing.assert_allclose(_spin_flip(_spin_flip(m)), m, atol=1e-15)
 
 
 # sigma_y (x) sigma_y kept real, as in the textbook formula
@@ -63,7 +62,7 @@ def test_spin_flip_matches_textbook_bits(rng):
         mats.append(complex_from_parts(np.where(keep[0], m.real, zeros[0]),
                                        np.where(keep[1], m.imag, zeros[1])))
     for m in mats:
-        assert same_complex_bits(spin_flip(m),
+        assert same_complex_bits(_spin_flip(m),
                                  SYY_REAL @ np.conj(m) @ SYY_REAL), m
 
 
@@ -71,7 +70,7 @@ def test_spin_flip_matches_textbook_bits(rng):
                          ids=lambda s: "x".join(map(str, s)))
 def test_matrix_helpers_reject_wrong_shapes(shape):
     m = np.zeros(shape)
-    for helper in (concurrence, mu_spectrum, mu_spectrum_closed, spin_flip):
+    for helper in (concurrence, mu_spectrum):
         with pytest.raises(ValueError,
                            match=r"4x4 matrix, got shape " + re.escape(
                                str(shape))):
@@ -86,11 +85,32 @@ def test_matrix_helpers_reject_non_finite_entries(value):
     for where in ((0, 0), (0, 1), (1, 2)):
         m = bloch_to_matrix(CASE_III).matrix.copy()
         m[where] = value
-        for helper in (concurrence, mu_spectrum, mu_spectrum_closed,
-                       spin_flip):
+        for helper in (concurrence, mu_spectrum):
             with pytest.raises(PhysicalityError,
                                match="^matrix has a non-finite entry$"):
                 helper(m)
+
+
+def test_public_matrix_calls_read_their_input_once(monkeypatch):
+    # concurrence runs both routes on the one array it read, and
+    # koashi_winter reads rho_bc once, in its concurrence call
+    reads = []
+    entries = entanglement._entries
+
+    def counted(m):
+        reads.append(m)
+        return entries(m)
+    monkeypatch.setattr(entanglement, "_entries", counted)
+    xm = bloch_to_matrix(CASE_III)
+    for helper in (concurrence, mu_spectrum):
+        for m in (xm, xm.matrix):
+            reads.clear()
+            helper(m)
+            assert len(reads) == 1, helper
+    reads.clear()
+    koashi_winter(xm)
+    assert len(reads) == 1
+    assert np.array_equal(reads[0], rank_two_classify(xm).rho_bc)
 
 
 def test_concurrence_general_route_is_local_unitary_invariant():
@@ -107,7 +127,7 @@ def test_concurrence_general_route_is_local_unitary_invariant():
 def test_mu_spectrum_routes_agree(rng):
     for p in random_states(rng, 300):
         m = bloch_to_matrix(p)
-        np.testing.assert_allclose(mu_spectrum(m), mu_spectrum_closed(m),
+        np.testing.assert_allclose(mu_spectrum(m), _mu_closed(m.matrix),
                                    atol=1e-10)
         concurrence(m)  # the internal cross-check must not raise
 
@@ -118,7 +138,7 @@ def per_matrix_mu_spectrum(m):
         w, v = np.linalg.eigh(a)
         return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
     m = np.asarray(m, dtype=complex)
-    return np.linalg.svd(sqrtm(m) @ sqrtm(spin_flip(m)), compute_uv=False)
+    return np.linalg.svd(sqrtm(m) @ sqrtm(_spin_flip(m)), compute_uv=False)
 
 
 def test_mu_spectrum_matches_per_matrix_reference(rng):
@@ -157,8 +177,8 @@ def test_concurrence_of_werner_family():
 
 def test_concurrence_raises_when_its_routes_disagree(monkeypatch):
     def shifted(m):
-        return mu_spectrum_closed(m) + [1e-6, 0.0, 0.0, 0.0]
-    monkeypatch.setattr(entanglement, "mu_spectrum_closed", shifted)
+        return _mu_closed(m) + [1e-6, 0.0, 0.0, 0.0]
+    monkeypatch.setattr(entanglement, "_mu_closed", shifted)
     with pytest.raises(RuntimeError, match="concurrence routes disagree"):
         concurrence(bloch_to_matrix(BlochX(0.0, 0.0, 1.0, -1.0, 1.0)))
 
@@ -421,7 +441,7 @@ def test_bridge_regressions(name):
                                atol=1e-12)
     if mu2 is not None:
         mu = mu_spectrum(decomp.rho_bc)
-        np.testing.assert_allclose(mu, mu_spectrum_closed(decomp.rho_bc),
+        np.testing.assert_allclose(mu, _mu_closed(decomp.rho_bc),
                                    atol=1e-10)
         assert mu[1] == pytest.approx(mu2, rel=1e-4)
     assert koashi_winter(m).residual < 1e-8

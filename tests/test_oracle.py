@@ -219,14 +219,18 @@ def textbook_theta(p, z3, phis):
 
 def kernel_states(rng):
     # random, swapped rank-2, boundary, a pure Bell state, the maximally
-    # mixed state (every cell ties) and one just outside the region
+    # mixed state (every cell ties), one just outside the region, and two
+    # with |s| just above 1, inside PHYS_TOL, whose dead weight at z3 = 1
+    # is negative (w ~ -5e-11)
     return (random_states(rng, 10)
             + [p.swapped() for case in ("I", "II", "III")
                for p in random_rank_two(rng, case, 3)]
             + [BlochX(*t) for t in BOUNDARY_BLOCH]
             + [BlochX(0.0, 0.0, 1.0, -1.0, 1.0),
                BlochX(0.0, 0.0, 0.0, 0.0, 0.0),
-               BlochX(0.0, 1.0, 0.0, 0.0, 5e-11)])
+               BlochX(0.0, 1.0, 0.0, 0.0, 5e-11),
+               BlochX(0.3, 1 + 5e-11, 0.0, 0.0, 0.3),
+               BlochX(-0.2, -1 - 5e-11, 1e-11, 0.0, 0.2)])
 
 
 def same_bits(a, b):
@@ -334,15 +338,13 @@ def test_float32_entropy_stays_finite_at_lambda_one():
 def outcomes_with_clamp(clamp):
     # _outcomes, with the radicand clamped at 0 in every dtype or in none
     def outcomes(rows, theta, out=None):
-        base, divisor, live, pk = rows
+        base, divisor, pk = rows
         a = np.add(base, theta, out=out)
         if clamp:
             np.maximum(a, 0.0, out=a)
         np.sqrt(a, out=a)
         a /= divisor
         np.minimum(a, 1.0, out=a)
-        if live is not None:
-            a *= live
         a += 1.0
         a *= 0.5
         return pk, a
