@@ -32,34 +32,67 @@ cached with the coarse axes and built once per zoom grid.  Factors of z3
 or phi alone are built once per grid, and so are three work arrays,
 which glibc would otherwise give back to the kernel and fault in again
 every block of SWEEP_BLOCK cells.  A grid of one block (every zoom grid,
-the one-column coarse grids of states with c1^2 = c2^2, and the float64
-rows a screen keeps) runs the kernel once on whole arrays, with no
-slices and no work arrays.
+the one-column coarse grids of states with c1^2 = c2^2, and most sets
+of float64 rows a screen keeps) runs the kernel once on whole arrays,
+with no slices and no work arrays.
 
 A grid of more than SWEEP_BLOCK cells (91 x 91 and up; the screen starts
-to pay between 80 x 80 and 91 x 91) is screened: the same kernel runs in
-float32 on the radicand (r +/- c3 z3)^2 + (1 - z3^2)(c1^2 + (c2^2 -
-c1^2) sin^2 phi), whose terms cannot cancel, then the float64 sweep runs
-only on rows whose float32 minimum is within 2 SCREEN_DELTA of the
-grid's.  With
-u = 2^-24, IEEE sqrt and division and a log2 within 4 ulp, the relative
-error is 4u in the radicand, 3u in its root and 5u in A_k, so lambda_k
-is off by 3u; H is concave and decreasing on [1/2, 1], so it moves by
-hb(3u) at most, and logs, products and sums add 13u: |E32 - E| <=
-hb(3u) + 13u = 5.1e-6 (float64: under 2e-8; measured |E32 - E64| <=
-1.6e-6 on 4,306 states).  So the first float64 argmin's row, and each
-row holding a tie, is kept, in order, and the result is the same bit
-for bit.  Only float64 clamps the radicand at 0, where
-r^2 +/- 2 r c3 z3 + theta can cancel below it.  In float32 no clamp is
-needed: the squares (r +/- c3 z3)^2 are >= 0, 1 - z3^2 >= 0 on [0, 1],
-and c1^2 + (c2^2 - c1^2) sin^2 phi >= 0 under monotone rounding
-(sin^2 phi lies in [0, 1], so the product lies between 0 and the
-rounded c2^2 - c1^2, which is at least -c1^2); so every term and the
-sum round to >= 0, and the float32 values are those a clamp would give.
-LOG_FLOOR, float32's smallest normal, keeps log2 finite at
-1 - lambda_k = 0 in float32 and changes no float64 bit.  Near-product
-grids are flat within the margin: they keep every row and cost about
-1.5 times the float64 sweep alone.
+to pay between 64 x 64 and 80 x 80) is screened in float32 by a kernel
+of its own, then the float64 sweep runs only on rows whose float32
+minimum is within 2 SCREEN_DELTA of the grid's.  Per row and outcome,
+in float64, alpha_k = (1 - z3^2) / w_k^2 and beta_k = (r +/- c3 z3)^2 /
+w_k^2 (both 0 for a dead outcome, through the inf divisor) are cast to
+float32; one matmul per block and outcome of [alpha beta] by [circle; 1],
+circle = c1^2 + (c2^2 - c1^2) sin^2 phi, gives A_k^2 with no broadcast
+and no divide.  With T(A) = (1 + A) log2(1 + A) + (1 - A) log2(1 - A),
+p H((1 + A) / 2) = p - p T(A) / 2, so a row's minimum is P - max_j
+sum_k p_k T(A_k) / 2 with P = sum_k p_k.  P is 1 within 5e-11 (both
+outcomes live: 1 up to rounding; one dead: 1 - w_dead / 2, and w_dead
+lies in [-1e-10, 1e-15] for |s| <= 1 + PHYS_TOL), so the screen ranks
+rows by max_j sum_k p_k T(A_k) / 2 alone, and P and the 1/2 stay out
+of the cell loop.
+
+The float32 error, with u = 2^-24, IEEE sqrt and a log2 within 4 ulp:
+the casts of alpha, beta and circle cost u each, and the matmul's sum of
+the two nonnegative terms alpha circle and beta * 1 costs at most 2u
+more in any summation order, with or without FMA (a product by 1 is
+exact, and a sum of nonnegative terms keeps the larger relative error
+plus u).  So A_k^2 is off by 4u relative, and after the sqrt A_k by 3u;
+an underflowing cast or product adds at most sqrt(5 * 2^-150) < 2^-73.
+lambda_k = (1 + A_k) / 2 is then off by 1.5u, and H is concave and
+decreasing on [1/2, 1], so the entropy at the computed A_k moves by
+hb(1.5u) at most.  T itself adds 24.1u: rounding 1 + A (u, through
+|g'| <= 2.45 for g(x) = x log2 x on [1, 2]) and 1 - A (u/2, through
+|g'| <= 1.45 on [1/2, 1]; exact for A >= 1/2) 3.2u, the logs 8u
+(|g(1 + A)| + |g(1 - A)|) <= 16.8u, the products and the sum 4.1u.
+Casting p_k, weighting and summing the outcomes adds 6u to sum_k p_k
+T(A_k), and taking P as 1 adds 5e-11.  So |E32 - E| <= hb(1.5u) + 15.1u
+< 3.2e-6 (float64: under 2e-8; measured |E32 - E64| <= 6.9e-7 on 3,300
+uniform and rank-2 states at grid 256), and the first float64 argmin's
+row, and each row holding a tie, is kept, in order: the result is the
+same bit for bit.
+
+Every screen value is finite for every BlochX: a live w_k > PROB_FLOOR
+and |r|, |c_i| <= 1 + PHYS_TOL give alpha_k circle < 1.1e30 and beta_k
+< 4.1e30, so A_k^2 < 5.2e30, far below float32's largest 3.4e38;
+min(., 1) then bounds A_k by 1, and log2 sees only [2^-126, 2].  No
+clamp at 0 is needed: both terms round to >= 0 (1 - z3^2 >= 0 on [0,
+1], and c1^2 + (c2^2 - c1^2) sin^2 phi >= 0 under monotone rounding,
+since sin^2 phi lies in [0, 1], so the product lies between 0 and the
+rounded c2^2 - c1^2, which is at least -c1^2).  Only float64 clamps its
+radicand at 0, where r^2 +/- 2 r c3 z3 + theta can cancel below it.
+min(., 1) is needed: a state inside PHYS_TOL can reach A_k > 1 where
+w_k is small (BlochX(0.99, 1, 1e-5, -9e-6, 0.99) has A_-^2 = 1.012 at
+1 - z3 = 6e-9).  LOG_FLOOR, float32's
+smallest normal, keeps log2 finite at 1 - A = 0, which is exact, 0 or at
+least u for A >= 1/2, and changes no float64 bit.
+
+A block of the screen holds 2 SWEEP_BLOCK cells per outcome, so each of
+its three float32 work arrays is 128 KB, as in float64, and each matmul
+has M N K <= 2 * 16,384 = 32,768, below OpenBLAS's single-thread
+threshold of 262,144 (65,536 times GEMM_MULTITHREAD_THRESHOLD, 4): no
+BLAS thread wakes up.  Near-product grids are flat within the margin:
+they keep every row and cost about 1.4 times the float64 sweep alone.
 """
 
 from __future__ import annotations
@@ -104,8 +137,7 @@ def _outcomes(rows, theta, out=None):
     A_k = min(sqrt(r^2 +/- 2 r c3 z3 + theta) / w_k, 1), 0 if w_k dead."""
     base, divisor, pk = rows
     a = np.add(base, theta, out=out)
-    if a.dtype == np.float64:       # a float32 radicand is never negative
-        np.maximum(a, 0.0, out=a)
+    np.maximum(a, 0.0, out=a)
     np.sqrt(a, out=a)
     a /= divisor
     np.minimum(a, 1.0, out=a)
@@ -118,9 +150,9 @@ def _entropy(rows, theta, work=(None, None, None)):
     """Measured conditional entropy sum_k p_k H(lambda_k), in bits.
 
     H(x) = -(x log2 x + (1 - x) log2 (1 - x)).  Each lambda_k lies in
-    [1/2, 1] on multiples of u = 2^-53 (2^-24 in float32), so 1 - lambda_k
-    is exact, 0 or at least u; adding LOG_FLOOR changes only a 0.  work
-    holds three arrays of lambda_k's shape, or None for each to allocate.
+    [1/2, 1] on multiples of u = 2^-53, so 1 - lambda_k is exact, 0 or
+    at least u; adding LOG_FLOOR changes only a 0.  work holds three
+    arrays of lambda_k's shape, or None for each to allocate.
     """
     pk, lam = _outcomes(rows, theta, work[0])
     q = np.subtract(1.0, lam, out=work[1])
@@ -156,45 +188,67 @@ def _zoom_axis(lo: float, hi: float) -> np.ndarray:
     return axis
 
 
-def _blocks(p: BlochX, z3s: np.ndarray, sin2: np.ndarray, dtype=np.float64):
+def _blocks(p: BlochX, z3s: np.ndarray, sin2: np.ndarray):
     # (first row, entropy) of each block of rows of the grid z3s x phis,
-    # given as sin2 = sin^2 phi, in dtype; a work array holds SWEEP_BLOCK
-    # float64s' bytes.  float32 moves (c3 z3)^2 into the base,
-    # (r +/- c3 z3)^2, where nothing cancels
+    # given as sin2 = sin^2 phi, SWEEP_BLOCK cells per outcome at a time
     z3c = z3s[:, None]
-    base, divisor, pk = _rows(p, z3c)
+    rows = _rows(p, z3c)
     rho2, tail = 1.0 - z3c * z3c, (p.c3 * z3c) ** 2
     circle = p.c1 * p.c1 + _phi_weight(p) * sin2
-    if dtype != np.float64:
-        base, tail = (p.r + _SIGNS[:, None, None] * p.c3 * z3c) ** 2, None
-        base, divisor, pk, rho2, circle = (
-            x.astype(dtype) for x in (base, divisor, pk, rho2, circle))
-    step = max(1, SWEEP_BLOCK * 8 // circle.itemsize // len(sin2))
+    step = max(1, SWEEP_BLOCK // len(sin2))
     if step >= len(z3s):            # one block: no slices, no work arrays
-        theta = rho2 * circle
-        if tail is not None:
-            theta += tail
-        yield 0, _entropy((base, divisor, pk), theta)
+        yield 0, _entropy(rows, rho2 * circle + tail)
         return
-    work = np.empty((3, 2, step, len(sin2)), dtype)
+    work = np.empty((3, 2, step, len(sin2)))
     for start in range(0, len(z3s), step):
         cut = slice(start, start + step)
         theta = rho2[cut] * circle
-        if tail is not None:
-            theta += tail[cut]
-        rows = [x[:, cut] for x in (base, divisor, pk)]
-        yield start, _entropy(rows, theta, work[:, :, :len(theta)])
+        theta += tail[cut]
+        yield start, _entropy([x[:, cut] for x in rows], theta,
+                              work[:, :, :len(theta)])
+
+
+def _screen_blocks(p: BlochX, z3s: np.ndarray, sin2: np.ndarray):
+    # (first row, float32 sum_k p_k T(A_k)) of each block of rows of the
+    # grid z3s x phis, given as sin2 = sin^2 phi, in a work array the next
+    # block overwrites; a cell's entropy is sum_k p_k - sum_k p_k T(A_k) / 2,
+    # and sum_k p_k is 1 within 5e-11
+    z3c = z3s[:, None]
+    _, divisor, pk = _rows(p, z3c)
+    edge = (p.r + _SIGNS[:, None, None] * p.c3 * z3c) / divisor
+    coef = np.concatenate(((1.0 - z3c * z3c) / (divisor * divisor),
+                           edge * edge), axis=2).astype(np.float32)
+    circle = np.stack((p.c1 * p.c1 + _phi_weight(p) * sin2,
+                       np.ones_like(sin2))).astype(np.float32)
+    pk = pk.astype(np.float32)
+    step = max(1, 2 * SWEEP_BLOCK // len(sin2))
+    work = np.empty((3, 2, step, len(sin2)), np.float32)
+    for start in range(0, len(z3s), step):
+        cut = slice(start, start + step)
+        a, q, qlog = work[:, :, :len(z3s[cut])]
+        np.matmul(coef[:, cut], circle, out=a)      # A_k^2, never < 0
+        np.minimum(a, 1.0, out=a)
+        np.sqrt(a, out=a)
+        np.subtract(1.0, a, out=q)
+        np.add(q, LOG_FLOOR, out=qlog)
+        np.log2(qlog, out=qlog)
+        qlog *= q
+        a += 1.0
+        t = np.log2(a, out=q)
+        t *= a
+        t += qlog                                   # T(A_k)
+        t *= pk[:, cut]
+        yield start, np.add(t[0], t[1], out=qlog[0])
 
 
 def _screen(p: BlochX, z3s: np.ndarray, sin2: np.ndarray):
-    # rows of the grid whose float32 minimum lies within 2 SCREEN_DELTA
-    # of the grid's, in order; None if a float32 value is not finite
-    mins = np.empty(len(z3s))           # float64, so the limit stays exact
-    for start, ce in _blocks(p, z3s, sin2, np.float32):
-        mins[start:start + len(ce)] = ce.min(axis=1)
-    if np.isfinite(mins).all():
-        return np.flatnonzero(mins <= mins.min() + 2.0 * SCREEN_DELTA)
-    return None
+    # rows of the grid whose float32 minimum, 1 - max_j sum_k p_k T / 2,
+    # lies within 2 SCREEN_DELTA of the grid's, in order
+    half = np.empty(len(z3s))           # float64, so the limit stays exact
+    for start, sums in _screen_blocks(p, z3s, sin2):
+        half[start:start + len(sums)] = sums.max(axis=1)
+    half *= 0.5
+    return np.flatnonzero(half >= half.max() - 2.0 * SCREEN_DELTA)
 
 
 def _sweep(p: BlochX, z3s: np.ndarray, sin2: np.ndarray):
@@ -203,9 +257,7 @@ def _sweep(p: BlochX, z3s: np.ndarray, sin2: np.ndarray):
     # first cell in row-major order.  A grid of more than one block is
     # swept in float64 only on the rows its screen keeps
     n = len(sin2)
-    keep = None
-    if len(z3s) * n > SWEEP_BLOCK:
-        keep = _screen(p, z3s, sin2)
+    keep = _screen(p, z3s, sin2) if len(z3s) * n > SWEEP_BLOCK else None
     best = None
     for start, ce in _blocks(p, z3s if keep is None else z3s[keep], sin2):
         k = int(ce.argmin())

@@ -55,7 +55,7 @@ def random_case(rng: np.random.Generator, case: str, n: int) -> list[BlochX]:
     """n physical states satisfying the named endpoint-region hypothesis.
 
     Cases "a" and "b" are rejection sampled from the full box; "c" builds
-    r = 0 states (half with c3^2 >= max(c1, c2)^2, half with s = 0 as
+    r = 0 states (half with c3^2 >= max(|c1|, |c2|)^2, half with s = 0 as
     well); "d" builds states with s = r c3 <= 0 and max |ci| = |c3|.
     """
     if case not in ("a", "b", "c", "d"):

@@ -320,82 +320,102 @@ def screen_states():
 
 
 def screen_entropy(p, z3s, phis):
-    # the screen's float32 entropy over the full grid z3s x phis
-    return np.concatenate([ce for _, ce in oracle._blocks(
-        p, z3s, np.sin(phis) ** 2, np.float32)])
+    # the screen's entropy over the full grid z3s x phis: per cell, 1
+    # minus half its float32 sum_k p_k T(A_k), as sum_k p_k is 1 within
+    # 5e-11 on every physical state.  Each block is read before the next
+    # overwrites it
+    blocks = []
+    for _, sums in oracle._screen_blocks(p, z3s, np.sin(phis) ** 2):
+        assert sums.dtype == np.float32
+        blocks.append(1.0 - 0.5 * sums)
+    return np.concatenate(blocks)
 
 
 def test_float32_entropy_stays_finite_at_lambda_one():
     # a Bell state reaches lambda_k = 1 on both outcomes, where the cell
-    # is exactly 0 and 1 - lambda_k = 0 needs a LOG_FLOOR float32 holds
+    # is exactly 0 and 1 - A_k = 0 needs a LOG_FLOOR float32 holds
     bell = BlochX(0.0, 0.0, 1.0, -1.0, 1.0)
     z3s = np.linspace(0.0, 1.0, 33)
     ce = screen_entropy(bell, z3s, z3s * HALF_PI)
-    assert ce.dtype == np.float32 and np.isfinite(ce).all()
+    assert np.isfinite(ce).all()
     assert (ce == 0.0).any() and ce.max() < oracle.SCREEN_DELTA
 
 
-def outcomes_with_clamp(clamp):
-    # _outcomes, with the radicand clamped at 0 in every dtype or in none
-    def outcomes(rows, theta, out=None):
-        base, divisor, pk = rows
-        a = np.add(base, theta, out=out)
-        if clamp:
-            np.maximum(a, 0.0, out=a)
-        np.sqrt(a, out=a)
-        a /= divisor
-        np.minimum(a, 1.0, out=a)
-        a += 1.0
-        a *= 0.5
-        return pk, a
-    return outcomes
+def outcomes_without_clamp(rows, theta, out=None):
+    # _outcomes with no clamp of the radicand at 0
+    base, divisor, pk = rows
+    a = np.add(base, theta, out=out)
+    np.sqrt(a, out=a)
+    a /= divisor
+    np.minimum(a, 1.0, out=a)
+    a += 1.0
+    a *= 0.5
+    return pk, a
 
 
-def grid_entropy(p, z3s, phis, dtype):
-    # the kernel's entropy in dtype over the full grid z3s x phis
+def grid_entropy(p, z3s, phis):
+    # the float64 kernel's entropy over the full grid z3s x phis
     with np.errstate(invalid="ignore"):
         return np.concatenate([ce for _, ce in oracle._blocks(
-            p, z3s, np.sin(phis) ** 2, dtype)])
+            p, z3s, np.sin(phis) ** 2)])
 
 
 def test_float32_radicand_needs_no_clamp(monkeypatch):
-    # in float32 the radicand (r +/- c3 z3)^2 + (1 - z3^2) circle is a sum
-    # of terms that round to >= 0, so clamping it changes no bit, on
-    # boundary, near-product and |s| = 1 states (the first three with a
-    # tiny c2, so theta depends on phi), on the coarse grid and on a zoom
-    # grid at z3 = 1.  In float64, r^2 - 2 r c3 z3 + theta cancels below
-    # 0 on the zoom grid of the last state, where the clamp is needed
+    # the screen's float32 radicand alpha_k circle + beta_k is a sum of
+    # terms that round to >= 0, so it is never below 0, on boundary,
+    # near-product and |s| = 1 states (the first three with a tiny c2,
+    # so theta depends on phi; the last inside PHYS_TOL with A_- > 1
+    # near z3 = 1 before min(., 1)), on the coarse grid and on a zoom
+    # grid at z3 = 1, where the screen stays within SCREEN_DELTA / 4 of
+    # the float64 kernel.  In float64, r^2 - 2 r c3 z3 + theta cancels
+    # below 0 on the zoom grid of the fourth |s| = 1 state, where the
+    # clamp is needed
     states = ([BlochX(*t) for t in BOUNDARY_BLOCH] + near_product_states()
               + [BlochX(r, s, 0.0, c2, r * s) for r, s, c2 in
                  ((0.3, 1.0, 1e-11), (0.0, -1.0, 3e-11), (-0.5, 1.0, -2e-11),
-                  (0.6, 1.0, 0.0))])
+                  (0.6, 1.0, 0.0))]
+              + [BlochX(0.99, 1.0, 1e-5, -9e-6, 0.99)])
     states += [p.swapped() for p in states]
     zoom = (oracle._zoom_axis(1.0 - 1e-7, 1.0), oracle._zoom_axis(0.0, 0.01))
     grids = [oracle._coarse_grid(256)[:2], zoom]
     cases = [(p, z3s, phis) for p in states for z3s, phis in grids]
-    kernel = {dtype: [grid_entropy(*case, dtype) for case in cases]
-              for dtype in (np.float32, np.float64)}
-    monkeypatch.setattr(oracle, "_outcomes", outcomes_with_clamp(True))
-    for case, ce in zip(cases, kernel[np.float32]):
-        assert ce.dtype == np.float32, case[0]
-        assert same_bits(ce, grid_entropy(*case, np.float32)), case[0]
-    monkeypatch.setattr(oracle, "_outcomes", outcomes_with_clamp(False))
-    assert any(not same_bits(ce, grid_entropy(*case, np.float64))
-               for case, ce in zip(cases, kernel[np.float64]))
+    kernel = [grid_entropy(*case) for case in cases]
+    lows, matmul = [], np.matmul
+
+    def spy(*args, **kwargs):       # records each radicand block's minimum
+        out = matmul(*args, **kwargs)
+        lows.append(float(out.min()))
+        return out
+    monkeypatch.setattr(np, "matmul", spy)
+    for case, ce in zip(cases, kernel):
+        assert np.abs(screen_entropy(*case) - ce).max() < (
+            oracle.SCREEN_DELTA / 4.0), case[0]
+    monkeypatch.undo()
+    assert len(lows) == 5 * len(states)     # 4 coarse blocks, 1 zoom
+    assert min(lows) >= 0.0
+    monkeypatch.setattr(oracle, "_outcomes", outcomes_without_clamp)
+    assert any(not same_bits(ce, grid_entropy(*case))
+               for case, ce in zip(cases, kernel))
 
 
 @pytest.mark.parametrize("n", [100, 256, 300, 512])
 def test_screened_sweep_is_the_full_grid_argmin(n):
     # the float32 screen keeps every row that can hold the float64
-    # minimum: its error stays well inside SCREEN_DELTA, and _sweep
-    # returns the full grid's first row-major argmin bit for bit.  At
-    # n = 300 both dtypes' last blocks are partial
+    # minimum: its error stays well inside SCREEN_DELTA, it keeps the
+    # rows whose minimum is within 2 SCREEN_DELTA of the grid's, and
+    # _sweep returns the full grid's first row-major argmin bit for bit.
+    # At n = 300 the last blocks of both passes are partial
     z3s, phis = np.linspace(0.0, 1.0, n), np.linspace(0.0, HALF_PI, n)
     z3 = z3s[:, None]
     for p in screen_states():
         exact = textbook_entropy(p, z3, textbook_theta(p, z3, phis))
         screen = screen_entropy(p, z3s, phis).reshape(exact.shape)
         assert np.abs(screen - exact).max() < oracle.SCREEN_DELTA / 4.0, p
+        row_min = screen.min(axis=1)
+        assert np.array_equal(
+            oracle._screen(p, z3s, np.sin(phis) ** 2),
+            np.flatnonzero(row_min <= row_min.min()
+                           + 2.0 * oracle.SCREEN_DELTA)), p
         i, j = np.unravel_index(int(np.argmin(exact)), exact.shape)
         assert _sweep(p, z3s, np.sin(phis) ** 2) == (
             float(exact[i, j]), i, j), p
