@@ -13,27 +13,33 @@ and the same with every sign flipped, on a grid of z in (0, 1].  A
 positive score on the float grid is a candidate counterexample; a score
 within AMBIGUOUS of zero has float signs that rounding could flip.  Both
 are re-evaluated with F' at 50 digits (mpmath differentiating F written
-from its defining sum) at the three witness points.
+from its defining sum, reference_f of tests/conftest.py) at the three
+witness points.
 
-Run from the repository root (needs scipy and mpmath, not part of the
-test suite):
+Run from the repository root (needs scipy and mpmath; the test suite runs
+it once with a budget of one generation):
 
     PYTHONPATH=src python3 scripts/falsify_router.py --seed 1 --runs 6
 
-It prints each run's best state and score, and exits 1 if a pattern holds
-at 50 digits.
+It prints each run's best state and score, or that a run's best point is
+not physical, and exits 1 if a pattern holds at 50 digits.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
 from mpmath import mp
 from scipy.optimize import differential_evolution
 
-from xdiscord import BlochX, f_derivative, physicality_margins
+from xdiscord import (BlochX, PhysicalityError, f_derivative,
+                      physicality_margins)
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
+from conftest import reference_f  # noqa: E402
 
 GRID = np.linspace(0.0, 1.0, 401)[1:]
 AMBIGUOUS = 1e-9
@@ -67,22 +73,8 @@ def objective(x: np.ndarray) -> float:
 
 def reference_fp(p: BlochX, z: float):
     """F'(z) at 50 digits from F's defining sum, apart from engine.py."""
-    r, s, c3 = mp.mpf(p.r), mp.mpf(p.s), mp.mpf(p.c3)
-    c = max(abs(mp.mpf(p.c1)), abs(mp.mpf(p.c2)))
-
-    def xlog2(x):
-        return x * mp.log(x, 2) if x != 0 else mp.mpf(0)
-
-    def f(t):
-        tot = mp.mpf(0)
-        for sg in (1, -1):
-            w = 1 + sg * s * t
-            h = mp.sqrt(c * c * (1 - t * t) + (r + sg * c3 * t) ** 2)
-            tot += (xlog2(w + h) + xlog2(w - h)) / 4 - xlog2(w) / 2
-        return tot
-
     with mp.workdps(50):
-        return mp.diff(f, mp.mpf(z))
+        return mp.diff(lambda t: reference_f(mp, p, t), mp.mpf(z))
 
 
 def main(argv=None) -> int:
@@ -99,7 +91,12 @@ def main(argv=None) -> int:
             objective, [(-1.0, 1.0)] * 5, seed=args.seed * 1000 + k,
             maxiter=args.maxiter, popsize=args.popsize, tol=0.0,
             polish=False)
-        p = BlochX(*res.x)
+        try:
+            p = BlochX(*res.x)
+        except PhysicalityError:
+            # the best point of a short run can lie outside the region
+            print(f"run {k}: no physical state found", flush=True)
+            continue
         with np.errstate(all="ignore"):
             g = f_derivative(p, GRID)
         score, wit = pattern_score(np.where(np.isfinite(g), g, 0.0))

@@ -22,10 +22,10 @@ regions a to d, Bell-diagonal states and rank-2 states of cases I to III,
 the boundary states BOUNDARY_BLOCH and the region-edge states
 REGION_EDGE_BLOCH of tests/conftest.py (the latter at -2, -0.5, 0.5 and
 2 times CLASSIFY_TOL from each inequality of hypotheses a to d), each
-also with its qubits swapped, plus the worked example.  Every state gets
-one line each for region_conditions() and entropies(), and one for each
-of discord() with method "auto", "numeric" and verify=True, and one for
-global_max().
+also with its qubits swapped, plus the worked example (EX_MATRIX of
+tests/conftest.py).  Every state gets one line each for
+region_conditions() and entropies(), and one for each of discord() with
+method "auto", "numeric" and verify=True, and one for global_max().
 
 The rank-2 bridge gets three more sections, all on real matrices: each
 rank-2 state and its swap prints its koashi_winter() report, its
@@ -121,15 +121,8 @@ from xdiscord.cli import main as cli_main
 from xdiscord.entanglement import eof_from_concurrence
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
-from conftest import (BOUNDARY_BLOCH, REGION_EDGE_BLOCH,  # noqa: E402
-                      local_unitary_images)
-
-WORKED_EXAMPLE = np.array([
-    [0.0783, 0.0,   0.0,   0.0],
-    [0.0,    0.125, 0.1,   0.0],
-    [0.0,    0.1,   0.125, 0.0],
-    [0.0,    0.0,   0.0,   0.6717],
-])
+from conftest import (BOUNDARY_BLOCH, EX_MATRIX,  # noqa: E402
+                      REGION_EDGE_BLOCH, local_unitary_images)
 
 
 def corpus() -> list[tuple[str, object]]:
@@ -144,7 +137,7 @@ def corpus() -> list[tuple[str, object]]:
                   for p in random_rank_two(rng, case, 40)]
     drawn += [("boundary", BlochX(*t)) for t in BOUNDARY_BLOCH]
     drawn += [("edge", BlochX(*t)) for t in REGION_EDGE_BLOCH]
-    states = [("worked", matrix_to_bloch(XDensityMatrix(WORKED_EXAMPLE)))]
+    states = [("worked", matrix_to_bloch(XDensityMatrix(EX_MATRIX)))]
     for label, p in drawn:
         states += [(label, p), (label + "-swap", p.swapped())]
     return states
@@ -179,7 +172,7 @@ LADDER_BASES = [(0.3, 0.3, 0.2, -0.2, 1.0), (0.3, -0.3, 0.2, 0.2, -1.0),
 def validation_corpus() -> list[tuple[str, object]]:
     """(label, matrix) pairs for the validation section."""
     uniform = random_states(np.random.default_rng(20163), 1)[0]
-    mats = [("worked", WORKED_EXAMPLE)]
+    mats = [("worked", EX_MATRIX)]
     for label, p in (("case-I", BlochX(0.3, 0.3, 0.2, -0.2, 1.0)),
                      ("case-III", BlochX(0.3, 0.3, 0.9, 0.1, 0.0)),
                      ("uniform", uniform)):
@@ -188,7 +181,7 @@ def validation_corpus() -> list[tuple[str, object]]:
             m[1, 1] -= k * 1e-11
             m[0, 0] += k * 1e-11
             mats.append((f"{label} k={k}", m))
-    bad = {name: WORKED_EXAMPLE.astype(complex) for name in
+    bad = {name: EX_MATRIX.astype(complex) for name in
            ("non-X", "non-hermitian", "bad-trace", "non-finite")}
     bad["non-X"][0, 1] = 1e-6
     bad["non-hermitian"][1, 2] = 0.1 + 0.05j
@@ -320,16 +313,16 @@ def cli_invocations(states, tmp: str) -> list[list[str]]:
     general = ["--bloch", "0.1", "0.3", "-0.35", "0.35", "0.2"]
     m = bloch_to_matrix(BlochX(0.1, -0.2, 0.4, 0.2, 0.1)).matrix
     u = np.kron(np.diag([1.0, np.exp(0.7j)]), np.diag([1.0, np.exp(-0.4j)]))
-    non_x = WORKED_EXAMPLE.copy()
+    non_x = EX_MATRIX.copy()
     non_x[0, 1] = non_x[1, 0] = 0.01
     files = {
-        "plain.txt": " ".join(repr(float(x)) for x in WORKED_EXAMPLE.ravel()),
+        "plain.txt": " ".join(repr(float(x)) for x in EX_MATRIX.ravel()),
         "non-x.txt": " ".join(repr(float(x)) for x in non_x.ravel()),
         "corners.json": json.dumps({"matrix": [
             [[e.real, e.imag] for e in row] for row in u @ m @ u.conj().T]}),
         "bloch.json": json.dumps({"bloch": [0.4, 0.1, 0.1, -0.05, -0.2]}),
         "both.json": json.dumps({"bloch": [0.4, 0.1, 0.1, -0.05, -0.2],
-                                 "matrix": WORKED_EXAMPLE.tolist()}),
+                                 "matrix": EX_MATRIX.tolist()}),
         "no-key.json": '{"state": [0.1, 0.2, 0.3, 0.4, 0.5]}',
     }
     for name, text in files.items():

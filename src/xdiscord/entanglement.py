@@ -102,6 +102,9 @@ def concurrence(matrix) -> float:
     """
     m = _as_array(matrix)
     con = _con_from_mu(_mu(m))
+    # not HERM_TOL: XDensityMatrix accepts strays up to 1e-12, which move
+    # the concurrence of a rank-deficient state by more than ROUTE_TOL
+    # (1.25e-10 on a rank-2 state with rho_12 = rho_21 = 1e-12)
     if _stray(m) < 1e-14:
         con_x = _con_from_mu(_mu_closed(m))
         if abs(con - con_x) > ROUTE_TOL:

@@ -92,8 +92,8 @@ class BlochX:
 
     Validates the positivity region on construction; raises
     PhysicalityError naming the violated inequality otherwise.  Keeps
-    c = max(|c1|, |c2|), through which alone F reads c1 and c2; it is
-    derived, so repr, == and hash leave it out.
+    the margins it computed and c = max(|c1|, |c2|), through which alone
+    F reads c1 and c2; both are derived, so repr, == and hash skip them.
     """
 
     r: float
@@ -102,6 +102,8 @@ class BlochX:
     c2: float
     c3: float
     c: float = field(init=False, repr=False, compare=False)
+    margins: tuple[float, float] = field(init=False, repr=False,
+                                         compare=False)
 
     def __post_init__(self):
         for name in ("r", "s", "c1", "c2", "c3"):
@@ -116,6 +118,7 @@ class BlochX:
         if m2 < -PHYS_TOL:
             raise PhysicalityError(
                 "1 + c3 >= sqrt((r+s)^2 + (c1-c2)^2) violated by %.3e" % -m2)
+        object.__setattr__(self, "margins", (m1, m2))
         object.__setattr__(self, "c", max(abs(self.c1), abs(self.c2)))
 
     def as_tuple(self) -> tuple[float, float, float, float, float]:
@@ -123,15 +126,11 @@ class BlochX:
 
     def swapped(self) -> "BlochX":
         """The same state with the roles of the two qubits exchanged."""
-        # not validated again: (r - s)^2 and r + s are symmetric in floats;
-        # c1 and c2, and so c, stay as they are
+        # not validated again: (r - s)^2 and r + s are symmetric in floats,
+        # so the margins stay as they are; so do c1 and c2, and so c
         q = object.__new__(BlochX)
         q.__dict__.update(vars(self), r=self.s, s=self.r)
         return q
-
-    @property
-    def margins(self) -> tuple[float, float]:
-        return physicality_margins(*self.as_tuple())
 
 
 def _entries(m: np.ndarray) -> list[complex]:

@@ -1,8 +1,10 @@
-"""Shared helpers for the test suite.
+"""Shared helpers for the test suite and the references its checks use.
 
-Everything here recomputes quantities from dense 4x4 matrices with
-numpy's general-purpose eigensolver, deliberately bypassing the closed
-forms in the package, so each test compares two independent derivations.
+Everything here recomputes quantities apart from the package,
+deliberately bypassing its closed forms, so each check compares two
+independent derivations: dense 4x4 matrices through numpy's
+general-purpose eigensolver, and F(z) at 50 digits from its defining
+sum.  Each reference has this one copy; scripts/ imports it from here.
 The state lists and the families fixture only supply inputs.
 """
 
@@ -70,6 +72,33 @@ def _region_edges(d: float) -> list[tuple[float, ...]]:
 # the classifier's equality band, the outer two outside it
 REGION_EDGE_BLOCH = [t for k in (-2.0, -0.5, 0.5, 2.0)
                      for t in _region_edges(k * 1e-12)]
+
+
+def same_bits(a, b):
+    """Equal arrays with equal sign bits, so -0.0 differs from +0.0."""
+    return (np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def reference_f(mp, p, z):
+    """F(z) at 50 digits from its defining sum, written apart from engine.py:
+
+    F = sum over x = w+- +- H+- of (x/4) log2 x - sum of (w+-/2) log2 w+-,
+    with w+- = 1 +- s z and H+- = sqrt(c^2 (1 - z^2) + (r +- c3 z)^2).
+    mp is mpmath's context; callers hold it at 50 digits (mp.workdps).
+    """
+    r, s, c3 = mp.mpf(p.r), mp.mpf(p.s), mp.mpf(p.c3)
+    c = max(abs(mp.mpf(p.c1)), abs(mp.mpf(p.c2)))
+
+    def xlog2(x):
+        return x * mp.log(x, 2) if x != 0 else mp.mpf(0)
+
+    tot = mp.mpf(0)
+    for sign in (1, -1):
+        w = 1 + sign * s * z
+        h = mp.sqrt(c * c * (1 - z * z) + (r + sign * c3 * z) ** 2)
+        tot += (xlog2(w + h) + xlog2(w - h)) / 4 - xlog2(w) / 2
+    return tot
 
 
 def dense_entropy(matrix) -> float:

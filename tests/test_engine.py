@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import (BOUNDARY_BLOCH, EX_MATRIX, REGION_EDGE_BLOCH,
-                      closed_form_bell_diagonal)
+                      closed_form_bell_diagonal, reference_f)
 from xdiscord import (BlochX, PhysicalityError, Region,
                       XDensityMatrix, analytic_max, classify_region, discord,
                       f_derivative, f_second_derivative, f_value, global_max,
@@ -77,26 +77,6 @@ def test_f_scalar_and_array_agree(rng):
                       <= 1e-12 * np.maximum(1.0, np.abs(dd_sca[ok])))
 
 
-def _reference_f(mp, p, z):
-    """F(z) at 50 digits from its defining sum, written apart from engine.py:
-
-    F = sum over x = w+- +- H+- of (x/4) log2 x - sum of (w+-/2) log2 w+-,
-    with w+- = 1 +- s z and H+- = sqrt(c^2 (1 - z^2) + (r +- c3 z)^2).
-    """
-    r, s, c3 = mp.mpf(p.r), mp.mpf(p.s), mp.mpf(p.c3)
-    c = max(abs(mp.mpf(p.c1)), abs(mp.mpf(p.c2)))
-
-    def xlog2(x):
-        return x * mp.log(x, 2) if x != 0 else mp.mpf(0)
-
-    tot = mp.mpf(0)
-    for sign in (1, -1):
-        w = 1 + sign * s * z
-        h = mp.sqrt(c * c * (1 - z * z) + (r + sign * c3 * z) ** 2)
-        tot += (xlog2(w + h) + xlog2(w - h)) / 4 - xlog2(w) / 2
-    return tot
-
-
 # r = c3 or r = -c3, with c and s nonzero
 SERIES_ARM_AT_ONE = [(0.3, 0.1, 0.2, 0.2, -0.3), (0.3, -0.2, 0.1, -0.2, 0.3),
                      (-0.4, 0.2, 0.2, 0.1, -0.4), (0.2, -0.1, 0.3, 0.2, -0.2)]
@@ -116,7 +96,7 @@ def test_f_and_derivatives_match_50_digit_reference(rng):
     with mp.workdps(50):
         for p in ends:
             for z in (0, 1):
-                ref = _reference_f(mp, p, mp.mpf(z))
+                ref = reference_f(mp, p, mp.mpf(z))
                 assert abs(f_value(p, float(z)) - ref) <= 1e-13 * max(
                     1, abs(ref)), (p.as_tuple(), z)
         for p in states:
@@ -125,7 +105,7 @@ def test_f_and_derivatives_match_50_digit_reference(rng):
                     got = fn(p, z)
                     if np.isnan(got):
                         continue    # the engine flags a degenerate F''
-                    ref = mp.diff(lambda t: _reference_f(mp, p, t),
+                    ref = mp.diff(lambda t: reference_f(mp, p, t),
                                   mp.mpf(z), order)
                     assert abs(got - ref) <= bound * max(1, abs(ref)), \
                         (p.as_tuple(), z, order)
@@ -134,7 +114,7 @@ def test_f_and_derivatives_match_50_digit_reference(rng):
         # reference derivative is one-sided
         for t in SERIES_ARM_AT_ONE:
             p = BlochX(*t)
-            ref = mp.diff(lambda x: _reference_f(mp, p, x), mp.mpf(1), 1,
+            ref = mp.diff(lambda x: reference_f(mp, p, x), mp.mpf(1), 1,
                           direction=-1)
             assert abs(f_derivative(p, 1.0) - ref) <= 1e-11 * max(
                 1, abs(ref)), t
@@ -654,12 +634,12 @@ def test_interior_maxima_match_50_digit_root(interior_maxima):
     with mp.workdps(50):
         for p in interior_maxima:
             def fp(z):
-                return mp.diff(lambda t: _reference_f(mp, p, t), z)
+                return mp.diff(lambda t: reference_f(mp, p, t), z)
             lo = mp.mpf(0.5)
             while fp(lo) <= 0:
                 lo /= 2
             root = mp.findroot(fp, (lo, mp.mpf(1)), solver="anderson")
-            f_root = _reference_f(mp, p, root)
+            f_root = reference_f(mp, p, root)
             res = discord(p).search
             ref = global_max(p)
             assert res.route == "signs +,-"

@@ -7,7 +7,8 @@ import re
 import numpy as np
 import pytest
 
-from conftest import dense_entropy, local_unitary_images, ptrace_a
+from conftest import (dense_entropy, local_unitary_images, ptrace_a,
+                      same_bits)
 from xdiscord import (BlochX, PhysicalityError, RankError, XDensityMatrix,
                       binary_entropy, bloch_to_matrix, concurrence,
                       corner_phases, discord, koashi_winter, matrix_to_bloch,
@@ -33,11 +34,6 @@ SYY_REAL = np.array([[0.0, 0.0, 0.0, -1.0],
                      [0.0, 0.0, 1.0, 0.0],
                      [0.0, 1.0, 0.0, 0.0],
                      [-1.0, 0.0, 0.0, 0.0]])
-
-
-def same_bits(a, b):
-    return (np.array_equal(a, b)
-            and np.array_equal(np.signbit(a), np.signbit(b)))
 
 
 def same_complex_bits(a, b):
@@ -181,6 +177,33 @@ def test_concurrence_raises_when_its_routes_disagree(monkeypatch):
     monkeypatch.setattr(entanglement, "_mu_closed", shifted)
     with pytest.raises(RuntimeError, match="concurrence routes disagree"):
         concurrence(bloch_to_matrix(BlochX(0.0, 0.0, 1.0, -1.0, 1.0)))
+
+
+# rank 2, both margins 0 to rounding
+STRAY_RANK_TWO = BlochX(-0.8017944489737832, -0.5411521030904474,
+                        0.5536546967347962, -0.5517114908874239,
+                        0.7393504104807881)
+
+
+@pytest.mark.parametrize("stray, closed_calls",
+                         [(1e-12, 0), (9e-13, 0), (1e-15, 1)])
+def test_concurrence_cross_checks_x_shapes_to_rounding_only(
+        monkeypatch, stray, closed_calls):
+    # a stray entry up to HERM_TOL passes validation, but on this state
+    # it moves the general-route concurrence about 125 times its size
+    # from the closed form of the X part (1.25e-10 at 1e-12, above
+    # ROUTE_TOL), so only strays below 1e-14 run the closed cross-check
+    m = bloch_to_matrix(STRAY_RANK_TWO).matrix.astype(complex)
+    m[0, 1] = m[1, 0] = stray
+    XDensityMatrix(m)
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return _mu_closed(a)
+    monkeypatch.setattr(entanglement, "_mu_closed", counted)
+    assert 0.0 < concurrence(m) <= 1.0
+    assert len(calls) == closed_calls
 
 
 def test_eof_from_concurrence_shape():

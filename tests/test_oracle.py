@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import (BOUNDARY_BLOCH, EX_MATRIX, dense_entropy,
-                      measured_ensemble)
+                      measured_ensemble, same_bits)
 from xdiscord import (BlochX, XDensityMatrix, binary_entropy,
                       bloch_to_matrix, discord, f_value, matrix_to_bloch,
                       oracle_classical_correlation)
@@ -231,11 +231,6 @@ def kernel_states(rng):
                BlochX(0.0, 1.0, 0.0, 0.0, 5e-11),
                BlochX(0.3, 1 + 5e-11, 0.0, 0.0, 0.3),
                BlochX(-0.2, -1 - 5e-11, 1e-11, 0.0, 0.2)])
-
-
-def same_bits(a, b):
-    return (np.array_equal(a, b)
-            and np.array_equal(np.signbit(a), np.signbit(b)))
 
 
 @pytest.mark.parametrize("n", [64, 256])

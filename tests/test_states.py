@@ -499,9 +499,10 @@ def test_swapped_is_the_validated_state(families):
 
 
 def test_c_is_derived_on_every_construction_path(families):
-    # c = max(|c1|, |c2|) on every way a state is made; it is derived, so
-    # repr, == and hash read the five coefficients only.  Halving c1 and
-    # c2 together only widens both margins.
+    # c = max(|c1|, |c2|) and the two margins on every way a state is
+    # made; they are derived, so repr, == and hash read the five
+    # coefficients only.  Halving c1 and c2 together only widens both
+    # margins.
     for p in families + [BlochX(*t) for t in REGION_EDGE_BLOCH]:
         r, s, c1, c2, c3 = p.as_tuple()
         for q in (p, BlochX(r, s, c1, c2, c3), p.swapped(),
@@ -509,14 +510,17 @@ def test_c_is_derived_on_every_construction_path(families):
                   pickle.loads(pickle.dumps(p)),
                   XDensityMatrix(bloch_to_matrix(p).matrix).bloch):
             assert q.c == max(abs(q.c1), abs(q.c2)), (p.as_tuple(), q)
+            assert q.margins == physicality_margins(*q.as_tuple()), \
+                (p.as_tuple(), q)
         assert repr(p) == (f"BlochX(r={r!r}, s={s!r}, c1={c1!r}, "
                            f"c2={c2!r}, c3={c3!r})")
         assert p == BlochX(*p.as_tuple())
         assert hash(p) == hash(p.as_tuple())
-    with pytest.raises(ValueError):
-        dataclasses.replace(p, c=0.0)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        p.c = 0.0
+    for name in ("c", "margins"):
+        with pytest.raises(ValueError):
+            dataclasses.replace(p, **{name: 0.0})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(p, name, 0.0)
 
 
 def test_matrix_is_read_only():
