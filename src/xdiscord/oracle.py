@@ -29,12 +29,11 @@ logs: each cell rounds the same operations, and the only rearrangements
 (operand order of a product or sum, signs and factors of 2 moved) are
 exact in IEEE arithmetic.  The kernel sees phi only through sin^2 phi,
 cached with the coarse axes and built once per zoom grid.  Factors of z3
-or phi alone are built once per grid, and so are three work arrays,
-which glibc would otherwise give back to the kernel and fault in again
-every block of SWEEP_BLOCK cells.  A grid of one block (every zoom grid,
-the one-column coarse grids of states with c1^2 = c2^2, and most sets
-of float64 rows a screen keeps) runs the kernel once on whole arrays,
-with no slices and no work arrays.
+or phi alone are built once per grid; the kernel's own arrays are
+allocated per call.  A grid of one block (every zoom grid, the
+one-column coarse grids of states with c1^2 = c2^2, and most sets of
+float64 rows a screen keeps) runs the kernel once on whole arrays, with
+no slices.
 
 A grid of more than SWEEP_BLOCK cells (91 x 91 and up; the screen starts
 to pay between 64 x 64 and 80 x 80) is screened in float32 by a kernel
@@ -88,11 +87,15 @@ smallest normal, keeps log2 finite at 1 - A = 0, which is exact, 0 or at
 least u for A >= 1/2, and changes no float64 bit.
 
 A block of the screen holds 2 SWEEP_BLOCK cells per outcome, so each of
-its three float32 work arrays is 128 KB, as in float64, and each matmul
-has M N K <= 2 * 16,384 = 32,768, below OpenBLAS's single-thread
-threshold of 262,144 (65,536 times GEMM_MULTITHREAD_THRESHOLD, 4): no
-BLAS thread wakes up.  Near-product grids are flat within the margin:
-they keep every row and cost about 1.4 times the float64 sweep alone.
+its three float32 work arrays is 128 KB.  They are built once per grid:
+glibc gives a freed array of that size back to the kernel, so a screen
+that allocated them per block would fault them in again every block
+(3,200-3,280 minor page faults per pass over 60 rank-2 states with the
+Koashi-Winter bridge in between, against none).  Each matmul has M N K
+<= 2 * 16,384 = 32,768, below OpenBLAS's single-thread threshold of
+262,144 (65,536 times GEMM_MULTITHREAD_THRESHOLD, 4): no BLAS thread
+wakes up.  Near-product grids are flat within the margin: they keep
+every row and cost about 1.4 times the float64 sweep alone.
 """
 
 from __future__ import annotations
@@ -113,7 +116,7 @@ ZOOM_POINTS = 17          # per axis of each refinement grid
 ZOOM_SHRINK = 8.0         # step ratio between refinement rounds
 ZOOM_MIN_STEP = 1e-8      # z3 step at which refinement stops
 CORNER_GAIN = 1e-15       # a round gaining less ends refinement at a corner
-SWEEP_BLOCK = 8192        # grid cells per block: 128 KB per work array
+SWEEP_BLOCK = 8192        # float64 cells per block and outcome
 SCREEN_DELTA = 2e-5       # bound on |float32 - float64| entropy, with margin
 _SIGNS = np.array([1.0, -1.0])   # outcome axis: +, then -
 _ZOOM_STEPS = np.arange(ZOOM_POINTS, dtype=float)
@@ -132,11 +135,11 @@ def _rows(p: BlochX, z3):
     return base, np.where(live, w, np.inf), np.where(live, 0.5 * w, 0.0)
 
 
-def _outcomes(rows, theta, out=None):
+def _outcomes(rows, theta):
     """(p_k, lambda_k) on the rows of _rows: lambda_k = (1 + A_k) / 2,
     A_k = min(sqrt(r^2 +/- 2 r c3 z3 + theta) / w_k, 1), 0 if w_k dead."""
     base, divisor, pk = rows
-    a = np.add(base, theta, out=out)
+    a = base + theta
     np.maximum(a, 0.0, out=a)
     np.sqrt(a, out=a)
     a /= divisor
@@ -146,17 +149,16 @@ def _outcomes(rows, theta, out=None):
     return pk, a
 
 
-def _entropy(rows, theta, work=(None, None, None)):
+def _entropy(rows, theta):
     """Measured conditional entropy sum_k p_k H(lambda_k), in bits.
 
     H(x) = -(x log2 x + (1 - x) log2 (1 - x)).  Each lambda_k lies in
     [1/2, 1] on multiples of u = 2^-53, so 1 - lambda_k is exact, 0 or
-    at least u; adding LOG_FLOOR changes only a 0.  work holds three
-    arrays of lambda_k's shape, or None for each to allocate.
+    at least u; adding LOG_FLOOR changes only a 0.
     """
-    pk, lam = _outcomes(rows, theta, work[0])
-    q = np.subtract(1.0, lam, out=work[1])
-    qlog = np.add(q, LOG_FLOOR, out=work[2])
+    pk, lam = _outcomes(rows, theta)
+    q = 1.0 - lam
+    qlog = q + LOG_FLOOR
     np.log2(qlog, out=qlog)
     qlog *= q
     h = np.log2(lam, out=q)
@@ -196,16 +198,13 @@ def _blocks(p: BlochX, z3s: np.ndarray, sin2: np.ndarray):
     rho2, tail = 1.0 - z3c * z3c, (p.c3 * z3c) ** 2
     circle = p.c1 * p.c1 + _phi_weight(p) * sin2
     step = max(1, SWEEP_BLOCK // len(sin2))
-    if step >= len(z3s):            # one block: no slices, no work arrays
+    if step >= len(z3s):            # one block: no slices
         yield 0, _entropy(rows, rho2 * circle + tail)
         return
-    work = np.empty((3, 2, step, len(sin2)))
     for start in range(0, len(z3s), step):
         cut = slice(start, start + step)
-        theta = rho2[cut] * circle
-        theta += tail[cut]
-        yield start, _entropy([x[:, cut] for x in rows], theta,
-                              work[:, :, :len(theta)])
+        yield start, _entropy([x[:, cut] for x in rows],
+                              rho2[cut] * circle + tail[cut])
 
 
 def _screen_blocks(p: BlochX, z3s: np.ndarray, sin2: np.ndarray):

@@ -43,6 +43,25 @@ BOUNDARY_BLOCH = [
     (0.3, -0.4, 0.0, 0.0, -0.12),
 ]
 
+# F' of these states came closest to a +-+ or -+- sign pattern (two zeros
+# on (0, 1)) in scripts/falsify_router.py seeds 1-3; at 50 digits none has
+# the pattern.  F''(0) and F'(1) are within 1e-4 of zero on each, and each
+# float score lies within the script's AMBIGUOUS (1e-9) of zero.
+FALSIFY_NEAR_ZERO = [
+    (-0.83161749954064068, -0.59154974165086371, -0.00097830786902597389,
+     0.02117667446353888, 0.48076609462625353),
+    (-0.13905057664931764, -0.29335768600060397, 0.014130011432241352,
+     -0.0082462914176842927, 0.054217144512624493),
+    (-0.11598726466099296, 0.15498898800794869, -0.0067890872099218846,
+     0.0040449487295739495, -0.024659736301273827),
+    (-0.20074019022041334, -0.97985432046130883, -0.0097433947484042438,
+     0.058211716816160886, 0.20829226991870908),
+    (-0.13076736450989901, -0.96844948038934775, -0.036288623859984104,
+     -0.0034700834666820946, 0.11781527165798122),
+    (-0.055027808584801052, 0.93865109522173507, -0.0040811696696604338,
+     -0.0040693908358605535, -0.05024817001518278),
+]
+
 
 def _region_edges(d: float) -> list[tuple[float, ...]]:
     # one state per inequality of the region hypotheses a-d, whose left

@@ -10,8 +10,8 @@ import pytest
 from conftest import (BOUNDARY_BLOCH, EX_MATRIX, dense_entropy,
                       measured_ensemble, same_bits)
 from xdiscord import (BlochX, XDensityMatrix, binary_entropy,
-                      bloch_to_matrix, discord, f_value, matrix_to_bloch,
-                      oracle_classical_correlation)
+                      bloch_to_matrix, discord, f_value, koashi_winter,
+                      matrix_to_bloch, oracle_classical_correlation)
 from xdiscord import oracle
 from xdiscord.oracle import (HALF_PI, PROB_FLOOR, ZOOM_POINTS, _entropy,
                              _outcomes, _phi_weight, _rows, _sweep)
@@ -336,10 +336,10 @@ def test_float32_entropy_stays_finite_at_lambda_one():
     assert (ce == 0.0).any() and ce.max() < oracle.SCREEN_DELTA
 
 
-def outcomes_without_clamp(rows, theta, out=None):
+def outcomes_without_clamp(rows, theta):
     # _outcomes with no clamp of the radicand at 0
     base, divisor, pk = rows
-    a = np.add(base, theta, out=out)
+    a = base + theta
     np.sqrt(a, out=a)
     a /= divisor
     np.minimum(a, 1.0, out=a)
@@ -421,6 +421,29 @@ def test_near_product_grids_keep_every_row():
     for p in near_product_states():
         assert np.array_equal(oracle._screen(p, z3s, np.sin(phis) ** 2),
                               np.arange(256))
+
+
+def test_screen_work_arrays_fault_in_once():
+    # the screen builds its three 128 KB work arrays once per grid.  A
+    # screen that allocated them per block would hand each back to the
+    # kernel on free and fault it in again on the next block: about
+    # 3,300 minor page faults per pass below, where the Koashi-Winter
+    # bridge runs between sweeps as on the certify path
+    resource = pytest.importorskip("resource")
+    rng = np.random.default_rng(3504)
+    states = [p for case in ("I", "II", "III")
+              for p in random_rank_two(rng, case, 20)]
+
+    def one_pass():
+        for p in states:
+            koashi_winter(bloch_to_matrix(p))
+            oracle_classical_correlation(p.swapped(), 256)
+
+    one_pass()                      # warm-up: heap and caches settle
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    one_pass()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults <= 100, faults
 
 
 def test_zoom_axis_is_linspace_bit_for_bit(rng):
