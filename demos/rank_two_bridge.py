@@ -4,8 +4,11 @@ A rank-2 state purifies into three qubits, and there the classical
 correlation extractable from qubit a and the entanglement of formation
 between b and the purifying qubit c split the marginal entropy of b
 exactly: C_a + E_bc = S_b.  This script classifies sampled states into
-the three rank-2 families, checks the identity, and shows the short
-quadratic that replaces the concurrence computation in case III.
+the three rank-2 families and checks the identity.  On one case-III
+state it then prints the bridge's concurrence, which koashi_winter takes
+from the purification's 2x2 Wootters matrix, next to concurrence() of
+rho_bc (the general 4x4 route) and the case-III quadratic that gives
+the squared concurrence from the Bloch parameters.
 """
 
 import numpy as np
@@ -42,12 +45,15 @@ def main() -> None:
     gap = np.max(np.abs(marg - bloch_to_matrix(p).matrix))
     print(f"purification traces back to the state: max entry gap = {gap:.2e}")
 
+    con_kw = koashi_winter(bloch_to_matrix(p)).concurrence_bc
     con = concurrence(decomp.rho_bc)
     quad = 0.5 * (1.0 + p.r ** 2 - p.s ** 2 - p.c3 ** 2
                   - p.c1 ** 2 + p.c2 ** 2)
-    print(f"concurrence(rho_bc)           = {con:.12f}")
-    print(f"quadratic closed form, squared = {quad:.12f}")
-    print(f"difference of squares          = {abs(con ** 2 - quad):.2e}")
+    print(f"koashi_winter concurrence_bc    = {con_kw:.15f}")
+    print(f"concurrence(rho_bc)             = {con:.15f}")
+    print(f"difference                      = {abs(con_kw - con):.2e}")
+    print(f"quadratic closed form (squared) = {quad:.15f}")
+    print(f"difference of squares           = {abs(con_kw ** 2 - quad):.2e}")
 
 
 if __name__ == "__main__":

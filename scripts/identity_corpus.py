@@ -28,13 +28,15 @@ region_conditions() and entropies(), and one for each of discord() with
 method "auto", "numeric" and verify=True, and one for global_max().
 
 The rank-2 bridge gets three more sections, all on real matrices: each
-rank-2 state and its swap prints its koashi_winter() report, its
+rank-2 state and its swap prints its koashi_winter() report (whose
+concurrence_bc comes from the purification's 2x2 Wootters matrix), its
 rank_two_classify() decomposition, and mu_spectrum() and concurrence()
-of the decomposition's rho_bc; each uniform state, and each of a set of
-rank-1 and rank-3 states, prints the exception rank_two_classify()
-raises on it, and each uniform state also mu_spectrum() of its matrix;
-and a near-rank ladder
-c3 = +/-(1 - eps) prints each warning and result of both calls.
+of the decomposition's rho_bc (the general 4x4 route, so the kw and
+concurrence_bc lines show both derivations); each uniform state, and
+each of a set of rank-1 and rank-3 states, prints the exception
+rank_two_classify() raises on it, and each uniform state also
+mu_spectrum() of its matrix; and a near-rank ladder c3 = +/-(1 - eps)
+prints each warning and result of both calls.
 
 A last section prints what matrix validation makes of a fixed list of
 matrices: the worked example; a case-I, a case-III and a uniform state

@@ -93,6 +93,26 @@ def _con_from_mu(mu: np.ndarray) -> float:
     return max(0.0, m0 - m1 - m2 - m3)
 
 
+def _con_from_purification(psi: np.ndarray) -> float:
+    # Wootters' construction on rho = sum_a phi_a phi_a^T, phi_a = psi[a]
+    # over (b, c), real in the corner gauge: for rho = Phi Phi^T,
+    # rho rho-tilde = Phi tau Phi^T (sy x sy) with tau = Phi^T (sy x sy)
+    # Phi, so its nonzero eigenvalues are those of tau tau; lambda_3 =
+    # lambda_4 = 0 and C = lambda_1 - lambda_2.  tau is real symmetric
+    # 2x2, [[a, b], [b, d]], so the lambda_i are |mean +/- half-gap|,
+    # mean = (a + d)/2 and half-gap = hypot(a - d, 2b)/2, and
+    # lambda_1 - lambda_2 = 2 min(|mean|, half-gap).  In cases I and II
+    # each phi_a lies in span(|00>, |01>) or in span(|10>, |11>) of (b, c),
+    # where tau(u, u) = 0, so a + d is exactly 0
+    p0, p1 = psi[0].ravel().tolist(), psi[1].ravel().tolist()
+
+    def tau(u, v):
+        # u^T (sy x sy) v
+        return (u[1] * v[2] + u[2] * v[1]) - (u[0] * v[3] + u[3] * v[0])
+    a, b, d = tau(p0, p0), tau(p0, p1), tau(p1, p1)
+    return min(abs(a + d), math.hypot(a - d, 2.0 * b))
+
+
 def concurrence(matrix) -> float:
     """Concurrence of a two-qubit density matrix.
 
@@ -246,14 +266,16 @@ def koashi_winter(matrix) -> KoashiWinterReport:
     The classical correlation measured on qubit a equals the one the
     engine computes (which measures b) on the qubit-swapped state.  Like
     rank_two_classify, it works on the state in its corner gauge;
-    corner_phases gives the phases removed.
+    corner_phases gives the phases removed.  The concurrence of rho_bc
+    comes from the purification's 2x2 Wootters matrix, in floats; it
+    agrees with concurrence(rho_bc), the general route, to rounding.
     """
     xm = _as_x(matrix)
     p = xm.bloch
     decomp = rank_two_classify(xm)
     swapped = discord(p.swapped())
     c_a = swapped.classical_correlation
-    con = concurrence(decomp.rho_bc)
+    con = _con_from_purification(decomp.purification)
     e_bc = eof_from_concurrence(con)
     s_b = entropies(p)[1]
     return KoashiWinterReport(case=decomp.case, weights=decomp.weights,

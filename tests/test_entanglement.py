@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -89,7 +90,8 @@ def test_matrix_helpers_reject_non_finite_entries(value):
 
 def test_public_matrix_calls_read_their_input_once(monkeypatch):
     # concurrence runs both routes on the one array it read, and
-    # koashi_winter reads rho_bc once, in its concurrence call
+    # koashi_winter reads no matrix: its concurrence comes from the
+    # purification
     reads = []
     entries = entanglement._entries
 
@@ -105,8 +107,7 @@ def test_public_matrix_calls_read_their_input_once(monkeypatch):
             assert len(reads) == 1, helper
     reads.clear()
     koashi_winter(xm)
-    assert len(reads) == 1
-    assert np.array_equal(reads[0], rank_two_classify(xm).rho_bc)
+    assert reads == []
 
 
 def test_concurrence_general_route_is_local_unitary_invariant():
@@ -470,18 +471,24 @@ def test_bridge_regressions(name):
     assert koashi_winter(m).residual < 1e-8
 
 
+def with_random_corner_phases(rng, p):
+    # the matrix of p with both corners turned by random phases
+    m = bloch_to_matrix(p).matrix.astype(complex)
+    a, b = np.exp(1j * rng.uniform(-np.pi, np.pi, 2))
+    m[0, 3] *= a
+    m[3, 0] *= a.conjugate()
+    m[1, 2] *= b
+    m[2, 1] *= b.conjugate()
+    return m
+
+
 def test_complex_corners_decompose_in_the_real_gauge(rng):
     # corner phases are a local unitary: the bridge works on the state in
     # matrix_to_bloch's gauge, whose spectrum is the input's
     for case in ("I", "II", "III"):
         for p in random_rank_two(rng, case, 15):
             for q in (p, p.swapped()):
-                m = bloch_to_matrix(q).matrix.copy()
-                a, b = np.exp(1j * rng.uniform(-np.pi, np.pi, 2))
-                m[0, 3] *= a
-                m[3, 0] *= a.conjugate()
-                m[1, 2] *= b
-                m[2, 1] *= b.conjugate()
+                m = with_random_corner_phases(rng, q)
                 gauged = bloch_to_matrix(matrix_to_bloch(m)).matrix
                 decomp = rank_two_classify(m)
                 assert decomp.case == case
@@ -548,3 +555,119 @@ def test_mu_spectrum_matches_50_digit_reference():
                 assert abs(got - want) <= 1e-15, (name, got, want)
             if mu2 is not None:
                 assert abs(mu[1] - ref[1]) <= 1e-14 * ref[1], name
+
+
+
+def rank_two_inputs(rng, n):
+    # n sampled states of each case and their swaps, the regression
+    # states, and each of the sampled states with complex corners, as
+    # (case, matrix) pairs
+    picked = [(case, q) for case in ("I", "II", "III")
+              for p in random_rank_two(rng, case, n)
+              for q in (p, p.swapped())]
+    out = [(case, bloch_to_matrix(q).matrix) for case, q in picked]
+    out += [(rank_two_classify(m).case, m) for m in
+            (bloch_to_matrix(BlochX(*bloch))
+             for bloch, _ in BRIDGE_REGRESSIONS.values())]
+    out += [(case, with_random_corner_phases(rng, q)) for case, q in picked]
+    return out
+
+
+def real_purifications(rng, n):
+    # n normalised Gaussian real (2, 2, 2) tensors.  An X-state's
+    # purification gives tau with b = 0 (case III) or a = d = 0 (cases I
+    # and II), so only these reach every term of the tau route
+    psi = rng.normal(size=(n, 2, 2, 2))
+    return list(psi / np.sqrt(np.sum(psi ** 2, axis=(1, 2, 3),
+                                     keepdims=True)))
+
+
+def marginal_bc(psi):
+    return np.einsum("abc,ade->bcde", psi, psi).reshape(4, 4)
+
+
+def _tau_concurrence_50_digits(mp, psi):
+    # Wootters' lambda_i as the |eigenvalues| of tau = Phi^T (sy x sy) Phi,
+    # Phi the 4 x 2 matrix of the float purification psi taken as exact
+    phi = mp.matrix([psi[a].ravel().tolist() for a in range(2)]).T
+    e, _ = mp.eigsy(phi.T * mp.matrix(SYY_REAL.tolist()) * phi)
+    lam = sorted((abs(x) for x in e), reverse=True)
+    return max(lam[0] - lam[1], 0)
+
+
+# Derived bound on the tau route's rounding, u = 2^-53.  Each tau entry
+# sums four products in three roundings, so it is off by at most
+# 3u |u| |v| (Cauchy-Schwarz pairs the products), and
+# |phi_0|^2 + |phi_1|^2 = 1: |a + d| moves by 3u plus u for its sum, and
+# hypot(a - d, 2b) by 3 sqrt(2) u plus u for a - d and one ulp (2u, as
+# the gap is at most 2) for hypot; min moves by the larger, under 7.3u.
+# Worst seen: 1.1e-16 on 600 rank-2 states (seed 11) and 1.6e-16 on
+# 3,000 Gaussian purifications (seed 7)
+TAU_ROUTE_TOL = 8 * 2.0 ** -53
+
+# Measured, not derived: the general route is off by up to 1.8e-13 on
+# 12,000 sampled rank-2 states (seed 5), all of it its own error on
+# case-III states with |c1| close to |c2| (the tau route was within
+# 4.4e-17 of 50 digits there), and by up to 6.7e-14 on 3,000 Gaussian
+# purifications (seed 7)
+GENERAL_ROUTE_TOL = 1e-12
+
+
+def test_kw_concurrence_matches_50_digit_tau(rng):
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(50):
+        for case, m in rank_two_inputs(rng, 20):
+            psi = rank_two_classify(m).purification
+            want = _tau_concurrence_50_digits(mp, psi)
+            got = koashi_winter(m).concurrence_bc
+            assert abs(mp.mpf(got) - want) <= TAU_ROUTE_TOL, (case, m)
+        for psi in real_purifications(rng, 200):
+            want = _tau_concurrence_50_digits(mp, psi)
+            got = entanglement._con_from_purification(psi)
+            assert abs(mp.mpf(got) - want) <= TAU_ROUTE_TOL, psi
+
+
+def test_kw_concurrence_matches_general_route(rng):
+    for case, m in rank_two_inputs(rng, 60):
+        rho_bc = rank_two_classify(m).rho_bc
+        assert abs(koashi_winter(m).concurrence_bc
+                   - concurrence(rho_bc)) <= GENERAL_ROUTE_TOL, (case, m)
+    for psi in real_purifications(rng, 300):
+        assert abs(entanglement._con_from_purification(psi)
+                   - concurrence(marginal_bc(psi))) <= GENERAL_ROUTE_TOL, psi
+
+
+def test_kw_concurrence_is_exactly_zero_in_cases_i_and_ii(rng):
+    # each row of the purification lies in one half of the (b, c) basis,
+    # where tau(u, u) = 0 exactly; the general route leaves rounding
+    # noise there, up to 2.2e-16 on the identity corpus
+    ladder = [BlochX(0.3, 0.3, 0.2, -0.2, 1.0 - eps)
+              for eps in (1e-10, 2e-9, 2e-8)]
+    ladder += [BlochX(0.3, -0.3, 0.2, 0.2, -1.0 + eps) for eps in (1e-10,
+                                                                    2e-8)]
+    inputs = rank_two_inputs(rng, 60)
+    inputs += [(None, bloch_to_matrix(p).matrix) for p in ladder]
+    seen = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for _, m in inputs:
+            rep = koashi_winter(m)
+            if rep.case in ("I", "II"):
+                assert rep.concurrence_bc == 0.0, m
+                assert rep.eof_bc == 0.0, m
+                seen += 1
+    # 120 sampled I/II states with swaps, each also with complex corners,
+    # four of the regression states, and the ladder
+    assert seen == 2 * 2 * 120 + 4 + len(ladder)
+
+
+def test_koashi_winter_runs_no_eigh_or_svd(rng, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("4x4 linear algebra on the bridge path")
+    for name in ("eigh", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    for case, m in rank_two_inputs(rng, 2):
+        assert koashi_winter(m).case == case
+    # the patch reaches the general route, so it would catch a call
+    with pytest.raises(AssertionError, match="4x4 linear algebra"):
+        concurrence(bloch_to_matrix(CASE_III))
