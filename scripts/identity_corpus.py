@@ -30,13 +30,13 @@ method "auto", "numeric" and verify=True, and one for global_max().
 The rank-2 bridge gets three more sections, all on real matrices: each
 rank-2 state and its swap prints its koashi_winter() report (whose
 concurrence_bc comes from the purification's 2x2 Wootters matrix), its
-rank_two_classify() decomposition, and mu_spectrum() and concurrence()
-of the decomposition's rho_bc (the general 4x4 route, so the kw and
-concurrence_bc lines show both derivations); each uniform state, and
-each of a set of rank-1 and rank-3 states, prints the exception
-rank_two_classify() raises on it, and each uniform state also
-mu_spectrum() of its matrix; and a near-rank ladder c3 = +/-(1 - eps)
-prints each warning and result of both calls.
+rank_two_classify() decomposition, and Wootters' lambda_i
+(entanglement._mu, the general 4x4 route) and concurrence() of the
+decomposition's rho_bc (so the kw and concurrence_bc lines show both
+derivations); each uniform state, and each of a set of rank-1 and rank-3
+states, prints the exception rank_two_classify() raises on it, and each
+uniform state also the lambda_i of its matrix; and a near-rank ladder
+c3 = +/-(1 - eps) prints each warning and result of both calls.
 
 A last section prints what matrix validation makes of a fixed list of
 matrices: the worked example; a case-I, a case-III and a uniform state
@@ -44,8 +44,8 @@ with k * 1e-11 moved from rho_22 to rho_11, k = 1 to 20, which walks the
 rank-2 states out through the PHYS_TOL band; and one non-positive,
 non-X, non-hermitian, bad-trace, non-finite and wrong-shape matrix.
 Each gets the result or the exception of XDensityMatrix(),
-matrix_to_bloch(), corner_phases() and rank_two_classify(), one line
-each.
+matrix_to_bloch(), XDensityMatrix().phases (the corner_phases line) and
+rank_two_classify(), one line each.
 
 The oracle section prints oracle_classical_correlation() on states with
 c1^2 = c2^2, where the sweep needs one phi column, and on states
@@ -82,7 +82,7 @@ Each invocation prints its exit code, its stdout and its stderr, with
 the temporary directory's path replaced by <tmp> and each warning as its
 category and message.
 
-The section printed after the CLI gives mu_spectrum() and concurrence()
+The section printed after the CLI gives the lambda_i and concurrence()
 of the local-unitary images of tests/conftest.py (local_unitary_images:
 300 uniform and 300 rank-2 states, each under a Haar-random
 U_a (x) U_b), where concurrence takes its general route alone.
@@ -112,15 +112,15 @@ import numpy as np
 
 from xdiscord import (BlochX, PhysicalityError, XDensityMatrix,
                       analytic_max, binary_entropy, bloch_to_matrix,
-                      classify_region, concurrence, corner_phases, discord,
-                      entropies, f_derivative, f_second_derivative, f_value,
+                      classify_region, concurrence, discord, entropies,
+                      f_derivative, f_second_derivative, f_value,
                       global_max, koashi_winter, matrix_to_bloch,
-                      mu_spectrum, newton_critical_point,
+                      newton_critical_point,
                       oracle_classical_correlation, random_bell_diagonal,
                       random_case, random_rank_two, random_states,
                       rank_two_classify, region_conditions, xlog2)
 from xdiscord.cli import main as cli_main
-from xdiscord.entanglement import eof_from_concurrence
+from xdiscord.entanglement import _as_array, _mu, eof_from_concurrence
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
 from conftest import (BOUNDARY_BLOCH, EX_MATRIX,  # noqa: E402
@@ -246,7 +246,7 @@ def decomposition_lines(m) -> list[str]:
             "  vectors " + repr(d.vectors.tolist()),
             "  purification " + repr(d.purification.tolist()),
             "  rho_bc " + repr(d.rho_bc.tolist()),
-            "  mu_bc " + repr(mu_spectrum(d.rho_bc).tolist()),
+            "  mu_bc " + repr(_mu(_as_array(d.rho_bc)).tolist()),
             "  concurrence_bc " + repr(concurrence(d.rho_bc))]
 
 
@@ -386,7 +386,7 @@ def bridge_section(states):
         elif label.startswith("uniform"):
             m = bloch_to_matrix(p)
             yield f"not rank 2 {i} {label} {outcome(rank_two_classify, m)}"
-            yield f"  mu {mu_spectrum(m).tolist()!r}"
+            yield f"  mu {_mu(_as_array(m)).tolist()!r}"
     for i, p in enumerate(other_ranks()):
         yield (f"other rank {i} {p!r} "
                + outcome(rank_two_classify, bloch_to_matrix(p)))
@@ -414,6 +414,11 @@ def oracle_section(states):
         for rounds in (0, 30):
             yield (f"  grid 256 rounds {rounds} "
                    + repr(oracle_classical_correlation(p, 256, rounds)))
+
+
+def corner_phases(m) -> tuple[float, float]:
+    """The corner phases (outer, inner) that matrix validation removes."""
+    return XDensityMatrix(m).phases
 
 
 def validation_section(states):
@@ -451,7 +456,7 @@ def cli_section(states):
 def local_unitary_section(states):
     for i, (_, image) in enumerate(local_unitary_images()):
         yield f"local unitary {i}"
-        yield f"  mu {mu_spectrum(image).tolist()!r}"
+        yield f"  mu {_mu(_as_array(image)).tolist()!r}"
         yield f"  concurrence {concurrence(image)!r}"
 
 

@@ -293,36 +293,19 @@ class NewtonRun:
                              converged=converged, z=z, note=note)
 
 
-def newton_critical_point(p: BlochX, z0: float,
-                          bracket: tuple[float, float] | None = None
-                          ) -> NewtonRun:
+def newton_critical_point(p: BlochX, z0: float) -> NewtonRun:
     """Newton iteration for F'(z) = 0 from z0, confined to [0, 1]; a z0
-    or bracket end outside [0, 1], or a bracket whose low end exceeds its
-    high end, raises ValueError.
+    outside [0, 1] raises ValueError.
 
-    Steps that leave the interval or increase |F'| are rejected; with a
-    sign-change bracket the rejected step is replaced by bisection,
-    otherwise the run is abandoned.  Converged once F' is exactly 0, once
-    a Newton step moves z by less than 1e-12 or a bisection leaves a
-    bracket narrower than that, or once |F'| < 1e-13 and the next
-    Newton step would not shrink |F'| strictly or would move z by less
-    than 1e-12; that step is not taken.  The polishing below 1e-13 lets
-    two runs at one root stop together even where F is flat.  Capped at
-    100 steps.
-
-    F' is finite at every z on the float backend (logs are floored at
-    TINY and every denominator is guarded), so a bracketed run never
-    fails for want of a derivative: every rejected step can bisect.
+    A step that leaves the interval or increases |F'| abandons the run.
+    Converged once F' is exactly 0, once a Newton step moves z by less
+    than 1e-12, or once |F'| < 1e-13 and the next Newton step would not
+    shrink |F'| strictly or would move z by less than 1e-12; that step is
+    not taken.  The polishing below 1e-13 lets two runs at one root stop
+    together even where F is flat.  Capped at 100 steps.
     """
     z = _unpack(float(z0), "z0")[0]
-    if bracket is None:
-        return _newton(p, z, *_slope(p, z))[0]
-    lo, hi = (_unpack(float(b), "bracket end")[0] for b in bracket)
-    if lo > hi:
-        raise ValueError(f"bracket ({lo}, {hi}) has its low end above "
-                         "its high end")
-    return _newton(p, z, *_slope(p, z), lo, hi,
-                   _slope(p, lo)[0], _slope(p, hi)[0])[0]
+    return _newton(p, z, *_slope(p, z))[0]
 
 
 def _slope(p: BlochX, z: float):
@@ -335,8 +318,11 @@ def _newton(p: BlochX, z: float, g: float, rads, lo: float = 0.0,
             hi: float = 1.0, glo: float = 0.0, ghi: float = 0.0):
     # newton_critical_point's loop, from a seed z whose F' (g) and
     # radicals the caller already has.  glo and ghi are F' at lo and hi;
-    # a rejected step bisects [lo, hi] only where they differ in sign.
-    # Returns the run and the radicals at its z.
+    # a rejected step bisects [lo, hi] only where they differ in sign, and
+    # a bisection that leaves [lo, hi] narrower than 1e-12 converges.  F'
+    # is finite at every z on the float backend (logs are floored at TINY
+    # and every denominator is guarded), so every rejected step of a
+    # bracketed run can bisect.  Returns the run and the radicals at its z.
     seed = z
     have_bracket = glo * ghi < 0.0
     its: list[float] = []

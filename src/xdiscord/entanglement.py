@@ -60,18 +60,11 @@ def _sqrtm_psd(stack: np.ndarray) -> np.ndarray:
     return (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
-def mu_spectrum(matrix) -> np.ndarray:
-    """Square roots of the eigenvalues of rho rho-tilde, descending.
-
-    These are Wootters' lambda_i, the singular values of
-    sqrt(rho) sqrt(rho-tilde); computed that way, small ones keep
-    absolute accuracy instead of sqrt(eps).  Works for any two-qubit
-    density matrix.
-    """
-    return _mu(_as_array(matrix))
-
-
 def _mu(m: np.ndarray) -> np.ndarray:
+    # square roots of the eigenvalues of rho rho-tilde, descending: Wootters'
+    # lambda_i, the singular values of sqrt(rho) sqrt(rho-tilde); computed
+    # that way, small ones keep absolute accuracy instead of sqrt(eps).
+    # Works for any two-qubit density matrix
     root, root_flip = _sqrtm_psd(np.array((m, _spin_flip(m))))
     return np.linalg.svd(root @ root_flip, compute_uv=False)
 
@@ -191,9 +184,9 @@ def rank_two_classify(matrix) -> RankTwoDecomposition:
 
     Rank, case and eigenpairs come from the two 2x2 blocks of the state in
     its corner gauge (XDensityMatrix.gauged: complex corners replaced by
-    their moduli; corner_phases gives the phases removed).  Raises RankError
-    when the state is not rank 2 at tolerance 1e-10; a third eigenvalue
-    inside (1e-10, 1e-6) warns and is treated as zero.
+    their moduli; XDensityMatrix.phases holds the phases removed).  Raises
+    RankError when the state is not rank 2 at tolerance 1e-10; a third
+    eigenvalue inside (1e-10, 1e-6) warns and is treated as zero.
     """
     m = _as_x(matrix).gauged.tolist()
     out, mid = _block(m, 0, 3), _block(m, 1, 2)
@@ -241,7 +234,8 @@ def rank_two_classify(matrix) -> RankTwoDecomposition:
 
 def purification_marginal_ab(decomp: RankTwoDecomposition) -> np.ndarray:
     """Trace the ancilla back out: the input state in its corner gauge,
-    XDensityMatrix.gauged (corner_phases gives the phases removed)."""
+    XDensityMatrix.gauged (XDensityMatrix.phases holds the phases
+    removed)."""
     psi = decomp.purification
     return np.einsum("abc,dec->abde", psi, psi).reshape(4, 4)
 
@@ -266,8 +260,8 @@ def koashi_winter(matrix) -> KoashiWinterReport:
     The classical correlation measured on qubit a equals the one the
     engine computes (which measures b) on the qubit-swapped state.  Like
     rank_two_classify, it works on the state in its corner gauge;
-    corner_phases gives the phases removed.  The concurrence of rho_bc
-    comes from the purification's 2x2 Wootters matrix, in floats; it
+    XDensityMatrix.phases holds the phases removed.  The concurrence of
+    rho_bc comes from the purification's 2x2 Wootters matrix, in floats; it
     agrees with concurrence(rho_bc), the general route, to rounding.
     """
     xm = _as_x(matrix)

@@ -91,7 +91,10 @@ its three float32 work arrays is 128 KB.  They are built once per grid:
 glibc gives a freed array of that size back to the kernel, so a screen
 that allocated them per block would fault them in again every block
 (3,200-3,280 minor page faults per pass over 60 rank-2 states with the
-Koashi-Winter bridge in between, against none).  Each matmul has M N K
+Koashi-Winter bridge in between, against none).  They start on a 64-byte
+boundary: malloc's 16-byte alignment leaves the offset to the heap's
+layout, and on one 2-vCPU machine the certify p90 read 725 us at offset
+0 and 752-788 us at 16, 32 and 48.  Each matmul has M N K
 <= 2 * 16,384 = 32,768, below OpenBLAS's single-thread threshold of
 262,144 (65,536 times GEMM_MULTITHREAD_THRESHOLD, 4): no BLAS thread
 wakes up.  Near-product grids are flat within the margin: they keep
@@ -221,7 +224,10 @@ def _screen_blocks(p: BlochX, z3s: np.ndarray, sin2: np.ndarray):
                        np.ones_like(sin2))).astype(np.float32)
     pk = pk.astype(np.float32)
     step = max(1, 2 * SWEEP_BLOCK // len(sin2))
-    work = np.empty((3, 2, step, len(sin2)), np.float32)
+    size = 3 * 2 * step * len(sin2)
+    raw = np.empty(size + 16, np.float32)          # 64 bytes of slack
+    skip = -raw.ctypes.data % 64 // 4              # to a 64-byte boundary
+    work = raw[skip:skip + size].reshape(3, 2, step, len(sin2))
     for start in range(0, len(z3s), step):
         cut = slice(start, start + step)
         a, q, qlog = work[:, :, :len(z3s[cut])]

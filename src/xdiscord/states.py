@@ -48,17 +48,15 @@ def xlog2_float(x: float) -> float:
     return x * math.log2(x) if x > 0.0 else 0.0 if x <= 0.0 else x
 
 
-def binary_entropy(x):
-    """Shannon entropy -x log2 x - (1-x) log2 (1-x) of a bit, in bits."""
-    if isinstance(x, float):    # one number: xlog2's steps on two floats
-        pair = (x, 1.0 - x)
-        logs = np.log2([t if t > 0.0 else 1.0 for t in pair]).tolist()
-        h = [0.0 if t <= 0.0 else t * lg for t, lg in zip(pair, logs)]
-        return float(-(h[0] + h[1]) + 0.0)
-    x = np.asarray(x, dtype=float)
-    h = xlog2(np.array((x, 1.0 - x)))          # one call for x and 1 - x
-    out = -(h[0] + h[1]) + 0.0                 # "+ 0.0" normalizes -0.0
-    return float(out) if np.ndim(out) == 0 else out
+def binary_entropy(x: float) -> float:
+    """Shannon entropy -x log2 x - (1-x) log2 (1-x) of a bit, in bits.
+
+    Takes one number; xlog2's steps on x and 1 - x, with numpy's log2.
+    """
+    pair = (x, 1.0 - x)
+    logs = np.log2([t if t > 0.0 else 1.0 for t in pair]).tolist()
+    h = [0.0 if t <= 0.0 else t * lg for t, lg in zip(pair, logs)]
+    return float(-(h[0] + h[1]) + 0.0)         # "+ 0.0" normalizes -0.0
 
 
 def blocks(r, s, c1, c2, c3):
@@ -230,15 +228,10 @@ def matrix_to_bloch(m) -> BlochX:
     Real corners of either sign are preserved, so bloch -> matrix -> bloch
     agrees up to rounding.  Complex corners are replaced by their moduli
     (a local phase gauge that leaves discord, entanglement, and the
-    measurement optimum unchanged); the removed phases are available from
-    corner_phases.
+    measurement optimum unchanged); XDensityMatrix(m).phases holds the
+    removed phases (outer, inner), in radians.
     """
     return _as_x(m).bloch
-
-
-def corner_phases(m) -> tuple[float, float]:
-    """Phases (outer, inner) removed by matrix_to_bloch, in radians."""
-    return _as_x(m).phases
 
 
 def _snap(x: float) -> float:

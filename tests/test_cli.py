@@ -402,32 +402,42 @@ def test_precision_flag(capsys):
     assert "0.2624831838" in out
 
 
-def test_module_entry_point():
-    # pytest's pythonpath setting does not reach a child process: point it
-    # at the src/ directory of the package imported here
+def module_argv_env(*argv):
+    # `python -m xdiscord argv`, and an environment that finds the package:
+    # pytest's pythonpath setting does not reach a child process, so point
+    # PYTHONPATH at the src/ directory of the package imported here
     src = str(Path(xdiscord.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "xdiscord", "discord", "--bloch",
-         "0", "0", "-0.5", "-0.5", "-0.5"],
-        capture_output=True, text=True, env=env)
+    return [sys.executable, "-m", "xdiscord", *argv], env
+
+
+def test_module_entry_point():
+    argv, env = module_argv_env("discord", *WERNER_ARGS)
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "discord = " in proc.stdout
 
 
+def test_module_entry_point_exits_with_the_error_code():
+    argv, env = module_argv_env("classify", "--bloch", "2", "0", "0", "0",
+                                "0")
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: unphysical state: r = 2.0 outside "
+                           "[-1, 1]\n")
+
+
 def test_closed_stdout_pipe_exits_quietly():
-    # 1 MB of JSON: the child blocks on the full pipe until it is closed
-    src = str(Path(xdiscord.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "xdiscord", "random", "--count", "3000",
-         "--format", "json"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    assert len(proc.stdout.read(100)) == 100
+    # 0.7 MB of JSON: the child blocks on the full pipe until the reader
+    # closes it after the first line
+    argv, env = module_argv_env("random", "--count", "2000", "--format",
+                                "json")
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"{\n"
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()

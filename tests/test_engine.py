@@ -190,18 +190,11 @@ def test_f_functions_reject_z_outside_the_domain(fn):
     assert np.all(np.isfinite(fn(p, np.array([-0.0, 0.0, 0.5, 1.0]))))
 
 
-def test_newton_rejects_a_seed_or_bracket_end_outside_the_domain():
+def test_newton_rejects_a_seed_outside_the_domain():
     p = BlochX(0.1, 0.2, 0.3, 0.1, 0.2)
     for z in OFF_DOMAIN:
         with pytest.raises(ValueError, match=re.escape(f"z0 = {z} is")):
             newton_critical_point(p, z)
-        for bracket in ((z, 1.0), (0.0, z)):
-            with pytest.raises(ValueError,
-                               match=re.escape(f"bracket end = {z} is")):
-                newton_critical_point(p, 0.5, bracket=bracket)
-    # a reversed bracket once bisected to a midpoint it called converged
-    with pytest.raises(ValueError, match=re.escape("bracket (1.0, 0.5)")):
-        newton_critical_point(ex_state(), 0.9, bracket=(1.0, 0.5))
 
 
 def test_classify_region_examples():
@@ -307,13 +300,20 @@ def test_interior_maximum_with_no_rising_f_prime_takes_the_scan(monkeypatch):
     assert discord(ex_state()).search.route == "scan"
 
 
+def bracketed_newton(p, z0, lo, hi):
+    # the run the router and the scan make from z0 inside [lo, hi]
+    slope = engine._slope
+    return engine._newton(p, z0, *slope(p, z0), lo, hi, slope(p, lo)[0],
+                          slope(p, hi)[0])[0]
+
+
 def test_bracket_turns_rejected_steps_into_bisection():
     # F'' > 0 at z = 0.05 sends the Newton step below 0: alone the run is
     # abandoned, inside a sign-change bracket the step bisects instead
     p = ex_state()
     alone = newton_critical_point(p, 0.05)
     assert not alone.converged and alone.iterates == ()
-    run = newton_critical_point(p, 0.05, bracket=(0.05, 1.0))
+    run = bracketed_newton(p, 0.05, 0.05, 1.0)
     assert run.converged and run.note == "bisection fallback used"
     assert run.iterates[0] == 0.525
     assert run.z == pytest.approx(EX_Z_STAR, abs=1e-9)
@@ -324,7 +324,7 @@ def test_bisection_onto_the_seed_does_not_end_the_run():
     # onto z = 0.75 itself, which is no step toward the root
     p = ex_state()
     assert abs(f_derivative(p, 0.75)) > 1e-5
-    run = newton_critical_point(p, 0.75, bracket=(0.5, 1.0))
+    run = bracketed_newton(p, 0.75, 0.5, 1.0)
     assert run.iterates[0] == 0.75 and len(run.iterates) > 1
     assert run.converged and run.note == "bisection fallback used"
     assert run.z == pytest.approx(EX_Z_STAR, abs=1e-9)
@@ -336,7 +336,7 @@ def test_bisection_alone_converges_on_the_bracket_width(monkeypatch):
     # bracket is far below 1e-12, so the run stops on the bracket's width
     monkeypatch.setattr(engine, "_fpp", lambda p, z, rads, xp: math.nan)
     monkeypatch.setattr(engine, "_fp", lambda p, z, rads, xp: 10 * (0.3 - z))
-    run = newton_critical_point(ex_state(), 1.0, bracket=(0.0, 1.0))
+    run = bracketed_newton(ex_state(), 1.0, 0.0, 1.0)
     assert run.converged and run.note == "bisection fallback used"
     assert len(run.iterates) == 40          # 2**-40 < 1e-12 < 2**-39
     assert run.z == pytest.approx(0.3, abs=1e-12)
@@ -345,7 +345,7 @@ def test_bisection_alone_converges_on_the_bracket_width(monkeypatch):
 def test_pick_reports_a_bisected_run_as_fallback():
     # the bracketed run above bisects; a record holding it says so
     p = ex_state()
-    bisected = newton_critical_point(p, 0.05, bracket=(0.05, 1.0))
+    bisected = bracketed_newton(p, 0.05, 0.05, 1.0)
     plain = newton_critical_point(p, 1.0)
     assert "bisection" not in plain.note
     cands = [(0.0, f_value(p, 0.0)), (1.0, f_value(p, 1.0)),
@@ -635,16 +635,15 @@ def test_interior_maxima_match_50_digit_root(interior_maxima):
                         p.as_tuple()
 
 
-def test_router_newton_run_is_the_public_run(interior_maxima):
+def test_router_newton_run_is_the_run_from_scratch(interior_maxima):
     # the router hands its own F'(1) and F'(lo) to the loop; the run must
-    # be the one the public function makes from scratch on the same bracket
+    # be the one the loop makes from scratch on the same bracket
     for p in interior_maxima:
         lo = 0.5
         while not f_derivative(p, lo) > 0.0:
             lo *= 0.5
         (run,) = discord(p).search.newton_runs
-        assert run == newton_critical_point(p, 1.0, bracket=(lo, 1.0)), \
-            p.as_tuple()
+        assert run == bracketed_newton(p, 1.0, lo, 1.0), p.as_tuple()
 
 
 def _count_kernel_calls(monkeypatch):

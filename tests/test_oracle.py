@@ -9,9 +9,9 @@ import pytest
 
 from conftest import (BOUNDARY_BLOCH, EX_MATRIX, dense_entropy,
                       measured_ensemble, same_bits)
-from xdiscord import (BlochX, XDensityMatrix, binary_entropy,
-                      bloch_to_matrix, discord, f_value, koashi_winter,
-                      matrix_to_bloch, oracle_classical_correlation)
+from xdiscord import (BlochX, XDensityMatrix, bloch_to_matrix, discord,
+                      f_value, koashi_winter, matrix_to_bloch,
+                      oracle_classical_correlation, xlog2)
 from xdiscord import oracle
 from xdiscord.oracle import (HALF_PI, PROB_FLOOR, ZOOM_POINTS, _entropy,
                              _outcomes, _phi_weight, _rows, _sweep)
@@ -205,9 +205,15 @@ def textbook_outcomes(p, z3, theta):
     return out
 
 
+def textbook_binary_entropy(x):
+    # -(x log2 x + (1 - x) log2 (1 - x)) of each entry, 0 log 0 = 0
+    return -(xlog2(x) + xlog2(1.0 - x)) + 0.0
+
+
 def textbook_entropy(p, z3, theta):
     (p_hi, lam_hi), (p_lo, lam_lo) = textbook_outcomes(p, z3, theta)
-    return p_hi * binary_entropy(lam_hi) + p_lo * binary_entropy(lam_lo)
+    return (p_hi * textbook_binary_entropy(lam_hi)
+            + p_lo * textbook_binary_entropy(lam_lo))
 
 
 def textbook_theta(p, z3, phis):
@@ -444,6 +450,19 @@ def test_screen_work_arrays_fault_in_once():
     one_pass()
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     assert faults <= 100, faults
+
+
+@pytest.mark.parametrize("n", [100, 256, 512])
+def test_screen_blocks_start_on_64_byte_boundaries(n):
+    # grid sizes of the identity corpus, the CLI default and --grid 512;
+    # without the alignment the offset follows the process's heap layout
+    z3s, _, sin2 = oracle._coarse_grid(n)
+    p = random_rank_two(np.random.default_rng(37), "III", 1)[0]
+    starts = []
+    for start, sums in oracle._screen_blocks(p, z3s, sin2):
+        assert sums.ctypes.data % 64 == 0, (n, start)
+        starts.append(start)
+    assert starts[-1] + len(sums) == n
 
 
 def test_zoom_axis_is_linspace_bit_for_bit(rng):
