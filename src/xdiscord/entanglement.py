@@ -86,9 +86,10 @@ def _con_from_mu(mu: np.ndarray) -> float:
     return max(0.0, m0 - m1 - m2 - m3)
 
 
-def _con_from_purification(psi: np.ndarray) -> float:
-    # Wootters' construction on rho = sum_a phi_a phi_a^T, phi_a = psi[a]
-    # over (b, c), real in the corner gauge: for rho = Phi Phi^T,
+def _con_from_purification(p0: list[float], p1: list[float]) -> float:
+    # Wootters' construction on rho = sum_a phi_a phi_a^T, the rows phi_0 =
+    # p0 and phi_1 = p1 of the purification over (b, c) in the basis
+    # |00>, |01>, |10>, |11>, real in the corner gauge: for rho = Phi Phi^T,
     # rho rho-tilde = Phi tau Phi^T (sy x sy) with tau = Phi^T (sy x sy)
     # Phi, so its nonzero eigenvalues are those of tau tau; lambda_3 =
     # lambda_4 = 0 and C = lambda_1 - lambda_2.  tau is real symmetric
@@ -97,8 +98,6 @@ def _con_from_purification(psi: np.ndarray) -> float:
     # lambda_1 - lambda_2 = 2 min(|mean|, half-gap).  In cases I and II
     # each phi_a lies in span(|00>, |01>) or in span(|10>, |11>) of (b, c),
     # where tau(u, u) = 0, so a + d is exactly 0
-    p0, p1 = psi[0].ravel().tolist(), psi[1].ravel().tolist()
-
     def tau(u, v):
         # u^T (sy x sy) v
         return (u[1] * v[2] + u[2] * v[1]) - (u[0] * v[3] + u[3] * v[0])
@@ -179,16 +178,14 @@ def _block(m: list[list[float]], i: int, j: int):
     return [(tr * (0.5 * (1.0 + k)), v0), (tr * (0.5 * (1.0 - k)), v1)]
 
 
-def rank_two_classify(matrix) -> RankTwoDecomposition:
-    """Classify a rank-2 X-state and build its spectral decomposition.
-
-    Rank, case and eigenpairs come from the two 2x2 blocks of the state in
-    its corner gauge (XDensityMatrix.gauged: complex corners replaced by
-    their moduli; XDensityMatrix.phases holds the phases removed).  Raises
-    RankError when the state is not rank 2 at tolerance 1e-10; a third
-    eigenvalue inside (1e-10, 1e-6) warns and is treated as zero.
-    """
-    m = _as_x(matrix).gauged.tolist()
+def _rank_two(xm: XDensityMatrix):
+    # (case, weights, vectors, rows) of a rank-2 X-state in its corner
+    # gauge: the two eigenpairs (w_k, v_k), heavier first, each vector a
+    # list of its 4 entries, and the purification rows phi_a over (b, c),
+    # phi_a[2 b + k] = v_k[2 a + b] sqrt(w_k), as lists.  Raises RankError
+    # off rank 2 and warns, at the public caller's caller, on a third
+    # eigenvalue inside (RANK_TOL, NEAR_RANK_BAND)
+    m = xm.gauged.tolist()
     out, mid = _block(m, 0, 3), _block(m, 1, 2)
     # weights snap as in states.spectrum, so a rank-1 error prints no
     # rounding noise
@@ -204,7 +201,7 @@ def rank_two_classify(matrix) -> RankTwoDecomposition:
     if lams[2] > RANK_TOL:
         warnings.warn(
             "third eigenvalue %.3e is barely zero; treating the state as "
-            "rank 2" % lams[2], RuntimeWarning, stacklevel=2)
+            "rank 2" % lams[2], RuntimeWarning, stacklevel=3)
     # residual slack grows with whatever the rank-2 truncation discards
     slack = max(1e-10, 8.0 * (abs(lams[2]) + abs(lams[3])))
 
@@ -224,11 +221,26 @@ def rank_two_classify(matrix) -> RankTwoDecomposition:
             "match the input" % gap)
 
     r0, r1 = math.sqrt(max(w0, 0.0)), math.sqrt(max(w1, 0.0))
-    vectors = np.array([v0, v1])
-    psi = (vectors.T * (r0, r1)).reshape(2, 2, 2)    # psi[a, b, k]
+    rows = [[v0[i] * r0, v1[i] * r1, v0[i + 1] * r0, v1[i + 1] * r1]
+            for i in (0, 2)]
+    return case, (w0, w1), (v0, v1), rows
+
+
+def rank_two_classify(matrix) -> RankTwoDecomposition:
+    """Classify a rank-2 X-state and build its spectral decomposition.
+
+    Rank, case and eigenpairs come from the two 2x2 blocks of the state in
+    its corner gauge (XDensityMatrix.gauged: complex corners replaced by
+    their moduli; XDensityMatrix.phases holds the phases removed), through
+    the same private step koashi_winter takes.  Raises RankError when the
+    state is not rank 2 at tolerance 1e-10; a third eigenvalue inside
+    (1e-10, 1e-6) warns and is treated as zero.
+    """
+    case, weights, vectors, rows = _rank_two(_as_x(matrix))
+    psi = np.array(rows).reshape(2, 2, 2)           # psi[a, b, k]
     rho_bc = np.einsum("abc,ade->bcde", psi, psi).reshape(4, 4)
-    return RankTwoDecomposition(case=case, weights=(float(w0), float(w1)),
-                                vectors=vectors, purification=psi,
+    return RankTwoDecomposition(case=case, weights=weights,
+                                vectors=np.array(vectors), purification=psi,
                                 rho_bc=rho_bc)
 
 
@@ -260,19 +272,22 @@ def koashi_winter(matrix) -> KoashiWinterReport:
     The classical correlation measured on qubit a equals the one the
     engine computes (which measures b) on the qubit-swapped state.  Like
     rank_two_classify, it works on the state in its corner gauge;
-    XDensityMatrix.phases holds the phases removed.  The concurrence of
-    rho_bc comes from the purification's 2x2 Wootters matrix, in floats; it
-    agrees with concurrence(rho_bc), the general route, to rounding.
+    XDensityMatrix.phases holds the phases removed.  It shares
+    rank_two_classify's rank, case and eigenpair step, but builds no
+    array: the purification rows are Python-float products with the bits
+    of rank_two_classify's purification.  The concurrence of rho_bc comes
+    from their 2x2 Wootters matrix, in floats; it agrees with
+    concurrence(rho_bc), the general route, to rounding.
     """
     xm = _as_x(matrix)
     p = xm.bloch
-    decomp = rank_two_classify(xm)
+    case, weights, _, rows = _rank_two(xm)
     swapped = discord(p.swapped())
     c_a = swapped.classical_correlation
-    con = _con_from_purification(decomp.purification)
+    con = _con_from_purification(*rows)
     e_bc = eof_from_concurrence(con)
     s_b = entropies(p)[1]
-    return KoashiWinterReport(case=decomp.case, weights=decomp.weights,
+    return KoashiWinterReport(case=case, weights=weights,
                               classical_correlation_a=c_a,
                               concurrence_bc=con, eof_bc=e_bc,
                               marginal_entropy_b=s_b,

@@ -14,6 +14,19 @@ row-major tie rule lands on the full grid.  The sweep,
 oracle_classical_correlation, is the module's only entry point; the
 per-direction kernels are private.
 
+On such a one-column grid one float64 pass also sweeps the refinement's
+first zoom axes around z3 = 0 and around z3 = 1: the corner column,
+cached with the coarse axes, is z3s followed by both.  Their phi column
+is [0.0], the coarse one's, so its sin^2 phi is the same 0.0.  When the
+coarse winner is a corner, round 1 takes its minimum from that zoom's
+rows and sweeps nothing; later rounds, full grids and interior winners
+sweep as before.  The rows give the bits of a sweep of each grid alone:
+the kernel works elementwise, so a cell does not depend on the other
+rows of its pass, and each segment's argmin is its first minimum, the
+first row-major minimum _sweep returns.  A column of more than
+SWEEP_BLOCK rows takes the same pass, in blocks, with no screen: a
+screen only drops rows that cannot hold the float64 minimum.
+
 Nothing here is shared with engine.py: the search is a grid sweep
 refined by zooming grids, and the entropy is summed over the conditional
 eigenvalues themselves, so a defect in the reduction's kernels cannot
@@ -30,10 +43,9 @@ logs: each cell rounds the same operations, and the only rearrangements
 exact in IEEE arithmetic.  The kernel sees phi only through sin^2 phi,
 cached with the coarse axes and built once per zoom grid.  Factors of z3
 or phi alone are built once per grid; the kernel's own arrays are
-allocated per call.  A grid of one block (every zoom grid, the
-one-column coarse grids of states with c1^2 = c2^2, and most sets of
-float64 rows a screen keeps) runs the kernel once on whole arrays, with
-no slices.
+allocated per call.  A grid of one block (every zoom grid, the corner
+column of grids up to 8,158 rows, and most sets of float64 rows a screen
+keeps) runs the kernel once on whole arrays, with no slices.
 
 A grid of more than SWEEP_BLOCK cells (91 x 91 and up; the screen starts
 to pay between 64 x 64 and 80 x 80) is screened in float32 by a kernel
@@ -179,11 +191,17 @@ def _phi_weight(p: BlochX) -> float:
 
 @functools.lru_cache(maxsize=4)
 def _coarse_grid(n: int):
-    # the read-only axes (z3s, phis, sin^2 phi) of an n x n sweep, once per n
+    # the read-only axes (z3s, phis, sin^2 phi) of an n x n sweep, once per
+    # n, and the corner column: z3s, then the first zoom axes of the
+    # refinement around z3 = 0 and around z3 = 1
     z3s, phis = np.linspace(0.0, 1.0, n), np.linspace(0.0, HALF_PI, n)
     sin2 = np.sin(phis) ** 2
-    z3s.flags.writeable = phis.flags.writeable = sin2.flags.writeable = False
-    return z3s, phis, sin2
+    dz = 1.0 / max(n - 1, 1)
+    column = np.concatenate((z3s, _zoom_axis(0.0, min(dz, 1.0)),
+                             _zoom_axis(max(1.0 - dz, 0.0), 1.0)))
+    for axis in (z3s, phis, sin2, column):
+        axis.flags.writeable = False
+    return z3s, phis, sin2, column
 
 
 def _zoom_axis(lo: float, hi: float) -> np.ndarray:
@@ -302,26 +320,46 @@ def oracle_classical_correlation(p: BlochX, grid_n: int = 256,
     step falls below ZOOM_MIN_STEP, or earlier when the best point sits on
     a corner of the domain and a round gains less than CORNER_GAIN.  On a
     state with c1^2 = c2^2 every grid shrinks to its phi = 0 column, where
-    the full grid's ties resolve; the result is the same bit for bit.
+    the full grid's ties resolve, and the coarse pass also sweeps round
+    1's zoom rows at both corners of z3, so a corner winner starts
+    refining with no second pass.  The result is the same bit for bit:
+    the kernel is elementwise, and each zoom's rows resolve ties to their
+    first minimum, as a sweep of that grid alone does.
     """
     if grid_n < 1 or refine_rounds < 0:
         raise ValueError("grid_n must be at least 1 and refine_rounds at "
                          f"least 0, got {grid_n} and {refine_rounds}")
     cols = 1 if _phi_weight(p) == 0.0 else None    # phi columns swept
     n = operator.index(grid_n)
-    z3s, phis, sin2 = _coarse_grid(n)
-    best, i, j = _sweep(p, z3s, sin2[:cols])
+    z3s, phis, sin2, column = _coarse_grid(n)
+    swept = None        # round 1's (entropy, (z3, phi)), if already swept
+    if cols is None:
+        best, i, j = _sweep(p, z3s, sin2)
+    else:
+        # one pass over the phi = 0 column and both corner zooms; a corner
+        # winner's round 1 is the first minimum of its zoom's rows, whose
+        # phi column is [0.0] as in the coarse grid
+        ce = np.concatenate([e for _, e in _blocks(p, column, sin2[:1])])
+        i, j = int(ce[:n].argmin()), 0
+        best = float(ce[i, 0])
+        if i in (0, n - 1):
+            lo = n + ZOOM_POINTS * (i > 0)
+            a = lo + int(ce[lo:lo + ZOOM_POINTS].argmin())
+            swept = float(ce[a, 0]), (float(column[a]), 0.0)
     z3, phi = float(z3s[i]), float(phis[j])
 
     dz = 1.0 / max(grid_n - 1, 1)
     dphi = HALF_PI * dz
     for _ in range(refine_rounds):
-        zs = _zoom_axis(max(z3 - dz, 0.0), min(z3 + dz, 1.0))
-        fs = _zoom_axis(max(phi - dphi, 0.0), min(phi + dphi, HALF_PI))
-        cand, a, b = _sweep(p, zs, np.sin(fs[:cols]) ** 2)
+        if swept is None:
+            zs = _zoom_axis(max(z3 - dz, 0.0), min(z3 + dz, 1.0))
+            fs = _zoom_axis(max(phi - dphi, 0.0), min(phi + dphi, HALF_PI))
+            cand, a, b = _sweep(p, zs, np.sin(fs[:cols]) ** 2)
+            swept = cand, (float(zs[a]), float(fs[b]))
+        (cand, at), swept = swept, None
         gain = best - cand
         if gain > 0.0:
-            best, z3, phi = cand, float(zs[a]), float(fs[b])
+            best, (z3, phi) = cand, at
         if gain < CORNER_GAIN and z3 in (0.0, 1.0) and phi in (0.0, HALF_PI):
             break
         dz /= ZOOM_SHRINK

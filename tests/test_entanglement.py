@@ -582,6 +582,11 @@ def marginal_bc(psi):
     return np.einsum("abc,ade->bcde", psi, psi).reshape(4, 4)
 
 
+def rows_of(psi):
+    # the purification rows phi_0, phi_1 over (b, c), as lists of floats
+    return [psi[a].ravel().tolist() for a in range(2)]
+
+
 def _tau_concurrence_50_digits(mp, psi):
     # Wootters' lambda_i as the |eigenvalues| of tau = Phi^T (sy x sy) Phi,
     # Phi the 4 x 2 matrix of the float purification psi taken as exact
@@ -625,7 +630,7 @@ def test_kw_concurrence_matches_50_digit_tau(rng):
             assert abs(mp.mpf(got) - want) <= TAU_ROUTE_TOL, (case, m)
         for psi in real_purifications(rng, 200):
             want = _tau_concurrence_50_digits(mp, psi)
-            got = entanglement._con_from_purification(psi)
+            got = entanglement._con_from_purification(*rows_of(psi))
             assert abs(mp.mpf(got) - want) <= TAU_ROUTE_TOL, psi
 
 
@@ -637,7 +642,7 @@ def test_kw_concurrence_matches_general_route(rng):
         assert abs(koashi_winter(m).concurrence_bc
                    - concurrence(rho_bc)) <= GENERAL_ROUTE_TOL, (case, m)
     for psi in real_purifications(rng, 300):
-        assert abs(entanglement._con_from_purification(psi)
+        assert abs(entanglement._con_from_purification(*rows_of(psi))
                    - concurrence(marginal_bc(psi))) <= GENERAL_ROUTE_TOL, psi
 
 
@@ -675,3 +680,25 @@ def test_koashi_winter_runs_no_eigh_or_svd(rng, monkeypatch):
     # the patch reaches the general route, so it would catch a call
     with pytest.raises(AssertionError, match="4x4 linear algebra"):
         concurrence(bloch_to_matrix(CASE_III))
+
+
+def test_koashi_winter_builds_no_decomposition_or_einsum(rng, monkeypatch):
+    # the bridge takes the purification rows as Python floats from the
+    # step rank_two_classify shares; their concurrence has the bits of the
+    # one from rank_two_classify's purification array
+    inputs = rank_two_inputs(rng, 2)
+    want = [entanglement._con_from_purification(
+        *rows_of(rank_two_classify(m).purification)) for _, m in inputs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("array built on the bridge path")
+    monkeypatch.setattr(entanglement, "RankTwoDecomposition", refuse)
+    monkeypatch.setattr(np, "einsum", refuse)
+    assert {case for case, _ in inputs} == {"I", "II", "III"}
+    for (case, m), con in zip(inputs, want):
+        rep = koashi_winter(m)
+        assert rep.case == case
+        assert same_bits(rep.concurrence_bc, con), (case, m)
+    # the patches reach rank_two_classify, so they would catch a call
+    with pytest.raises(AssertionError, match="array built"):
+        rank_two_classify(bloch_to_matrix(CASE_III))

@@ -9,13 +9,14 @@ import pytest
 
 from conftest import (BOUNDARY_BLOCH, EX_MATRIX, dense_entropy,
                       measured_ensemble, same_bits)
-from xdiscord import (BlochX, XDensityMatrix, bloch_to_matrix, discord,
-                      f_value, koashi_winter, matrix_to_bloch,
-                      oracle_classical_correlation, xlog2)
+from xdiscord import (BlochX, XDensityMatrix, binary_entropy,
+                      bloch_to_matrix, discord, f_value, koashi_winter,
+                      matrix_to_bloch, oracle_classical_correlation, xlog2)
 from xdiscord import oracle
 from xdiscord.oracle import (HALF_PI, PROB_FLOOR, ZOOM_POINTS, _entropy,
                              _outcomes, _phi_weight, _rows, _sweep)
 from xdiscord.sampling import random_rank_two, random_states
+from xdiscord.states import physicality_margins
 
 ORACLE_SRC = (Path(__file__).resolve().parents[1]
               / "src" / "xdiscord" / "oracle.py")
@@ -423,7 +424,7 @@ def test_screened_sweep_is_the_full_grid_argmin(n):
 
 
 def test_near_product_grids_keep_every_row():
-    z3s, phis, _ = oracle._coarse_grid(256)
+    z3s, phis, _, _ = oracle._coarse_grid(256)
     for p in near_product_states():
         assert np.array_equal(oracle._screen(p, z3s, np.sin(phis) ** 2),
                               np.arange(256))
@@ -456,7 +457,7 @@ def test_screen_work_arrays_fault_in_once():
 def test_screen_blocks_start_on_64_byte_boundaries(n):
     # grid sizes of the identity corpus, the CLI default and --grid 512;
     # without the alignment the offset follows the process's heap layout
-    z3s, _, sin2 = oracle._coarse_grid(n)
+    z3s, _, sin2, _ = oracle._coarse_grid(n)
     p = random_rank_two(np.random.default_rng(37), "III", 1)[0]
     starts = []
     for start, sums in oracle._screen_blocks(p, z3s, sin2):
@@ -495,10 +496,15 @@ def test_grid_cache_accepts_what_linspace_accepts():
         oracle_classical_correlation(p, grid_n=0)
     assert oracle_classical_correlation(
         p, grid_n=np.int64(256), refine_rounds=0) == first
-    z3s, phis, _ = oracle._coarse_grid(256)
-    assert not (z3s.flags.writeable or phis.flags.writeable)
+    z3s, phis, _, column = oracle._coarse_grid(256)
+    assert not (z3s.flags.writeable or phis.flags.writeable
+                or column.flags.writeable)
     assert np.array_equal(z3s, np.linspace(0.0, 1.0, 256))
     assert np.array_equal(phis, np.linspace(0.0, HALF_PI, 256))
+    # the corner column: the first zoom axes around z3 = 0 and z3 = 1
+    assert same_bits(column, np.concatenate((
+        z3s, np.linspace(0.0, 1.0 / 255.0, ZOOM_POINTS),
+        np.linspace(1.0 - 1.0 / 255.0, 1.0, ZOOM_POINTS))))
 
 
 # |c2| one ulp above |c1|: theta depends on phi, if barely
@@ -506,14 +512,16 @@ ULP_APART = BlochX(0.1, 0.2, 0.3, float(np.nextafter(0.3, 1.0)), 0.2)
 
 
 def record_columns(monkeypatch):
-    # the number of phi columns of every grid the oracle sweeps
+    # the number of phi columns of every float64 kernel pass the oracle
+    # makes, screened coarse grids and the corner column included
     seen = []
+    blocks = oracle._blocks
 
-    def counting(p, z3s, phis):
-        seen.append(len(phis))
-        return _sweep(p, z3s, phis)
+    def counting(p, z3s, sin2):
+        seen.append(len(sin2))
+        return blocks(p, z3s, sin2)
 
-    monkeypatch.setattr(oracle, "_sweep", counting)
+    monkeypatch.setattr(oracle, "_blocks", counting)
     return seen
 
 
@@ -539,11 +547,13 @@ def test_oracle_sweeps_phi_only_when_theta_depends_on_it(monkeypatch,
         seen = record_columns(monkeypatch)
         orc = oracle_classical_correlation(p, grid_n=grid_n,
                                            refine_rounds=4)
-        assert seen[0] == (1 if flat else grid_n), p
-        assert seen[1:] and set(seen[1:]) == {
-            1 if flat else ZOOM_POINTS}, p
-        if flat:
+        if flat:        # only a corner winner needs no pass beyond the first
+            assert seen and set(seen) == {1}, p
+            assert len(seen) > 1 or orc.grid_index[0] in (0, grid_n - 1), p
             assert orc.phi == 0.0 and orc.grid_index[1] == 0
+        else:
+            assert seen[0] == grid_n, p
+            assert seen[1:] and set(seen[1:]) == {ZOOM_POINTS}, p
 
 
 def test_one_point_grid_still_refines_phi(monkeypatch):
@@ -557,3 +567,122 @@ def test_one_point_grid_still_refines_phi(monkeypatch):
     assert orc.phi == HALF_PI
     assert orc.classical_correlation == pytest.approx(
         discord(p).classical_correlation, abs=1e-9)
+
+
+def count_kernel_passes(monkeypatch, p, grid_n):
+    # float64 kernel passes (calls of oracle._blocks) of one oracle call
+    seen = record_columns(monkeypatch)
+    oracle_classical_correlation(p, grid_n=grid_n)
+    monkeypatch.undo()
+    return len(seen)
+
+
+def test_corner_zoom_rides_on_the_coarse_pass(monkeypatch):
+    # a flat state whose coarse winner sits at z3 = 1 finds round 1's zoom
+    # in the coarse pass's corner rows: one pass instead of two.  States
+    # off the one-column path, or with an interior winner, keep theirs
+    corner = flat_states()[-1]                  # swapped case I
+    interior = matrix_to_bloch(XDensityMatrix(EX_MATRIX))
+    case_iii = random_rank_two(np.random.default_rng(5), "III", 1)[0]
+    assert oracle_classical_correlation(corner).grid_index == (255, 0)
+    assert count_kernel_passes(monkeypatch, corner, 256) == 1
+    assert count_kernel_passes(monkeypatch, interior, 256) == 8
+    assert count_kernel_passes(monkeypatch, case_iii, 256) == 2
+
+
+def refined_through_sweep(p, grid_n, refine_rounds=30):
+    # oracle_classical_correlation with every grid, the coarse column and
+    # each round's zoom, sent through oracle._sweep
+    cols = 1 if _phi_weight(p) == 0.0 else None
+    z3s = np.linspace(0.0, 1.0, grid_n)
+    phis = np.linspace(0.0, HALF_PI, grid_n)
+    best, i, j = oracle._sweep(p, z3s, np.sin(phis[:cols]) ** 2)
+    z3, phi = float(z3s[i]), float(phis[j])
+    dz = 1.0 / max(grid_n - 1, 1)
+    dphi = HALF_PI * dz
+    for _ in range(refine_rounds):
+        zs = oracle._zoom_axis(max(z3 - dz, 0.0), min(z3 + dz, 1.0))
+        fs = oracle._zoom_axis(max(phi - dphi, 0.0), min(phi + dphi, HALF_PI))
+        cand, a, b = oracle._sweep(p, zs, np.sin(fs[:cols]) ** 2)
+        gain = best - cand
+        if gain > 0.0:
+            best, z3, phi = cand, float(zs[a]), float(fs[b])
+        if (gain < oracle.CORNER_GAIN and z3 in (0.0, 1.0)
+                and phi in (0.0, HALF_PI)):
+            break
+        dz /= oracle.ZOOM_SHRINK
+        dphi /= oracle.ZOOM_SHRINK
+        if dz < oracle.ZOOM_MIN_STEP:
+            break
+    rho = math.sqrt(max(1.0 - z3 * z3, 0.0))
+    sa = binary_entropy((1.0 + p.r) / 2.0)
+    return oracle.OracleResult(
+        classical_correlation=float(sa - best), entropy_min=best, z3=z3,
+        phi=phi, direction=(rho * math.cos(phi), rho * math.sin(phi), z3),
+        grid_n=grid_n, grid_index=(i, j))
+
+
+def mirrored_states(rng, n, draw):
+    # n physical states (r, s, c, +/-c, c3), (r, s, c, c3) = draw(rng)
+    out = []
+    while len(out) < n:
+        r, s, c, c3 = draw(rng)
+        c2 = c if rng.random() < 0.5 else -c
+        if min(physicality_margins(r, s, c, c2, c3)) >= 0.0:
+            out.append(BlochX(r, s, c, c2, c3))
+    return out
+
+
+def one_column_states():
+    # c1^2 = c2^2 in floats: uniform, Bell-diagonal (r = s = 0), region c
+    # (r = 0, with c3^2 >= c^2 or s = 0), swapped rank-2 states of cases I
+    # and II, as the certify workload draws them, and five whose z* lies
+    # 0.3 coarse steps below z3 = 1 at grids 17, 100, 256, 512 and 8292:
+    # the coarse winner is the corner, and round 1 moves off it
+    near_corner = [BlochX(0.81, -0.69, c, c, -0.8) for c in
+                   (0.382873, 0.382497, 0.382451, 0.382437, 0.382423)]
+    rng = np.random.default_rng(3801)
+    uniform = mirrored_states(rng, 40, lambda g: g.uniform(-1.0, 1.0, 4))
+    bell = mirrored_states(rng, 10, lambda g: (0.0, 0.0,
+                                               *g.uniform(-1.0, 1.0, 2)))
+    region_c = [q for q in mirrored_states(
+        rng, 40, lambda g: (0.0, g.uniform(-1.0, 1.0) * (g.random() < 0.5),
+                            *g.uniform(-1.0, 1.0, 2)))
+        if q.c3 * q.c3 >= q.c1 * q.c1 or q.s == 0.0][:10]
+    rank_two = [p.swapped() for case in ("I", "II")
+                for p in random_rank_two(rng, case, 10)]
+    return (flat_states() + uniform + bell + region_c + rank_two
+            + near_corner)
+
+
+@pytest.mark.parametrize("grid_n", [1, 2, 17, 100, 256, 512,
+                                    oracle.SWEEP_BLOCK + 100])
+def test_corner_rows_match_a_sweep_per_round(monkeypatch, grid_n):
+    # the corner column's rows give the bits _sweep gives each grid: the
+    # kernel works elementwise, and each segment's argmin is its first
+    # minimum.  The oracle sweeps neither the coarse column nor, after a
+    # corner winner, round 1's zoom; a column longer than SWEEP_BLOCK
+    # takes the same path, in blocks, with no screen
+    states = one_column_states()
+    assert len(states) == 6 + 40 + 10 + 10 + 20 + 5
+    assert all(_phi_weight(p) == 0.0 for p in states)
+    sweeps = []
+
+    def spy(*args):
+        sweeps.append(len(args[1]))
+        return _sweep(*args)
+    monkeypatch.setattr(oracle, "_sweep", spy)
+    corners = moved = 0
+    for p in states:
+        del sweeps[:]
+        expect = refined_through_sweep(p, grid_n)
+        swept = len(sweeps)
+        del sweeps[:]
+        got = oracle_classical_correlation(p, grid_n=grid_n)
+        corner = got.grid_index[0] in (0, grid_n - 1)
+        assert got == expect, p
+        assert len(sweeps) == swept - 1 - corner, p
+        assert set(sweeps) <= {ZOOM_POINTS}, p
+        corners += corner
+        moved += corner and got.z3 not in (0.0, 1.0)
+    assert corners >= 20 and moved >= 1
