@@ -18,20 +18,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import discord
-from .states import (XDensityMatrix, _as_x, _entries, _snap, _stray,
+from .states import (PHYS_TOL, PhysicalityError, XDensityMatrix, _as_x,
+                     _check_hermitian, _entries, _snap, _stray,
                      binary_entropy, entropies)
 
 RANK_TOL = 1e-10        # eigenvalues below this count as zero
 NEAR_RANK_BAND = 1e-6   # third eigenvalue in (RANK_TOL, this) warns
 ROUTE_TOL = 1e-10       # allowed gap between the two concurrence routes
 
-# sigma_y (x) sigma_y: real entries, stored complex so _spin_flip casts none
-_SYY = np.array([
-    [0.0, 0.0, 0.0, -1.0],
-    [0.0, 0.0, 1.0, 0.0],
-    [0.0, 1.0, 0.0, 0.0],
-    [-1.0, 0.0, 0.0, 0.0],
-], dtype=complex)
+# sigma_y (x) sigma_y, the anti-diagonal (-1, 1, 1, -1): real entries,
+# stored complex so _spin_flip casts none
+_SYY = np.diag([-1.0, 1.0, 1.0, -1.0])[::-1].astype(complex)
 
 
 class RankError(ValueError):
@@ -46,6 +43,7 @@ def _as_array(matrix) -> np.ndarray:
     if m.shape != (4, 4):
         raise ValueError(f"expected one 4x4 matrix, got shape {m.shape}")
     _entries(m)                     # a non-finite entry raises
+    _check_hermitian(m)
     return m
 
 
@@ -54,18 +52,16 @@ def _spin_flip(m: np.ndarray) -> np.ndarray:
     return _SYY @ m.conj() @ _SYY
 
 
-def _sqrtm_psd(stack: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(stack)
-    w = np.sqrt(np.maximum(w, 0.0))
-    return (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
-
-
 def _mu(m: np.ndarray) -> np.ndarray:
     # square roots of the eigenvalues of rho rho-tilde, descending: Wootters'
     # lambda_i, the singular values of sqrt(rho) sqrt(rho-tilde); computed
     # that way, small ones keep absolute accuracy instead of sqrt(eps).
     # Works for any two-qubit density matrix
-    root, root_flip = _sqrtm_psd(np.array((m, _spin_flip(m))))
+    w, v = np.linalg.eigh(np.array((m, _spin_flip(m))))
+    if w[0, 0] < -PHYS_TOL:
+        raise PhysicalityError("matrix has eigenvalue %.3e < 0" % w[0, 0])
+    w = np.sqrt(np.maximum(w, 0.0))
+    root, root_flip = (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
     return np.linalg.svd(root @ root_flip, compute_uv=False)
 
 
@@ -109,8 +105,10 @@ def concurrence(matrix) -> float:
     """Concurrence of a two-qubit density matrix.
 
     Uses the general singular-value route; for X-shaped inputs the closed
-    form is evaluated as well and a disagreement beyond 1e-10 raises,
-    so the two derivations keep checking each other.
+    form runs too, and a gap beyond 1e-10 raises.  A non-finite entry,
+    asymmetry above HERM_TOL or an eigenvalue below -PHYS_TOL raises
+    PhysicalityError; the trace is not checked: rank_two_classify's rho_bc
+    has trace w0 + w1, 1 - 2.0e-8 on BlochX(0.3, 0.3, 0.5, -0.5, 1 - 4e-8).
     """
     m = _as_array(matrix)
     con = _con_from_mu(_mu(m))
@@ -128,9 +126,8 @@ def concurrence(matrix) -> float:
 
 def eof_from_concurrence(con: float) -> float:
     """Entanglement of formation from the concurrence, in bits."""
-    con = min(max(con, 0.0), 1.0)
-    x = 0.5 * (1.0 + math.sqrt(max(1.0 - con * con, 0.0)))
-    return binary_entropy(x)
+    con = min(max(con, 0.0), 1.0)       # so 1 - con^2 >= 0, or nan
+    return binary_entropy(0.5 * (1.0 + math.sqrt(1.0 - con * con)))
 
 
 # ---------------------------------------------------------------------------

@@ -523,37 +523,6 @@ def test_records_holding_arrays_compare_by_identity():
         assert hash(a) == hash(a) and len({a, b}) == 2
 
 
-def _mu_spectrum_50_digits(mp, rho):
-    # singular values of sqrt(rho) sqrt(rho-tilde) for the float matrix
-    # rho taken as exact, descending
-    def sqrtm(a):
-        e, q = mp.eigsy(a)
-        return q * mp.diag([mp.sqrt(max(x, 0)) for x in e]) * q.T
-
-    a = mp.matrix(np.real(rho).tolist())
-    syy = mp.matrix([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0],
-                     [-1, 0, 0, 0]])
-    s = mp.svd_r(sqrtm(a) * sqrtm(syy * a * syy), compute_uv=False)
-    return sorted((s[i] for i in range(4)), reverse=True)
-
-
-def test_mu_spectrum_matches_50_digit_reference():
-    # the bridge's concurrence path on the regression states; worst error
-    # seen: 2.1e-16 absolute (322/46), 3.5e-16 relative on 408/95's mu[1]
-    mp = pytest.importorskip("mpmath").mp
-    with mp.workdps(50):
-        for name, (bloch, mu2) in BRIDGE_REGRESSIONS.items():
-            rho_bc = rank_two_classify(bloch_to_matrix(BlochX(*bloch))).rho_bc
-            assert not np.iscomplexobj(rho_bc)
-            mu = _mu(_as_array(rho_bc))
-            ref = _mu_spectrum_50_digits(mp, rho_bc)
-            for got, want in zip(mu, ref):
-                assert abs(got - want) <= 1e-15, (name, got, want)
-            if mu2 is not None:
-                assert abs(mu[1] - ref[1]) <= 1e-14 * ref[1], name
-
-
-
 def rank_two_inputs(rng, n):
     # n sampled states of each case and their swaps, the regression
     # states, and each of the sampled states with complex corners, as
@@ -618,6 +587,49 @@ GENERAL_ROUTE_TOL = 1e-12
 NEAR_TIE_III = BlochX(0.46658015936635566, 0.7374797943040758,
                       0.37425447960078567, 0.3741664848458211,
                       0.2040599568858349)
+
+
+def _mu_spectrum_50_digits(mp, rho):
+    # singular values of sqrt(rho) sqrt(rho-tilde) for the float matrix
+    # rho taken as exact, descending
+    def sqrtm(a):
+        e, q = mp.eigsy(a)
+        return q * mp.diag([mp.sqrt(max(x, 0)) for x in e]) * q.T
+
+    a = mp.matrix(np.real(rho).tolist())
+    syy = mp.matrix([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0],
+                     [-1, 0, 0, 0]])
+    s = mp.svd_r(sqrtm(a) * sqrtm(syy * a * syy), compute_uv=False)
+    return sorted((s[i] for i in range(4)), reverse=True)
+
+
+def test_mu_spectrum_matches_50_digit_reference():
+    # the general route (_mu, which concurrence runs) on rho_bc.  Worst
+    # seen on the regression states: 2.1e-16 absolute (322/46's mu[1]),
+    # 3.6e-16 relative on 408/95's mu[1].  On NEAR_TIE_III and its swap
+    # mu[1] is off by 1.79e-13 and 1.15e-13 and C by 1.78e-13 and
+    # 1.14e-13, the other mu by at most 3.4e-16.  There mu[1] and C are
+    # held to GENERAL_ROUTE_TOL, the route's bound measured on 12,000
+    # states; every other mu, there and on the regression states, to 1e-15
+    mp = pytest.importorskip("mpmath").mp
+    near_tie = {"near-tie": (NEAR_TIE_III.as_tuple(), None),
+                "near-tie swapped": (NEAR_TIE_III.swapped().as_tuple(),
+                                     None)}
+    with mp.workdps(50):
+        for name, (bloch, mu2) in {**BRIDGE_REGRESSIONS, **near_tie}.items():
+            rho_bc = rank_two_classify(bloch_to_matrix(BlochX(*bloch))).rho_bc
+            assert not np.iscomplexobj(rho_bc)
+            mu = _mu(_as_array(rho_bc))
+            ref = _mu_spectrum_50_digits(mp, rho_bc)
+            tol = [1e-15] * 4
+            if name in near_tie:
+                tol[1] = GENERAL_ROUTE_TOL
+                con = max(ref[0] - ref[1] - ref[2] - ref[3], 0)
+                assert abs(concurrence(rho_bc) - con) <= GENERAL_ROUTE_TOL
+            for got, want, bound in zip(mu, ref, tol):
+                assert abs(got - want) <= bound, (name, got, want)
+            if mu2 is not None:
+                assert abs(mu[1] - ref[1]) <= 1e-14 * ref[1], name
 
 
 def test_kw_concurrence_matches_50_digit_tau(rng):
@@ -702,3 +714,60 @@ def test_koashi_winter_builds_no_decomposition_or_einsum(rng, monkeypatch):
     # the patches reach rank_two_classify, so they would catch a call
     with pytest.raises(AssertionError, match="array built"):
         rank_two_classify(bloch_to_matrix(CASE_III))
+
+
+def test_koashi_winter_runs_no_numpy_log2(monkeypatch):
+    # every entropy on the bridge is a float: S(b), the swapped state's
+    # discord and the entanglement of formation's binary entropy
+    inputs = [(case, bloch_to_matrix(p).matrix) for case in ("I", "II", "III")
+              for p in random_rank_two(np.random.default_rng(3), case, 3)]
+    inputs.append(("III", bloch_to_matrix(NEAR_TIE_III).matrix))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy log2 on the bridge path")
+    monkeypatch.setattr(np, "log2", refuse)
+    for case, m in inputs:
+        rep = koashi_winter(m)
+        assert rep.case == case
+        assert rep.residual < 1e-10, (case, m)
+    # the patch reaches states, so it would catch a call
+    with pytest.raises(AssertionError, match="numpy log2"):
+        states.xlog2(0.5)
+
+
+def matrix_with(diagonal, **entries):
+    # a real 4x4 matrix with the given diagonal and entries "ij" set
+    m = np.diag(diagonal).astype(float)
+    for key, value in entries.items():
+        m[int(key[1]), int(key[2])] = value
+    return m
+
+
+@pytest.mark.parametrize("m, message", [
+    # eigh reads one triangle, so this read as the identity over 4
+    (matrix_with([0.25] * 4, e01=0.2), "^matrix is not hermitian$"),
+    # the square roots clamped these negative eigenvalues to 0
+    (matrix_with([0.7, 0.5, -0.1, -0.1]), r"eigenvalue -1\.000e-01 < 0"),
+    (matrix_with([0.25] * 4, e01=0.3, e10=0.3),
+     r"eigenvalue -5\.000e-02 < 0"),
+], ids=["not-hermitian", "negative-diagonal", "negative-eigenvalue"])
+def test_concurrence_rejects_non_states(m, message):
+    with pytest.raises(PhysicalityError, match=message):
+        concurrence(m)
+
+
+def test_concurrence_accepts_what_xdensitymatrix_accepts():
+    # a block margin of -0.99 PHYS_TOL, which BlochX accepts, puts two
+    # eigenvalues at -0.2475 PHYS_TOL; and rho_bc has trace w0 + w1,
+    # which concurrence does not check
+    tol = states.PHYS_TOL
+    for p in (BlochX(0.3, 0.3, 0.2, -0.2, 1.0 + 0.99 * tol),
+              BlochX(0.3, -0.3, 0.2, 0.2, -1.0 - 0.99 * tol)):
+        xm = bloch_to_matrix(p)
+        assert np.linalg.eigvalsh(xm.matrix)[0] < -0.24 * tol
+        assert concurrence(xm) == concurrence(xm.matrix) >= 0.0
+    edge = BlochX(0.3, 0.3, 0.5, -0.5, 1.0 - 4e-8)
+    with pytest.warns(RuntimeWarning, match="barely zero"):
+        rho_bc = rank_two_classify(bloch_to_matrix(edge)).rho_bc
+    assert abs(np.trace(rho_bc) - (1.0 - 2.0e-8)) < 1e-15
+    assert concurrence(rho_bc) >= 0.0

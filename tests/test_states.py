@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import (BOUNDARY_BLOCH, EX_MATRIX, REGION_EDGE_BLOCH,
-                      dense_entropy, ptrace_a, ptrace_b)
+                      dense_entropy, ptrace_a, ptrace_b, same_bits)
 from xdiscord import (BlochX, PhysicalityError, XDensityMatrix, XPatternError,
                       binary_entropy, bloch_to_matrix, entropies,
                       koashi_winter, matrix_to_bloch, physicality_margins,
@@ -385,25 +385,63 @@ def test_xlog2_keeps_the_masked_form_bits_off_nan(rng):
         assert repr(xlog2_float(v)) == repr(old), v
 
 
-def stacked_binary_entropy(x):
-    # -(x log2 x + (1 - x) log2 (1 - x)) on one np.stack of x and 1 - x,
-    # with a masked x log2 x
-    x = np.asarray(x, dtype=float)
-    pair = np.stack((x, 1.0 - x))
-    h = np.where(pair > 0.0, pair * np.log2(np.where(pair > 0.0, pair, 1.0)),
-                 0.0)
-    return float(-(h[0] + h[1]) + 0.0)
+def entropies_spelling(x):
+    # S(a) and S(b) as entropies writes them, for one marginal x;
+    # test_binary_entropy_is_the_marginal_entropy_bits ties the two
+    return -(xlog2_float(x) + xlog2_float(1.0 - x)) + 0.0
 
 
-def test_binary_entropy_matches_stacked_form_bits(rng):
+def test_binary_entropy_matches_entropies_spelling_bits(rng):
     grid = np.concatenate([[0.0, 1e-300, 0.5, 1.0 - 1e-16, 1.0],
                            rng.uniform(0.0, 1.0, 95)])
     cases = [0.0, -0.0, 1.0, 1e-300, 0.5, 0.3, np.float64(0.7)]
     for x in cases + grid.tolist():
-        got, want = binary_entropy(x), stacked_binary_entropy(x)
-        assert type(got) is type(want)
-        assert np.array_equal(got, want)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
+        got, want = binary_entropy(x), entropies_spelling(float(x))
+        assert type(got) is float
+        assert same_bits(got, want), x
+    # +0.0 at both ends and at -0.0, nan at nan
+    for x in (0.0, -0.0, 1.0):
+        assert same_bits(binary_entropy(x), 0.0), x
+    assert math.isnan(binary_entropy(math.nan))
+
+
+def test_binary_entropy_is_the_marginal_entropy_bits():
+    # the oracle's S(a) and the bridge's entropy of a bit have the bits
+    # of the engine's S(a) and S(b) of the same state
+    for p in random_states(np.random.default_rng(5), 5_000):
+        sa, sb, _ = entropies(p)
+        assert same_bits(binary_entropy((1.0 + p.r) / 2.0), sa), p
+        assert same_bits(binary_entropy((1.0 + p.s) / 2.0), sb), p
+
+
+def binary_entropy_50_digits(mp, x):
+    # -x log2 x - (1 - x) log2 (1 - x) for the float x taken as exact
+    x = mp.mpf(x)
+    if x <= 0 or x >= 1:
+        return mp.mpf(0)
+    return -(x * mp.log(x, 2) + (1 - x) * mp.log(1 - x, 2))
+
+
+# Chosen after measuring, u = 2^-53: worst error 1.88e-16 (1.7u) on
+# 20,000 uniform x and 1.57e-16 on 4,000 x spread in log scale toward 0
+# and 1.  A rough count gives under 3u: each x log2 x term is at most
+# 0.531 with about 1.5u of relative error (log2 and the product), 1 - x
+# rounds by at most u/2, which moves its term by 1.45 u/2, and the sum
+# rounds by u/2.  Bound: 4u
+BINARY_ENTROPY_TOL = 4 * 2.0 ** -53
+
+
+def test_binary_entropy_matches_50_digit_reference(rng):
+    mp = pytest.importorskip("mpmath").mp
+    xs = [0.0, 5e-324, 1e-300, 2.0 ** -54, 2.0 ** -53, 1e-8, 0.25, 0.5,
+          0.75, 1.0 - 1e-8, 1.0 - 2.0 ** -53, 1.0]
+    xs += rng.uniform(0.0, 1.0, 2_000).tolist()
+    xs += (2.0 ** -rng.uniform(1.0, 60.0, 200)).tolist()
+    xs += (1.0 - 2.0 ** -rng.uniform(1.0, 53.0, 200)).tolist()
+    with mp.workdps(50):
+        for x in xs:
+            err = abs(binary_entropy(x) - binary_entropy_50_digits(mp, x))
+            assert err <= BINARY_ENTROPY_TOL, (x, err)
 
 
 def test_state_entropy_matches_dense(rng):
