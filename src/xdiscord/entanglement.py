@@ -19,7 +19,7 @@ import numpy as np
 
 from .engine import discord
 from .states import (PHYS_TOL, PhysicalityError, XDensityMatrix, _as_x,
-                     _check_hermitian, _entries, _snap, _stray,
+                     _check_hermitian, _clamp, _entries, _stray,
                      binary_entropy, entropies)
 
 RANK_TOL = 1e-10        # eigenvalues below this count as zero
@@ -184,9 +184,7 @@ def _rank_two(xm: XDensityMatrix):
     # eigenvalue inside (RANK_TOL, NEAR_RANK_BAND)
     m = xm.gauged.tolist()
     out, mid = _block(m, 0, 3), _block(m, 1, 2)
-    # weights snap as in states.spectrum, so a rank-1 error prints no
-    # rounding noise
-    lams = sorted([_snap(w) for w, _ in mid + out], reverse=True)
+    lams = sorted([_clamp(w) for w, _ in mid + out], reverse=True)
     if lams[1] <= RANK_TOL:
         raise RankError(
             "state has rank 1 (second eigenvalue %.3e); decomposition "
@@ -200,7 +198,7 @@ def _rank_two(xm: XDensityMatrix):
             "third eigenvalue %.3e is barely zero; treating the state as "
             "rank 2" % lams[2], RuntimeWarning, stacklevel=3)
     # residual slack grows with whatever the rank-2 truncation discards
-    slack = max(1e-10, 8.0 * (abs(lams[2]) + abs(lams[3])))
+    slack = max(1e-10, 8.0 * (lams[2] + lams[3]))
 
     # the two heaviest pairs; on a tie the middle block's pair ranks first
     if out[1][0] > mid[0][0]:

@@ -15,10 +15,10 @@ import numpy as np
 from .states import BlochX, physicality_margins
 
 
-def _physical(rows: np.ndarray, margin: float = 0.0) -> np.ndarray:
-    # rows (N, 5) with both positivity margins at least margin, in order
+def _physical(rows: np.ndarray) -> np.ndarray:
+    # rows (N, 5) with both positivity margins at least 0, in order
     m1, m2 = physicality_margins(*rows.T)
-    return rows[(m1 >= margin) & (m2 >= margin)]
+    return rows[(m1 >= 0.0) & (m2 >= 0.0)]
 
 
 def _fill(n: int, draw) -> list[BlochX]:
@@ -32,15 +32,10 @@ def _fill(n: int, draw) -> list[BlochX]:
     return out
 
 
-def random_states(rng: np.random.Generator, n: int,
-                  margin: float = 0.0) -> list[BlochX]:
-    """n states uniform over the physical region of the Pauli box.
-
-    margin > 0 keeps a slack of at least margin on both positivity
-    constraints (useful where derivatives of boundary states blow up).
-    """
+def random_states(rng: np.random.Generator, n: int) -> list[BlochX]:
+    """n states uniform over the physical region of the Pauli box."""
     return _fill(n, lambda todo: _physical(
-        rng.uniform(-1.0, 1.0, size=(max(16 * todo, 64), 5)), margin))
+        rng.uniform(-1.0, 1.0, size=(max(16 * todo, 64), 5))))
 
 
 def random_bell_diagonal(rng: np.random.Generator, n: int) -> list[BlochX]:

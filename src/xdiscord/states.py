@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 PHYS_TOL = 1e-10    # slack allowed on the two positivity inequalities
-EIG_CLAMP = 1e-12   # closed-form eigenvalues this close to 0 or 1 snap
 TRACE_TOL = 1e-12
 HERM_TOL = 1e-12
 PHASE_TOL = 1e-13   # |Im| above this (relative) marks a corner as complex
@@ -233,21 +232,25 @@ def matrix_to_bloch(m) -> BlochX:
     return _as_x(m).bloch
 
 
-def _snap(x: float) -> float:
-    return (0.0 if abs(x) < EIG_CLAMP
-            else 1.0 if abs(x - 1.0) < EIG_CLAMP else x)
+def _clamp(x: float) -> float:
+    # x clamped to [0, 1]; every value inside is kept as computed
+    return 0.0 if x <= 0.0 else 1.0 if x >= 1.0 else x
 
 
 def _eigenvalues(p: BlochX) -> tuple[float, float, float, float]:
     # (t + R)/4 and (t - R)/4 of the inner block, then of the outer one,
-    # each snapped to 0 or 1 within EIG_CLAMP; unsorted
+    # each clamped to [0, 1]; unsorted
     (t1, r1), (t2, r2) = blocks(p.r, p.s, p.c1, p.c2, p.c3)
-    return (_snap((t1 + r1) / 4.0), _snap((t1 - r1) / 4.0),
-            _snap((t2 + r2) / 4.0), _snap((t2 - r2) / 4.0))
+    return (_clamp((t1 + r1) / 4.0), _clamp((t1 - r1) / 4.0),
+            _clamp((t2 + r2) / 4.0), _clamp((t2 - r2) / 4.0))
 
 
 def spectrum(p: BlochX) -> np.ndarray:
-    """Eigenvalues of the state in closed form (see blocks), descending."""
+    """Eigenvalues of the state in closed form (see blocks), descending.
+
+    Each (t +/- R)/4 is clamped to [0, 1] and otherwise kept as computed,
+    within 2u t of the exact value (u = 2^-53; see entropies).
+    """
     return np.array(sorted(_eigenvalues(p), reverse=True))
 
 
@@ -257,6 +260,32 @@ def entropies(p: BlochX) -> tuple[float, float, float]:
     The marginals are diag((1 + x)/2, (1 - x)/2) with x = r for qubit a and
     x = s for qubit b; S(ab) sums over the clamped eigenvalues of
     spectrum(p), inner block first.  Plain floats throughout, no numpy.
+
+    Rounding of S(ab), with u = 2^-53 and the five floats taken as exact.
+    A block's t = 1 -/+ c3 rounds once, by u t.  In R^2 each square is
+    off by 4u relative (a rounded difference, then pow within 1 ulp, which
+    is 2u), and the sum of the two adds u; the square root, pow again,
+    halves the 5u and adds 2u, so R is off by 4.5u R.  t +/- R rounds by
+    u (t + R) and /4 is exact.  With R <= t, each computed eigenvalue is
+    within 1.875u t < delta = 2u t <= 4u of the exact (t +/- R)/4
+    (measured: 1.07u t on 2,000 rank-2 states of case III).  A clamp
+    moves no two numbers apart, so the clamped value is within delta of
+    the exact one clamped the same way; that can differ from the exact
+    one, which the floats of a state inside PHYS_TOL can put below 0
+    (2,002 of those states' 4,000 zero eigenvalues, down to -8.4e-17).
+
+    The term eta(x) = -x log2 x of an eigenvalue lambda then moves by at
+    most delta |log2 x + 1/ln 2| for x within delta of lambda, and by at
+    most eta(delta) whatever lambda is (Fannes' lemma, |x - y| <= 1/2):
+    - near 1 that is delta / ln 2 <= 6.4e-16;
+    - near 0 the slope is unbounded, and the cost is up to eta(4u) =
+      2.3e-14 on a block with t near 2 (a near-pure state); on a block
+      with t near 0, delta shrinks with t, so the two eigenvalues 5e-13
+      of c1 = c2 = 0, c3 = 1 - 2e-12 keep their 4.1e-11 of entropy.
+    Evaluating the sum adds 6u S(ab) (log2 within 1 ulp and the product
+    per term, then three additions of terms of one sign).  So S(ab) is
+    within 6u S(ab) plus, per eigenvalue, the smaller of the two costs;
+    tests/test_states.py checks that bound against 50-digit eigenvalues.
     """
     a, b = (1.0 + p.r) / 2.0, (1.0 + p.s) / 2.0
     l1, l2, l3, l4 = _eigenvalues(p)

@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from xdiscord import BlochX, bloch_to_matrix
+from xdiscord import BlochX, bloch_to_matrix, physicality_margins
 from xdiscord.sampling import (random_bell_diagonal, random_case,
                                random_rank_two, random_states)
 
@@ -93,6 +93,31 @@ REGION_EDGE_BLOCH = [t for k in (-2.0, -0.5, 0.5, 2.0)
                      for t in _region_edges(k * 1e-12)]
 
 
+# c1 = c2 = 0 states whose 1 - |c3| is 2e-12 or 3e-12, so one block has
+# two eigenvalues in (1e-13, 1e-12); the last splits them with r - s =
+# 1e-12 (7.5e-13 and 2.5e-13)
+NEAR_CLASSICAL_BLOCH = [
+    (0.0, 0.0, 0.0, 0.0, 1.0 - 2e-12),
+    (0.0, 0.0, 0.0, 0.0, -(1.0 - 2e-12)),
+    (0.0, 0.0, 0.0, 0.0, 1.0 - 3e-12),
+    (0.5e-12, -0.5e-12, 0.0, 0.0, 1.0 - 2e-12),
+]
+
+
+def random_states_with_margin(rng: np.random.Generator, n: int,
+                              margin: float) -> list[BlochX]:
+    """n uniform states with both positivity margins at least margin,
+    away from the boundary where derivatives blow up: random_states'
+    draws and batch sizes, filtered on physicality_margins."""
+    out: list[BlochX] = []
+    while len(out) < n:
+        rows = rng.uniform(-1.0, 1.0, size=(max(16 * (n - len(out)), 64), 5))
+        m1, m2 = physicality_margins(*rows.T)
+        keep = rows[(m1 >= margin) & (m2 >= margin)]
+        out += [BlochX(*row) for row in keep[:n - len(out)]]
+    return out
+
+
 def same_bits(a, b):
     """Equal arrays with equal sign bits, so -0.0 differs from +0.0."""
     return (np.array_equal(a, b)
@@ -118,6 +143,23 @@ def reference_f(mp, p, z):
         h = mp.sqrt(c * c * (1 - z * z) + (r + sign * c3 * z) ** 2)
         tot += (xlog2(w + h) + xlog2(w - h)) / 4 - xlog2(w) / 2
     return tot
+
+
+def reference_block_spectra(mp, p):
+    """(t, eigenvalues) of the state's two 2x2 blocks at mp's precision.
+
+    The inner block spans |01>, |10> and has t = 1 - c3, the outer one
+    |00>, |11> with t = 1 + c3 (t is twice the block's trace).  The
+    eigenvalues come from mp.eigsy on the blocks of the matrix, built
+    from the Bloch floats taken as exact; callers hold mp at 50 digits.
+    """
+    r, s, c1, c2, c3 = (mp.mpf(x) for x in p.as_tuple())
+    inner = mp.matrix([[1 + r - s - c3, c1 + c2],
+                       [c1 + c2, 1 - r + s - c3]]) / 4
+    outer = mp.matrix([[1 + r + s + c3, c1 - c2],
+                       [c1 - c2, 1 - r - s + c3]]) / 4
+    return [(1 - c3, list(mp.eigsy(inner, eigvals_only=True))),
+            (1 + c3, list(mp.eigsy(outer, eigvals_only=True)))]
 
 
 def dense_entropy(matrix) -> float:

@@ -12,7 +12,7 @@ import pytest
 
 from conftest import (BOUNDARY_BLOCH, EX_MATRIX, FALSIFY_NEAR_ZERO,
                       REGION_EDGE_BLOCH, closed_form_bell_diagonal,
-                      reference_f)
+                      random_states_with_margin, reference_f)
 from xdiscord import (BlochX, PhysicalityError, Region,
                       XDensityMatrix, analytic_max, classify_region, discord,
                       f_derivative, f_second_derivative, f_value, global_max,
@@ -106,7 +106,7 @@ def test_f_and_derivatives_match_50_digit_reference(rng):
 
 def test_derivative_matches_finite_differences(rng):
     h = 1e-6
-    for p in random_states(rng, 60, margin=0.05):
+    for p in random_states_with_margin(rng, 60, 0.05):
         for z in np.linspace(0.1, 0.9, 9):
             fd = (f_value(p, z + h) - f_value(p, z - h)) / (2.0 * h)
             assert f_derivative(p, z) == pytest.approx(fd, abs=1e-5)
@@ -114,7 +114,7 @@ def test_derivative_matches_finite_differences(rng):
 
 def test_second_derivative_matches_finite_differences(rng):
     h = 1e-6
-    for p in random_states(rng, 30, margin=0.05):
+    for p in random_states_with_margin(rng, 30, 0.05):
         for z in np.linspace(0.15, 0.85, 5):
             fd = (f_derivative(p, z + h)
                   - f_derivative(p, z - h)) / (2.0 * h)

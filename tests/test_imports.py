@@ -1,12 +1,13 @@
 """Every name the benchmark, the demos and the scripts take from xdiscord
 exists, so trimming the API cannot silently break one of them; and the
 library defines nothing, public or private, that only the tests and the
-identity corpus call.  FContext, the bench's alias of the state, is
-checked to hand the state through unchanged and to be named nowhere
-else."""
+identity corpus call, nor a public function option that only they pass.
+FContext, the bench's alias of the state, is checked to hand the state
+through unchanged and to be named nowhere else."""
 
 import ast
 import importlib
+import inspect
 from collections import Counter
 from pathlib import Path
 
@@ -115,6 +116,54 @@ def test_library_defines_nothing_only_tests_call():
             if refs[name] - loaded_names(node)[name] <= 0:
                 unused.append(f"{path.stem}.{name}")
     assert not unused, f"defined but used by no library code: {unused}"
+
+
+def passed_arguments(tree: ast.AST) -> dict[str, set]:
+    """For each name called, what its calls pass: the keyword names, the
+    largest count of positional arguments, and "*" for *args or **kwargs
+    (which may pass anything)."""
+    passed: dict[str, set] = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = (func.id if isinstance(func, ast.Name) else
+                func.attr if isinstance(func, ast.Attribute) else None)
+        if name is None:
+            continue
+        got = passed.setdefault(name, set())
+        got |= {kw.arg or "*" for kw in node.keywords}
+        if any(isinstance(a, ast.Starred) for a in node.args):
+            got.add("*")
+        got.add(len(node.args))
+    return passed
+
+
+def test_every_public_option_is_passed_by_library_code():
+    # each parameter with a default of a function in __all__ must be
+    # passed, by position or by keyword, somewhere in src/, xbench/,
+    # demos/ or scripts/ other than the identity corpus; an option only
+    # the tests set is dead code
+    passed: dict[str, set] = {}
+    for path in LIBRARY + [p for p in USERS if p != HARNESS]:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for name, got in passed_arguments(tree).items():
+            passed.setdefault(name, set()).update(got)
+    unpassed = []
+    for name in xdiscord.__all__:
+        func = getattr(xdiscord, name)
+        if not inspect.isfunction(func):
+            continue
+        got = passed.get(name, set())
+        most = max((n for n in got if isinstance(n, int)), default=0)
+        params = inspect.signature(func).parameters.values()
+        for i, param in enumerate(params):
+            if param.default is param.empty or "*" in got:
+                continue
+            by_position = param.kind is not param.KEYWORD_ONLY and most > i
+            if not by_position and param.name not in got:
+                unpassed.append(f"{name}({param.name})")
+    assert not unpassed, f"options only tests pass: {unpassed}"
 
 
 def test_fcontext_alias_gives_the_state_to_the_bench_calls(rng):

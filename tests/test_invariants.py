@@ -10,6 +10,7 @@ Each bound reads only entropies(), the DiscordResult and the state:
   so measuring b in that basis disturbs nothing (Ollivier & Zurek 2001).
 """
 
+from conftest import NEAR_CLASSICAL_BLOCH
 from xdiscord import BlochX, discord, entropies, random_states
 
 TOL = 1e-12
@@ -46,11 +47,34 @@ def test_discord_and_classical_correlation_bounds(families):
     assert broken == []
 
 
+def local_images(t: tuple[float, ...]) -> set[tuple[float, ...]]:
+    """(r, s, c1, c2, c3) and its images under the local symmetries: the
+    closure under sigma_x on a, sigma_x on b, sigma_z on a and a pi/2
+    z-rotation on both qubits (README, "Regions")."""
+    moves = (lambda r, s, c1, c2, c3: (-r, s, c1, -c2, -c3),
+             lambda r, s, c1, c2, c3: (r, -s, c1, -c2, -c3),
+             lambda r, s, c1, c2, c3: (r, s, -c1, -c2, c3),
+             lambda r, s, c1, c2, c3: (r, s, c2, c1, c3))
+    found, todo = {t}, [t]
+    while todo:
+        current = todo.pop()
+        for move in moves:
+            image = move(*current)
+            if image not in found:
+                found.add(image)
+                todo.append(image)
+    return found
+
+
 def test_classical_states_have_zero_discord(rng):
     # zeroing c1 and c2 only widens both positivity margins, so every
-    # uniform draw gives a physical classical state
+    # uniform draw gives a physical classical state.  The near-classical
+    # states, with two eigenvalues in (1e-13, 1e-12), run with every
+    # local image
     drawn = [BlochX(p.r, p.s, 0.0, 0.0, p.c3)
              for p in random_states(rng, 2500)]
+    drawn += [BlochX(*image) for t in NEAR_CLASSICAL_BLOCH
+              for image in sorted(local_images(t))]
     states = ([q for p in drawn for q in (p, p.swapped())]
               + [BlochX(*t) for t in CLASSICAL_BOUNDARY])
     broken = []

@@ -17,11 +17,6 @@ def test_random_states_count_and_physicality(rng):
         assert min(p.margins) >= -1e-10
 
 
-def test_random_states_margin_respected(rng):
-    for p in random_states(rng, 100, margin=0.2):
-        assert min(p.margins) >= 0.2 - 1e-12
-
-
 def test_random_bell_diagonal(rng):
     for p in random_bell_diagonal(rng, 100):
         assert p.r == 0.0 and p.s == 0.0

@@ -9,15 +9,17 @@ import re
 import numpy as np
 import pytest
 
-from conftest import (BOUNDARY_BLOCH, EX_MATRIX, REGION_EDGE_BLOCH,
-                      dense_entropy, ptrace_a, ptrace_b, same_bits)
+from conftest import (BOUNDARY_BLOCH, EX_MATRIX, NEAR_CLASSICAL_BLOCH,
+                      REGION_EDGE_BLOCH, dense_entropy, ptrace_a, ptrace_b,
+                      random_states_with_margin, reference_block_spectra,
+                      same_bits)
 from xdiscord import (BlochX, PhysicalityError, XDensityMatrix, XPatternError,
                       binary_entropy, bloch_to_matrix, entropies,
                       koashi_winter, matrix_to_bloch, physicality_margins,
                       rank_two_classify, spectrum, xlog2)
 from xdiscord.sampling import (random_bell_diagonal, random_rank_two,
                                random_states)
-from xdiscord.states import (EIG_CLAMP, HERM_TOL, PHYS_TOL, TRACE_TOL,
+from xdiscord.states import (HERM_TOL, PHYS_TOL, TRACE_TOL, _eigenvalues,
                              blocks, xlog2_float)
 
 # rank-2 states with a zero eigenvalue in the (|01>, |10>) block: case I
@@ -269,7 +271,7 @@ def checks_corpus(rng):
     # at +/- TRACE_TOL, and entries off the X just under and over 1e-12,
     # with or without their hermitian partner; then non-finite entries
     bases = []
-    for p in random_states(rng, 12, margin=1e-3):
+    for p in random_states_with_margin(rng, 12, 1e-3):
         m = bloch_to_matrix(p).matrix
         u = np.kron(np.diag([1.0, np.exp(1j * rng.uniform(0.0, 6.3))]),
                     np.diag([1.0, np.exp(1j * rng.uniform(0.0, 6.3))]))
@@ -484,29 +486,94 @@ def test_mutual_information_matches_dense(rng):
         assert sa + sb - sab == pytest.approx(expect, abs=1e-10)
 
 
+# closed-form eigenvalues within 1e-13 of 0 and of 1
+NEAR_PURE = [BlochX(0.0, 0.0, 1e-14 - 1.0, 1e-14 - 1.0, 1e-14 - 1.0),
+             BlochX(1.0 - 0.5e-14, 1.0 - 0.5e-14, 0.0, 0.0, 1.0 - 1e-14)]
+
+
+def raw_eigenvalues(p: BlochX) -> list[float]:
+    # (t + R)/4 and (t - R)/4 of each block, as computed, before any clamp
+    return [(t + sign * big) / 4.0 for t, big in blocks(*p.as_tuple())
+            for sign in (1.0, -1.0)]
+
+
 def test_entropies_match_dense_on_every_family(rng):
     # S(a), S(b), S(ab) on floats against eigvalsh of the dense matrix and
-    # its partial traces.  The two near-pure states have closed-form
-    # eigenvalues within EIG_CLAMP of 0 and of 1, so both clamps run.
-    eps = 1e-14
-    near_pure = [BlochX(0.0, 0.0, eps - 1.0, eps - 1.0, eps - 1.0),
-                 BlochX(1.0 - eps / 2, 1.0 - eps / 2, 0.0, 0.0, 1.0 - eps)]
-    for p in near_pure:
-        raw = [(t + sign * big) / 4.0 for t, big in blocks(*p.as_tuple())
-               for sign in (1.0, -1.0)]
-        assert any(0.0 < x < EIG_CLAMP for x in raw)
-        assert any(0.0 < 1.0 - x < EIG_CLAMP for x in raw)
-        assert {0.0, 1.0} <= set(spectrum(p))
+    # its partial traces, and spectrum() against the raw (t +/- R)/4,
+    # clamped to [0, 1] and sorted.  The near-classical states have
+    # eigenvalues in (1e-13, 1e-12), the near-pure ones within 1e-13 of 0
+    # and of 1, and the last state, inside PHYS_TOL, raw values below 0
+    # and above 1, so both clamps run
+    near_classical = [BlochX(*t) for t in NEAR_CLASSICAL_BLOCH]
+    for p in near_classical:
+        assert sum(1e-13 < x < 1e-12 for x in raw_eigenvalues(p)) == 2
+    for p in NEAR_PURE:
+        raw = raw_eigenvalues(p)
+        assert any(0.0 < x < 1e-13 for x in raw)
+        assert any(0.0 < 1.0 - x < 1e-13 for x in raw)
+    past = BlochX(1.0, 1.0, 0.0, 0.0, 1.0 + 0.5 * PHYS_TOL)
+    assert min(raw_eigenvalues(past)) < 0.0 < 1.0 < max(raw_eigenvalues(past))
     states = random_states(rng, 200) + random_bell_diagonal(rng, 50) + [
         p.swapped() for case in ("I", "II", "III")
         for p in random_rank_two(rng, case, 30)]
-    states += [BlochX(*t) for t in BOUNDARY_BLOCH] + near_pure
+    states += ([BlochX(*t) for t in BOUNDARY_BLOCH] + near_classical
+               + NEAR_PURE + [past])
     for p in states:
+        clamped = [min(max(x, 0.0), 1.0) for x in raw_eigenvalues(p)]
+        assert list(spectrum(p)) == sorted(clamped, reverse=True), p
         m = bloch_to_matrix(p).matrix
         expect = (dense_entropy(ptrace_b(m)), dense_entropy(ptrace_a(m)),
                   dense_entropy(m))
         np.testing.assert_allclose(entropies(p), expect, rtol=0, atol=1e-12,
                                    err_msg=str(p.as_tuple()))
+
+
+U = 2.0 ** -53
+
+
+def eta(x):
+    return -x * math.log2(x) if x > 0.0 else 0.0
+
+
+def entropy_rounding_bound(block_spectra, s_ab) -> float:
+    # the bound entropies' docstring derives for S(ab): 6u S(ab), plus for
+    # each eigenvalue lam of a block with t, delta = 2u t, the smaller of
+    # eta(delta) and delta (log2 1/(lam - delta) + 1/ln 2)
+    bound = 6.0 * U * s_ab
+    for t, lams in block_spectra:
+        delta = 2.0 * U * float(t)
+        for lam in lams:
+            cost = eta(delta)
+            if lam > delta:
+                cost = min(cost, delta * (math.log2(1.0 / float(lam - delta))
+                                          + 1.0 / math.log(2.0)))
+            bound += cost
+    return bound
+
+
+def test_entropies_within_rounding_bound_of_50_digit_eigenvalues(rng):
+    # each computed (t +/- R)/4 within 2u t of the 50-digit eigenvalue of
+    # its block clamped to [0, 1], and S(ab) within the derived bound of
+    # the 50-digit sum.  Measured worst, as a share of the bound, on
+    # 2,000 rank-2 states of each case and 2,000 uniform ones:
+    # eigenvalues 0.53 (1.07u t), S(ab) 0.15, both on case III
+    mp = pytest.importorskip("mpmath").mp
+    states = [p.swapped() for case in ("I", "II", "III")
+              for p in random_rank_two(rng, case, 40)]
+    states += [BlochX(*t) for t in NEAR_CLASSICAL_BLOCH + BOUNDARY_BLOCH]
+    states += NEAR_PURE + random_states(rng, 100)
+    with mp.workdps(50):
+        for p in states:
+            ref = reference_block_spectra(mp, p)
+            got = _eigenvalues(p)
+            for (t, lams), pair in zip(ref, (got[:2], got[2:])):
+                for x, lam in zip(pair, sorted(lams, reverse=True)):
+                    lam = min(max(lam, 0), 1)
+                    assert abs(x - lam) <= 2.0 * U * float(t), (p, x, lam)
+            exact = sum(-lam * mp.log(lam, 2) for _, lams in ref
+                        for lam in lams if lam > 0)
+            err = abs(entropies(p)[2] - exact)
+            assert err <= entropy_rounding_bound(ref, float(exact)), (p, err)
 
 
 def test_swapped_exchanges_parties():
