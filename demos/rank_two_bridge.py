@@ -7,8 +7,9 @@ exactly: C_a + E_bc = S_b.  This script classifies sampled states into
 the three rank-2 families and checks the identity.  On one case-III
 state it then prints the bridge's concurrence, which koashi_winter takes
 from the purification's 2x2 Wootters matrix, next to concurrence() of
-rho_bc (the general 4x4 route) and the case-III quadratic that gives
-the squared concurrence from the Bloch parameters.
+rho_bc (the 4x4 Wootters matrix of the factor one eigh gives) and the
+case-III quadratic that gives the squared concurrence from the Bloch
+parameters.
 """
 
 import numpy as np

@@ -31,9 +31,10 @@ The rank-2 bridge gets three more sections, all on real matrices: each
 rank-2 state and its swap prints its koashi_winter() report (whose
 concurrence_bc comes from the purification's 2x2 Wootters matrix), its
 rank_two_classify() decomposition, and Wootters' lambda_i
-(entanglement._mu, the general 4x4 route) and concurrence() of the
-decomposition's rho_bc (so the kw and concurrence_bc lines show both
-derivations); each uniform state, and each of a set of rank-1 and rank-3
+(entanglement._mu, the 4x4 Wootters matrix of one eigh's factor) and
+concurrence() of the decomposition's rho_bc (so the kw and
+concurrence_bc lines show the concurrence from the 2x2 and from the 4x4
+matrix); each uniform state, and each of a set of rank-1 and rank-3
 states, prints the exception rank_two_classify() raises on it, and each
 uniform state also the lambda_i of its matrix; and a near-rank ladder
 c3 = +/-(1 - eps) prints each warning and result of both calls.
@@ -85,7 +86,7 @@ category and message.
 The section printed after the CLI gives the lambda_i and concurrence()
 of the local-unitary images of tests/conftest.py (local_unitary_images:
 300 uniform and 300 rank-2 states, each under a Haar-random
-U_a (x) U_b), where concurrence takes its general route alone.
+U_a (x) U_b), whose entries off the X are complex.
 
 The last section prints the pools the samplers draw: random_states,
 random_bell_diagonal, random_case for cases a to d and random_rank_two

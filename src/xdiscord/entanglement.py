@@ -19,15 +19,14 @@ import numpy as np
 
 from .engine import discord
 from .states import (PHYS_TOL, PhysicalityError, XDensityMatrix, _as_x,
-                     _check_hermitian, _clamp, _entries, _stray,
-                     binary_entropy, entropies)
+                     _check_hermitian, _clamp, _entries, binary_entropy,
+                     entropies)
 
 RANK_TOL = 1e-10        # eigenvalues below this count as zero
 NEAR_RANK_BAND = 1e-6   # third eigenvalue in (RANK_TOL, this) warns
-ROUTE_TOL = 1e-10       # allowed gap between the two concurrence routes
 
 # sigma_y (x) sigma_y, the anti-diagonal (-1, 1, 1, -1): real entries,
-# stored complex so _spin_flip casts none
+# stored complex so _mu casts none
 _SYY = np.diag([-1.0, 1.0, 1.0, -1.0])[::-1].astype(complex)
 
 
@@ -36,9 +35,10 @@ class RankError(ValueError):
 
 
 def _as_array(matrix) -> np.ndarray:
-    # the one read of a public call's input; private steps take its array
+    # the one read of a public call's input; private steps take its array.
+    # An XDensityMatrix validated its read-only array when it was built
     if isinstance(matrix, XDensityMatrix):
-        matrix = matrix.matrix
+        return matrix.matrix
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (4, 4):
         raise ValueError(f"expected one 4x4 matrix, got shape {m.shape}")
@@ -47,39 +47,18 @@ def _as_array(matrix) -> np.ndarray:
     return m
 
 
-def _spin_flip(m: np.ndarray) -> np.ndarray:
-    # the spin-flipped matrix (sy x sy) conj(rho) (sy x sy)
-    return _SYY @ m.conj() @ _SYY
-
-
 def _mu(m: np.ndarray) -> np.ndarray:
-    # square roots of the eigenvalues of rho rho-tilde, descending: Wootters'
-    # lambda_i, the singular values of sqrt(rho) sqrt(rho-tilde); computed
-    # that way, small ones keep absolute accuracy instead of sqrt(eps).
-    # Works for any two-qubit density matrix
-    w, v = np.linalg.eigh(np.array((m, _spin_flip(m))))
-    if w[0, 0] < -PHYS_TOL:
-        raise PhysicalityError("matrix has eigenvalue %.3e < 0" % w[0, 0])
-    w = np.sqrt(np.maximum(w, 0.0))
-    root, root_flip = (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
-    return np.linalg.svd(root @ root_flip, compute_uv=False)
-
-
-def _mu_closed(m: np.ndarray) -> np.ndarray:
-    # the mu spectrum of an X-shaped matrix in closed form,
-    # {sqrt(rho11 rho44) +/- |rho14|, sqrt(rho22 rho33) +/- |rho23|},
-    # descending
-    g1 = math.sqrt(max(m[0, 0].real * m[3, 3].real, 0.0))
-    g2 = math.sqrt(max(m[1, 1].real * m[2, 2].real, 0.0))
-    a14 = abs(m[0, 3])
-    a23 = abs(m[1, 2])
-    return np.array(sorted((g1 + a14, abs(g1 - a14), g2 + a23,
-                            abs(g2 - a23)), reverse=True))
-
-
-def _con_from_mu(mu: np.ndarray) -> float:
-    m0, m1, m2, m3 = mu.tolist()
-    return max(0.0, m0 - m1 - m2 - m3)
+    # Wootters' lambda_i, descending, for any two-qubit density matrix:
+    # with rho = Phi Phi^dagger, Phi = V sqrt(W) from one eigh, rho
+    # rho-tilde has the nonzero eigenvalues of tau^dagger tau, tau = Phi^T
+    # (sy x sy) Phi complex symmetric, so the lambda_i are the singular
+    # values of tau; computed that way, small ones keep absolute accuracy
+    # instead of sqrt(eps)
+    w, v = np.linalg.eigh(m)
+    if w[0] < -PHYS_TOL:
+        raise PhysicalityError("matrix has eigenvalue %.3e < 0" % w[0])
+    phi = v * np.sqrt(np.maximum(w, 0.0))
+    return np.linalg.svd(phi.T @ _SYY @ phi, compute_uv=False)
 
 
 def _con_from_purification(p0: list[float], p1: list[float]) -> float:
@@ -104,24 +83,14 @@ def _con_from_purification(p0: list[float], p1: list[float]) -> float:
 def concurrence(matrix) -> float:
     """Concurrence of a two-qubit density matrix.
 
-    Uses the general singular-value route; for X-shaped inputs the closed
-    form runs too, and a gap beyond 1e-10 raises.  A non-finite entry,
-    asymmetry above HERM_TOL or an eigenvalue below -PHYS_TOL raises
+    Wootters' lambda_i are the singular values of tau = Phi^T (sy x sy)
+    Phi for the factor rho = Phi Phi^dagger of one eigh.  A non-finite
+    entry, asymmetry above HERM_TOL or an eigenvalue below -PHYS_TOL raises
     PhysicalityError; the trace is not checked: rank_two_classify's rho_bc
     has trace w0 + w1, 1 - 2.0e-8 on BlochX(0.3, 0.3, 0.5, -0.5, 1 - 4e-8).
     """
-    m = _as_array(matrix)
-    con = _con_from_mu(_mu(m))
-    # not HERM_TOL: XDensityMatrix accepts strays up to 1e-12, which move
-    # the concurrence of a rank-deficient state by more than ROUTE_TOL
-    # (1.25e-10 on a rank-2 state with rho_12 = rho_21 = 1e-12)
-    if _stray(m) < 1e-14:
-        con_x = _con_from_mu(_mu_closed(m))
-        if abs(con - con_x) > ROUTE_TOL:
-            raise RuntimeError(
-                "concurrence routes disagree: eigen %.12g vs closed %.12g"
-                % (con, con_x))
-    return con
+    m0, m1, m2, m3 = _mu(_as_array(matrix)).tolist()
+    return max(0.0, m0 - m1 - m2 - m3)
 
 
 def eof_from_concurrence(con: float) -> float:
@@ -272,7 +241,7 @@ def koashi_winter(matrix) -> KoashiWinterReport:
     array: the purification rows are Python-float products with the bits
     of rank_two_classify's purification.  The concurrence of rho_bc comes
     from their 2x2 Wootters matrix, in floats; it agrees with
-    concurrence(rho_bc), the general route, to rounding.
+    concurrence(rho_bc), the 4x4 one, to rounding.
     """
     xm = _as_x(matrix)
     p = xm.bloch

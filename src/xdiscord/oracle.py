@@ -326,11 +326,11 @@ def oracle_classical_correlation(p: BlochX, grid_n: int = 256,
     the kernel is elementwise, and each zoom's rows resolve ties to their
     first minimum, as a sweep of that grid alone does.
     """
-    if grid_n < 1 or refine_rounds < 0:
+    n = operator.index(grid_n)
+    if n < 1 or refine_rounds < 0:
         raise ValueError("grid_n must be at least 1 and refine_rounds at "
                          f"least 0, got {grid_n} and {refine_rounds}")
     cols = 1 if _phi_weight(p) == 0.0 else None    # phi columns swept
-    n = operator.index(grid_n)
     z3s, phis, sin2, column = _coarse_grid(n)
     swept = None        # round 1's (entropy, (z3, phi)), if already swept
     if cols is None:
@@ -348,7 +348,7 @@ def oracle_classical_correlation(p: BlochX, grid_n: int = 256,
             swept = float(ce[a, 0]), (float(column[a]), 0.0)
     z3, phi = float(z3s[i]), float(phis[j])
 
-    dz = 1.0 / max(grid_n - 1, 1)
+    dz = 1.0 / max(n - 1, 1)
     dphi = HALF_PI * dz
     for _ in range(refine_rounds):
         if swept is None:
@@ -373,4 +373,4 @@ def oracle_classical_correlation(p: BlochX, grid_n: int = 256,
                         entropy_min=best, z3=z3, phi=phi,
                         direction=(rho * math.cos(phi), rho * math.sin(phi),
                                    z3),
-                        grid_n=grid_n, grid_index=(i, j))
+                        grid_n=n, grid_index=(i, j))

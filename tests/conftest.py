@@ -3,9 +3,10 @@
 Everything here recomputes quantities apart from the package,
 deliberately bypassing its closed forms, so each check compares two
 independent derivations: dense 4x4 matrices through numpy's
-general-purpose eigensolver, and F(z) at 50 digits from its defining
-sum.  Each reference has this one copy; scripts/ imports it from here.
-The state lists and the families fixture only supply inputs.
+general-purpose eigensolver, F(z) at 50 digits from its defining sum,
+and Wootters' lambda_i of an X-shaped matrix in closed form.  Each
+reference has this one copy; scripts/ imports it from here.  The state
+lists and the families fixture only supply inputs.
 """
 
 import math
@@ -169,6 +170,18 @@ def dense_entropy(matrix) -> float:
                       if x > 0.0))
 
 
+def closed_form_mu(matrix) -> np.ndarray:
+    """Wootters' lambda_i of an X-shaped matrix in closed form, descending:
+    {sqrt(rho11 rho44) +/- |rho14|, sqrt(rho22 rho33) +/- |rho23|}."""
+    m = np.asarray(matrix, dtype=complex)
+    g1 = math.sqrt(max(m[0, 0].real * m[3, 3].real, 0.0))
+    g2 = math.sqrt(max(m[1, 1].real * m[2, 2].real, 0.0))
+    a14 = abs(m[0, 3])
+    a23 = abs(m[1, 2])
+    return np.array(sorted((g1 + a14, abs(g1 - a14), g2 + a23,
+                            abs(g2 - a23)), reverse=True))
+
+
 def ptrace_a(matrix) -> np.ndarray:
     """Reduced state of qubit b."""
     m = np.asarray(matrix, dtype=complex).reshape(2, 2, 2, 2)
@@ -236,11 +249,6 @@ def closed_form_bell_diagonal(c1, c2, c3) -> float:
     return (0.25 * (xl(1 - c3 + c1 + c2) + xl(1 - c3 - c1 - c2)
                     + xl(1 + c3 + c1 - c2) + xl(1 + c3 - c1 + c2))
             - 0.5 * (xl(1 + big) + xl(1 - big)))
-
-
-@pytest.fixture
-def ex_matrix() -> np.ndarray:
-    return EX_MATRIX.copy()
 
 
 @pytest.fixture

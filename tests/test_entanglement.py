@@ -8,15 +8,15 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import (dense_entropy, local_unitary_images, ptrace_a,
+from conftest import (BOUNDARY_BLOCH, NEAR_CLASSICAL_BLOCH, closed_form_mu,
+                      dense_entropy, local_unitary_images, ptrace_a,
                       same_bits)
 from xdiscord import (BlochX, PhysicalityError, RankError, XDensityMatrix,
                       binary_entropy, bloch_to_matrix, concurrence, discord,
                       koashi_winter, matrix_to_bloch,
                       purification_marginal_ab, rank_two_classify)
 from xdiscord import entanglement, states
-from xdiscord.entanglement import (_as_array, _mu, _mu_closed, _spin_flip,
-                                   eof_from_concurrence)
+from xdiscord.entanglement import _as_array, _mu, eof_from_concurrence
 from xdiscord.sampling import random_rank_two, random_states
 
 # deterministic case-III example: rank-2 by construction, |c1| >= |c2|
@@ -24,43 +24,11 @@ CASE_III = BlochX(0.675026234717949, 0.24278439002343719,
                   0.7231190062657733, -0.04994221841945595, 0.2)
 
 
-def test_spin_flip_is_an_involution(rng):
-    for p in random_states(rng, 30):
-        m = bloch_to_matrix(p).matrix
-        np.testing.assert_allclose(_spin_flip(_spin_flip(m)), m, atol=1e-15)
-
-
 # sigma_y (x) sigma_y kept real, as in the textbook formula
 SYY_REAL = np.array([[0.0, 0.0, 0.0, -1.0],
                      [0.0, 0.0, 1.0, 0.0],
                      [0.0, 1.0, 0.0, 0.0],
                      [-1.0, 0.0, 0.0, 0.0]])
-
-
-def same_complex_bits(a, b):
-    return same_bits(a.view(float), b.view(float))
-
-
-def complex_from_parts(re_part, im_part):
-    m = np.empty(re_part.shape, dtype=complex)
-    m.real, m.imag = re_part, im_part
-    return m
-
-
-def test_spin_flip_matches_textbook_bits(rng):
-    # random complex matrices; matrices of +0.0 and -0.0 in both parts;
-    # and the random ones with a random half of the parts set to +/-0.0
-    mats = [complex_from_parts(*rng.normal(size=(2, 4, 4)))
-            for _ in range(50)]
-    for m in list(mats):
-        zeros = rng.choice([0.0, -0.0], size=(2, 4, 4))
-        keep = rng.integers(0, 2, size=(2, 4, 4)).astype(bool)
-        mats.append(complex_from_parts(*zeros))
-        mats.append(complex_from_parts(np.where(keep[0], m.real, zeros[0]),
-                                       np.where(keep[1], m.imag, zeros[1])))
-    for m in mats:
-        assert same_complex_bits(_spin_flip(m),
-                                 SYY_REAL @ np.conj(m) @ SYY_REAL), m
 
 
 @pytest.mark.parametrize("shape", [(3, 3), (2, 2), (2, 4, 4), (4,), (16,)],
@@ -86,9 +54,9 @@ def test_matrix_helpers_reject_non_finite_entries(value):
 
 
 def test_public_matrix_calls_read_their_input_once(monkeypatch):
-    # concurrence runs both routes on the one array it read, and
-    # koashi_winter reads no matrix: its concurrence comes from the
-    # purification
+    # concurrence reads a raw array once and an XDensityMatrix not at
+    # all (its constructor read it), and koashi_winter reads no matrix:
+    # its concurrence comes from the purification
     reads = []
     entries = entanglement._entries
 
@@ -97,19 +65,19 @@ def test_public_matrix_calls_read_their_input_once(monkeypatch):
         return entries(m)
     monkeypatch.setattr(entanglement, "_entries", counted)
     xm = bloch_to_matrix(CASE_III)
-    for m in (xm, xm.matrix):
+    for m, count in ((xm, 0), (xm.matrix, 1)):
         reads.clear()
         concurrence(m)
-        assert len(reads) == 1
+        assert len(reads) == count
     reads.clear()
     koashi_winter(xm)
     assert reads == []
 
 
 def test_concurrence_general_route_is_local_unitary_invariant():
-    # U_a (x) U_b moves entries off the X, so concurrence takes its
-    # general route alone; the X-shaped original is cross-checked by the
-    # closed form
+    # U_a (x) U_b moves entries off the X and makes them complex, so
+    # tau = Phi^T (sy x sy) Phi differs from Phi^dagger (sy x sy) Phi
+    # here, unlike on the real X-shaped original
     off_x = np.ones((4, 4), dtype=bool)
     off_x[[0, 1, 2, 3, 0, 1, 2, 3], [0, 1, 2, 3, 3, 2, 1, 0]] = False
     for m, image in local_unitary_images():
@@ -118,38 +86,16 @@ def test_concurrence_general_route_is_local_unitary_invariant():
 
 
 def test_mu_spectrum_routes_agree(rng):
-    for p in random_states(rng, 300):
+    # _mu against the X closed form on uniform states, rank-2 states of
+    # each case with their swaps, and the boundary and near-classical ones
+    picked = random_states(rng, 300) + [
+        q for case in ("I", "II", "III")
+        for p in random_rank_two(rng, case, 40) for q in (p, p.swapped())]
+    picked += [BlochX(*t) for t in BOUNDARY_BLOCH + NEAR_CLASSICAL_BLOCH]
+    for p in picked:
         m = bloch_to_matrix(p)
-        np.testing.assert_allclose(_mu(_as_array(m)), _mu_closed(m.matrix),
-                                   atol=1e-10)
-        concurrence(m)  # the internal cross-check must not raise
-
-
-def per_matrix_mu_spectrum(m):
-    # Wootters' lambda_i with one eigh square root per matrix
-    def sqrtm(a):
-        w, v = np.linalg.eigh(a)
-        return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    m = np.asarray(m, dtype=complex)
-    return np.linalg.svd(sqrtm(m) @ sqrtm(_spin_flip(m)), compute_uv=False)
-
-
-def test_mu_spectrum_matches_per_matrix_reference(rng):
-    # both square roots come from one stacked eigh; each matrix of the
-    # stack must give the bits of its own eigh
-    mats = [rank_two_classify(bloch_to_matrix(p)).rho_bc
-            for case in ("I", "II", "III")
-            for p in random_rank_two(rng, case, 20)]
-    mats += [bloch_to_matrix(p).matrix for p in random_states(rng, 60)]
-    for rank in (2, 4):
-        for _ in range(60):
-            g = (rng.normal(size=(4, rank))
-                 + 1j * rng.normal(size=(4, rank)))
-            rho = g @ g.conj().T
-            mats.append(rho / np.trace(rho).real)
-    for m in mats:
-        assert np.array_equal(_mu(_as_array(m)),
-                              per_matrix_mu_spectrum(m)), m
+        np.testing.assert_allclose(_mu(_as_array(m)), closed_form_mu(m.matrix),
+                                   atol=1e-10, err_msg=repr(p))
 
 
 def test_concurrence_of_known_states():
@@ -167,41 +113,6 @@ def test_concurrence_of_werner_family():
     for a, expect in ((0.2, 0.0), (1.0 / 3.0, 0.0), (0.6, 0.4), (1.0, 1.0)):
         m = bloch_to_matrix(BlochX(0.0, 0.0, -a, -a, -a))
         assert concurrence(m) == pytest.approx(expect, abs=1e-12)
-
-
-def test_concurrence_raises_when_its_routes_disagree(monkeypatch):
-    def shifted(m):
-        return _mu_closed(m) + [1e-6, 0.0, 0.0, 0.0]
-    monkeypatch.setattr(entanglement, "_mu_closed", shifted)
-    with pytest.raises(RuntimeError, match="concurrence routes disagree"):
-        concurrence(bloch_to_matrix(BlochX(0.0, 0.0, 1.0, -1.0, 1.0)))
-
-
-# rank 2, both margins 0 to rounding
-STRAY_RANK_TWO = BlochX(-0.8017944489737832, -0.5411521030904474,
-                        0.5536546967347962, -0.5517114908874239,
-                        0.7393504104807881)
-
-
-@pytest.mark.parametrize("stray, closed_calls",
-                         [(1e-12, 0), (9e-13, 0), (1e-15, 1)])
-def test_concurrence_cross_checks_x_shapes_to_rounding_only(
-        monkeypatch, stray, closed_calls):
-    # a stray entry up to HERM_TOL passes validation, but on this state
-    # it moves the general-route concurrence about 125 times its size
-    # from the closed form of the X part (1.25e-10 at 1e-12, above
-    # ROUTE_TOL), so only strays below 1e-14 run the closed cross-check
-    m = bloch_to_matrix(STRAY_RANK_TWO).matrix.astype(complex)
-    m[0, 1] = m[1, 0] = stray
-    XDensityMatrix(m)
-    calls = []
-
-    def counted(a):
-        calls.append(a)
-        return _mu_closed(a)
-    monkeypatch.setattr(entanglement, "_mu_closed", counted)
-    assert 0.0 < concurrence(m) <= 1.0
-    assert len(calls) == closed_calls
 
 
 def test_eof_from_concurrence_shape():
@@ -284,8 +195,8 @@ def test_complementary_marginal_is_a_state(rng):
         bc = decomp.rho_bc
         assert np.trace(bc) == pytest.approx(1.0, abs=1e-12)
         assert float(np.min(np.linalg.eigvalsh(bc))) > -1e-12
-        # the complementary state is X-shaped too, so both concurrence
-        # routes stay active on it
+        # the complementary state is X-shaped too, so the closed form
+        # of its lambda_i applies
         mask = np.ones((4, 4), dtype=bool)
         mask[np.arange(4), np.arange(4)] = False
         mask[0, 3] = mask[3, 0] = mask[1, 2] = mask[2, 1] = False
@@ -462,7 +373,7 @@ def test_bridge_regressions(name):
                                atol=1e-12)
     if mu2 is not None:
         mu = _mu(_as_array(decomp.rho_bc))
-        np.testing.assert_allclose(mu, _mu_closed(decomp.rho_bc),
+        np.testing.assert_allclose(mu, closed_form_mu(decomp.rho_bc),
                                    atol=1e-10)
         assert mu[1] == pytest.approx(mu2, rel=1e-4)
     assert koashi_winter(m).residual < 1e-8
@@ -575,18 +486,26 @@ def _tau_concurrence_50_digits(mp, psi):
 # 3,000 Gaussian purifications (seed 7)
 TAU_ROUTE_TOL = 8 * 2.0 ** -53
 
-# Measured, not derived: the general route is off by up to 1.8e-13 on
-# 12,000 sampled rank-2 states (seed 5), all of it its own error on
-# case-III states with |c1| close to |c2| (the tau route was within
-# 4.4e-17 of 50 digits there), and by up to 6.7e-14 on 3,000 Gaussian
-# purifications (seed 7)
+# Measured, not derived: concurrence (the singular values of the 4x4
+# tau of one eigh's factor) is off by up to 2.9e-13 on rho_bc of 12,000
+# sampled rank-2 states (seed 5, 4,000 per case), each also swapped, all
+# of it on case-III states with |c1| close to |c2| (cases I and II: at
+# most 3.1e-16), and by up to 9.2e-14 on 3,000 Gaussian purifications
+# (seed 7)
 GENERAL_ROUTE_TOL = 1e-12
 
-# the worst case-III state seen, |c1| close to |c2|: the general route is
-# off by 1.78e-13 here and by 1.14e-13 on its swap
+# a case-III state with |c1| close to |c2|: the tau route is within
+# 1.5e-16 of 50 digits here and on its swap
 NEAR_TIE_III = BlochX(0.46658015936635566, 0.7374797943040758,
                       0.37425447960078567, 0.3741664848458211,
                       0.2040599568858349)
+
+# the worst of the seed-5 states for the tau route, case III with |c1|
+# close to |c2|: mu[1] and mu[2] are off by 1.46e-13 each and C by
+# 2.93e-13, and by 3.6e-14 and 7.3e-14 on its swap
+WORST_TAU_III = BlochX(-0.41103768868616886, 0.8771978198774921,
+                       0.2692502482068527, -0.26861888375255305,
+                       -0.28823566327956807)
 
 
 def _mu_spectrum_50_digits(mp, rho):
@@ -604,30 +523,32 @@ def _mu_spectrum_50_digits(mp, rho):
 
 
 def test_mu_spectrum_matches_50_digit_reference():
-    # the general route (_mu, which concurrence runs) on rho_bc.  Worst
-    # seen on the regression states: 2.1e-16 absolute (322/46's mu[1]),
-    # 3.6e-16 relative on 408/95's mu[1].  On NEAR_TIE_III and its swap
-    # mu[1] is off by 1.79e-13 and 1.15e-13 and C by 1.78e-13 and
-    # 1.14e-13, the other mu by at most 3.4e-16.  There mu[1] and C are
-    # held to GENERAL_ROUTE_TOL, the route's bound measured on 12,000
-    # states; every other mu, there and on the regression states, to 1e-15
+    # _mu, which concurrence runs, on rho_bc.  Worst seen on the
+    # regression states and on NEAR_TIE_III and its swap: 9.6e-17
+    # absolute (322/46's mu[0] and mu[1]), 2.1e-16 relative on 408/95's
+    # mu[1], and C within 1.5e-16; each mu and C is held to 1e-15 there.
+    # On WORST_TAU_III and its swap mu[1], mu[2] and C are held to
+    # GENERAL_ROUTE_TOL, the route's bound measured on 24,000 matrices
     mp = pytest.importorskip("mpmath").mp
-    near_tie = {"near-tie": (NEAR_TIE_III.as_tuple(), None),
-                "near-tie swapped": (NEAR_TIE_III.swapped().as_tuple(),
-                                     None)}
+    worst = ("worst", "worst swapped")
+    named = {**BRIDGE_REGRESSIONS,
+             "near-tie": (NEAR_TIE_III.as_tuple(), None),
+             "near-tie swapped": (NEAR_TIE_III.swapped().as_tuple(), None),
+             "worst": (WORST_TAU_III.as_tuple(), None),
+             "worst swapped": (WORST_TAU_III.swapped().as_tuple(), None)}
     with mp.workdps(50):
-        for name, (bloch, mu2) in {**BRIDGE_REGRESSIONS, **near_tie}.items():
+        for name, (bloch, mu2) in named.items():
             rho_bc = rank_two_classify(bloch_to_matrix(BlochX(*bloch))).rho_bc
             assert not np.iscomplexobj(rho_bc)
             mu = _mu(_as_array(rho_bc))
             ref = _mu_spectrum_50_digits(mp, rho_bc)
-            tol = [1e-15] * 4
-            if name in near_tie:
-                tol[1] = GENERAL_ROUTE_TOL
-                con = max(ref[0] - ref[1] - ref[2] - ref[3], 0)
-                assert abs(concurrence(rho_bc) - con) <= GENERAL_ROUTE_TOL
-            for got, want, bound in zip(mu, ref, tol):
-                assert abs(got - want) <= bound, (name, got, want)
+            tol = [1e-15] * 5           # mu[0] to mu[3], then C
+            if name in worst:
+                tol[1] = tol[2] = tol[4] = GENERAL_ROUTE_TOL
+            con = max(ref[0] - ref[1] - ref[2] - ref[3], 0)
+            got = [*mu, concurrence(rho_bc)]
+            for g, want, bound in zip(got, [*ref, con], tol):
+                assert abs(g - want) <= bound, (name, g, want)
             if mu2 is not None:
                 assert abs(mu[1] - ref[1]) <= 1e-14 * ref[1], name
 
@@ -660,8 +581,9 @@ def test_kw_concurrence_matches_general_route(rng):
 
 def test_kw_concurrence_is_exactly_zero_in_cases_i_and_ii(rng):
     # each row of the purification lies in one half of the (b, c) basis,
-    # where tau(u, u) = 0 exactly; the general route leaves rounding
-    # noise there, up to 2.2e-16 on the identity corpus
+    # where tau(u, u) = 0 exactly; concurrence(rho_bc) leaves rounding
+    # noise there, up to 3.3e-16 on 4,000 sampled case I/II states and
+    # their swaps (seed 1)
     ladder = [BlochX(0.3, 0.3, 0.2, -0.2, 1.0 - eps)
               for eps in (1e-10, 2e-9, 2e-8)]
     ladder += [BlochX(0.3, -0.3, 0.2, 0.2, -1.0 + eps) for eps in (1e-10,
@@ -689,7 +611,8 @@ def test_koashi_winter_runs_no_eigh_or_svd(rng, monkeypatch):
         monkeypatch.setattr(np.linalg, name, refuse)
     for case, m in rank_two_inputs(rng, 2):
         assert koashi_winter(m).case == case
-    # the patch reaches the general route, so it would catch a call
+    # the patch reaches concurrence's eigh and svd, so it would catch a
+    # call
     with pytest.raises(AssertionError, match="4x4 linear algebra"):
         concurrence(bloch_to_matrix(CASE_III))
 
@@ -758,14 +681,22 @@ def test_concurrence_rejects_non_states(m, message):
 
 def test_concurrence_accepts_what_xdensitymatrix_accepts():
     # a block margin of -0.99 PHYS_TOL, which BlochX accepts, puts two
-    # eigenvalues at -0.2475 PHYS_TOL; and rho_bc has trace w0 + w1,
-    # which concurrence does not check
+    # eigenvalues at -0.2475 PHYS_TOL; a stray entry of HERM_TOL passes
+    # XDensityMatrix; and rho_bc has trace w0 + w1, which concurrence does
+    # not check
     tol = states.PHYS_TOL
     for p in (BlochX(0.3, 0.3, 0.2, -0.2, 1.0 + 0.99 * tol),
               BlochX(0.3, -0.3, 0.2, 0.2, -1.0 - 0.99 * tol)):
         xm = bloch_to_matrix(p)
         assert np.linalg.eigvalsh(xm.matrix)[0] < -0.24 * tol
         assert concurrence(xm) == concurrence(xm.matrix) >= 0.0
+    # rank 2, both margins 0 to rounding
+    stray = bloch_to_matrix(BlochX(
+        -0.8017944489737832, -0.5411521030904474, 0.5536546967347962,
+        -0.5517114908874239, 0.7393504104807881)).matrix.copy()
+    stray[0, 1] = stray[1, 0] = states.HERM_TOL
+    assert 0.0 < concurrence(stray) == concurrence(XDensityMatrix(stray))
+    assert concurrence(stray) <= 1.0
     edge = BlochX(0.3, 0.3, 0.5, -0.5, 1.0 - 4e-8)
     with pytest.warns(RuntimeWarning, match="barely zero"):
         rho_bc = rank_two_classify(bloch_to_matrix(edge)).rho_bc

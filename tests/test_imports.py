@@ -1,9 +1,10 @@
 """Every name the benchmark, the demos and the scripts take from xdiscord
 exists, so trimming the API cannot silently break one of them; and the
 library defines nothing, public or private, that only the tests and the
-identity corpus call, nor a public function option that only they pass.
-FContext, the bench's alias of the state, is checked to hand the state
-through unchanged and to be named nowhere else."""
+identity corpus call, nor a public function option that only they pass;
+tests/conftest.py defines nothing that no test, script or other conftest
+name reads.  FContext, the bench's alias of the state, is checked to hand
+the state through unchanged and to be named nowhere else."""
 
 import ast
 import importlib
@@ -25,6 +26,8 @@ LIBRARY = sorted((ROOT / "src" / "xdiscord").glob("*.py"))
 # the identity gate's own harness prints whatever the library offers, so
 # calling a name there does not make it used
 HARNESS = ROOT / "scripts" / "identity_corpus.py"
+TESTS = sorted((ROOT / "tests").glob("test_*.py"))
+CONFTEST = ROOT / "tests" / "conftest.py"
 
 
 def xdiscord_names(tree: ast.AST) -> set[tuple[str, str]]:
@@ -116,6 +119,43 @@ def test_library_defines_nothing_only_tests_call():
             if refs[name] - loaded_names(node)[name] <= 0:
                 unused.append(f"{path.stem}.{name}")
     assert not unused, f"defined but used by no library code: {unused}"
+
+
+def taken_parameters(tree: ast.AST) -> Counter:
+    """How often each name is a parameter of a function, as pytest hands
+    a fixture to a test or to another fixture."""
+    refs = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            refs.update(a.arg for a in args.posonlyargs + args.args
+                        + args.kwonlyargs)
+    return refs
+
+
+def is_fixture(node: ast.AST) -> bool:
+    return any("fixture" in ast.unparse(d)
+               for d in getattr(node, "decorator_list", []))
+
+
+def test_conftest_defines_nothing_unused():
+    # every top-level name of conftest.py must be read by a test module,
+    # a script or another conftest name, outside its own definition; a
+    # fixture counts when some test or fixture takes it as a parameter
+    conftest = ast.parse(CONFTEST.read_text(), filename=str(CONFTEST))
+    reads, takes = loaded_names(conftest), taken_parameters(conftest)
+    for path in TESTS + USERS:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        reads += loaded_names(tree)
+        takes += taken_parameters(tree)
+    unused = []
+    for name, node in top_level_definitions(conftest):
+        used = reads[name] - loaded_names(node)[name]
+        if is_fixture(node):
+            used += takes[name] - taken_parameters(node)[name]
+        if used <= 0:
+            unused.append(name)
+    assert not unused, f"conftest names nothing uses: {unused}"
 
 
 def passed_arguments(tree: ast.AST) -> dict[str, set]:

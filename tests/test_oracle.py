@@ -1,6 +1,8 @@
 """Brute-force measurement sweep against dense-matrix reference results."""
 
 import ast
+import dataclasses
+import json
 import math
 from pathlib import Path
 
@@ -181,6 +183,16 @@ def test_oracle_rejects_negative_refine_rounds():
     assert oracle_classical_correlation(
         p, grid_n=17, refine_rounds=np.int64(3)) == (
         oracle_classical_correlation(p, grid_n=17, refine_rounds=3))
+
+
+def test_oracle_records_grid_n_as_a_python_int():
+    # the record holds operator.index(grid_n), so it prints as JSON
+    p = BlochX(0.31, -0.22, 0.47, -0.18, 0.29)
+    for given, want in ((np.int64(17), 17), (True, 1)):
+        orc = oracle_classical_correlation(p, grid_n=given, refine_rounds=0)
+        assert type(orc.grid_n) is int and orc.grid_n == want
+        assert json.loads(json.dumps(dataclasses.asdict(orc)))[
+            "grid_n"] == want
 
 
 def test_oracle_refinement_improves_on_coarse_grid():
